@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, KGHierarchyError, NoRootError
+from .errors import ConfigError, KGHierarchyError
 from .hierarchy import make_superpotential, riccati_check
 from .oracle import OracleConfig, compare
 from .potential import Branch, PotentialParams
@@ -43,7 +42,6 @@ class RunConfig:
     sweep_values: tuple[float, ...] = ()
     output_path: str | None = None
     fmt: str = "csv"
-    jobs: int = 1
     perturb_mu: float = 0.0
     oracle_cfg: OracleConfig = OracleConfig()
 
@@ -141,7 +139,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         sweep_values=raw.get("sweep_values", ()),
         output_path=args.output,
         fmt=args.format,
-        jobs=args.jobs,
         perturb_mu=getattr(args, "perturb_mu", 0.0),
         oracle_cfg=OracleConfig(**oracle_kwargs),
     )
@@ -289,42 +286,22 @@ def run_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_one(p: PotentialParams, key: str, value: float, n_max: int) -> list[dict[str, object]]:
-    field = "lam" if key == "lambda" else key
-    try:
-        p_val = replace(p, **{field: value})
-    except ValueError as exc:
-        raise ConfigError(f"sweep value {key}={value:g} rejected: {exc}") from exc
-    try:
-        levels = spectrum(p_val, n_max)
-    except NoRootError:
-        return []
-    rows = []
-    for lv in levels:
-        rec = {"sweep_key": key, "sweep_value": float(value)}
-        rec.update(_level_record(lv))
-        rows.append(rec)
-    return rows
-
-
 def run_sweep(cfg: RunConfig) -> int:
     p, key = cfg.params, cfg.sweep_key
     # Every sweep value is validated before any solve starts.
     field = "lam" if key == "lambda" else key
+    swept: list[PotentialParams] = []
     for v in cfg.sweep_values:
         try:
-            replace(p, **{field: v})
+            swept.append(replace(p, **{field: v}))
         except ValueError as exc:
             sys.stderr.write(f"sweep value {key}={v:g} rejected: {exc}\n")
             return 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                chunks = list(pool.map(lambda v: _sweep_one(p, key, v, cfg.n_max), cfg.sweep_values))
-        else:
-            chunks = [_sweep_one(p, key, v, cfg.n_max) for v in cfg.sweep_values]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [
+        {"sweep_key": key, "sweep_value": float(v), **_level_record(lv)}
+        for v, p_val in zip(cfg.sweep_values, swept)
+        for lv in spectrum(p_val, cfg.n_max)
+    ]
     columns = ["sweep_key", "sweep_value"] + _LEVEL_COLUMNS
     if cfg.fmt == "json":
         payload = {"command": "sweep", "params": _params_record(p), "rows": records}
@@ -359,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="key=value configuration file")
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=1, help="concurrent sweep workers")
+        sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
         if name == "verify":
             sp.add_argument(
                 "--perturb-mu", dest="perturb_mu", type=float, default=0.0,

@@ -6,11 +6,12 @@ the quadratic nu1*(nu1 - q*lambda_eff) = Gamma1; iterating the partner
 construction shifts nu by q*lambda_eff per level, so
 
     rho_n = nu1 + n*q*lambda_eff,
-    mu_n  = (Gamma1 + q*Gamma2(E) - rho_n^2) / (2*q*rho_n),
+    mu_n  = (Gamma1 + q*Gamma2(E) - rho_n^2) / (2*q*rho_n) = a_n + b_n*E,
     eps_n = -mu_n^2.
 
-All quantities are stored complex on every branch; Hermitian inputs must produce
-imaginary parts at machine-zero level, which is checked.
+Gamma2 is affine in E, so mu_n is too; :func:`level_coefficients` is the one
+place rho_n, a_n and b_n are computed.  All quantities are stored complex on
+every branch; on the Hermitian branch they must be real, which is checked.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateRootError, ZeroNuError
+from .errors import ComplexLevelError, DegenerateRootError, ZeroNuError
 from .grid import GridFunction
-from .potential import Branch, PotentialParams, gammas, screened_ratio
+from .potential import Branch, PotentialParams, _collapse, screened_ratio
 
 _IMAG_TOL = 1e-13
 _MIN_LADDER_POINTS = 20
@@ -81,24 +82,38 @@ def _nu1_for(p: PotentialParams) -> complex:
     return solve_nu1(p.gamma1, p.q, p.lambda_eff, root=root)
 
 
-def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
-    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E."""
+def level_coefficients(p: PotentialParams, n: int) -> tuple[complex, complex, complex]:
+    """(rho_n, a, b): rho_n = nu1 + n*q*lambda_eff and mu_n(E) = a + b*E at level n.
+
+    Inserting Gamma2(E) = 2*(m*S0 + E*V0_eff) into mu_n gives
+    a = (Gamma1 + 2*q*m*S0 - rho_n^2) / (2*q*rho_n) and b = V0_eff / rho_n.
+    """
     if n < 0:
         raise ValueError("level index n must be >= 0")
-    g1, g2 = gammas(p, E)
+    if p.branch is Branch.HERMITIAN:
+        qlam = p.q * p.lam
+        if qlam * qlam + 4.0 * p.gamma1.real < 0.0:
+            raise ComplexLevelError(
+                f"Gamma1 = {p.gamma1.real:g} is below the Hermitian discriminant bound "
+                f"-(q*lam)^2/4 = {-0.25 * qlam * qlam:g}; nu1 would be complex"
+            )
     nu1 = _nu1_for(p)
     rho = nu1 + n * (p.q * p.lambda_eff)
     if abs(rho) < 1e-14 * max(1.0, abs(nu1)):
         raise ZeroNuError(f"rho_{n} = 0; level data undefined")
-    mu = (g1 + p.q * g2 - rho * rho) / (2.0 * p.q * rho)
-    if p.branch is Branch.HERMITIAN:
-        scale = 1.0 + abs(rho) + abs(mu)
-        if abs(rho.imag) > _IMAG_TOL * scale or abs(mu.imag) > _IMAG_TOL * scale:
-            raise ArithmeticError(
-                "Hermitian-branch level data acquired an imaginary part; "
-                "Gamma1 is below the discriminant bound -q^2*lam^2/4"
-            )
-    return HierarchyLevel(n=n, nu=complex(rho), mu=complex(mu))
+    a = (p.gamma1 + 2.0 * p.q * p.m * p.S0 - rho * rho) / (2.0 * p.q * rho)
+    return complex(rho), complex(a), complex(p.v0_eff / rho)
+
+
+def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
+    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E."""
+    rho, a, b = level_coefficients(p, n)
+    mu = a + b * E
+    if p.branch is Branch.HERMITIAN and abs(mu.imag) > _IMAG_TOL * (1.0 + abs(rho) + abs(mu)):
+        raise ComplexLevelError(
+            f"trial energy E = {E} makes mu_{n} complex on the Hermitian branch"
+        )
+    return HierarchyLevel(n=n, nu=rho, mu=complex(mu))
 
 
 def make_superpotential(p: PotentialParams, E: complex, n: int) -> Superpotential:
@@ -163,15 +178,7 @@ def riccati_residual(
     chain potential built from level n-1's (W^2 + W').  mu_perturbation offsets
     mu_n before the check (sensitivity hook used by the verify command).
     """
-    xa = np.asarray(x, dtype=float)
-    lvl = level(p, E, n)
-    mu = lvl.mu + mu_perturbation
-    w = Superpotential(lvl.nu, mu, p.lambda_eff, p.q)
-    wv = np.asarray(superpotential_eval(w, xa))
-    wd = np.asarray(superpotential_derivative(w, xa))
-    lhs = wv * wv - wd
-    rhs = hierarchy_potential(p, E, n, xa) - (-(mu * mu))
-    return float(np.max(np.abs(lhs - rhs)))
+    return riccati_check(p, E, n, x, mu_perturbation=mu_perturbation)[0]
 
 
 def riccati_check(
@@ -192,13 +199,15 @@ def riccati_check(
     Gamma1 != 0, this agrees with 1 + sup|V_eff| up to an O(1) factor.
     """
     xa = np.asarray(x, dtype=float)
-    res = riccati_residual(p, E, n, xa, mu_perturbation=mu_perturbation)
     lvl = level(p, E, n)
-    w = Superpotential(lvl.nu, lvl.mu + mu_perturbation, p.lambda_eff, p.q)
-    wv = np.abs(np.asarray(superpotential_eval(w, xa)))
-    wd = np.abs(np.asarray(superpotential_derivative(w, xa)))
-    chain = np.abs(hierarchy_potential(p, E, n, xa))
-    scale = 1.0 + float(np.max(wv * wv + wd + chain))
+    mu = lvl.mu + mu_perturbation
+    w = Superpotential(lvl.nu, mu, p.lambda_eff, p.q)
+    wv = np.asarray(superpotential_eval(w, xa))
+    wd = np.asarray(superpotential_derivative(w, xa))
+    chain = hierarchy_potential(p, E, n, xa)
+    res = float(np.max(np.abs((wv * wv - wd) - (chain + mu * mu))))
+    aw = np.abs(wv)
+    scale = 1.0 + float(np.max(aw * aw + np.abs(wd) + np.abs(chain)))
     return res, scale, res < tol * scale
 
 
@@ -228,8 +237,3 @@ def _uniform(x: ArrayLike) -> np.ndarray:
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
         raise ValueError("grid must be uniformly spaced")
     return xa
-
-
-def _collapse(a: np.ndarray) -> np.ndarray | complex:
-    arr = np.asarray(a)
-    return complex(arr) if arr.ndim == 0 else arr

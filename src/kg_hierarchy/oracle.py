@@ -28,11 +28,14 @@ from .potential import Branch, PotentialParams, effective_potential
 from .spectra import EnergyLevel, LevelFlag
 
 DEFAULT_REL_TOL = 1e-3
+# Outer secant iteration: |g(E)| target and iteration budget.
+OUTER_TOL = 1e-10
+MAX_OUTER = 100
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Discretization and outer-iteration controls.
+    """Discretization controls.
 
     x_max defaults to 40/lam at resolution time; n_points is the number of
     interior grid points; fd_order selects the 3-point or 5-point stencil.
@@ -41,8 +44,6 @@ class OracleConfig:
     x_max: float | None = None
     n_points: int = 4000
     fd_order: int = 4
-    outer_tol: float = 1e-10
-    max_outer: int = 100
 
     def __post_init__(self) -> None:
         if self.n_points < 64:
@@ -57,10 +58,11 @@ class OracleConfig:
         return replace(self, x_max=x_max)
 
 
-def _left_wall(p: PotentialParams, x_max: float) -> float:
-    if p.q > 0:
-        return max(math.log(p.q) / p.lam, -x_max)
-    return -x_max
+def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float]:
+    """Interior points and spacing of the Dirichlet box (cfg already resolved)."""
+    x_left = max(math.log(p.q) / p.lam, -cfg.x_max) if p.q > 0 else -cfg.x_max
+    h = (cfg.x_max - x_left) / (cfg.n_points + 1)
+    return x_left + h * np.arange(1, cfg.n_points + 1), h
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,7 @@ def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperato
     if p.branch is not Branch.HERMITIAN:
         raise ValueError("the finite-difference verifier covers the Hermitian branch only")
     cfg = cfg.resolve(p)
-    x_left = _left_wall(p, cfg.x_max)
-    n = cfg.n_points
-    h = (cfg.x_max - x_left) / (n + 1)
-    x = x_left + h * np.arange(1, n + 1)
+    x, h = _interior_grid(p, cfg)
     try:
         v = np.asarray(effective_potential(p, complex(E), x))
     except DomainError as exc:
@@ -232,8 +231,8 @@ def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> O
     e1 = seed + 0.01 * p.m if seed > -0.99 * p.m else seed + 0.02 * p.m
     g0, g1 = g(e0), g(e1)
     iters = 2
-    for _ in range(cfg.max_outer):
-        if abs(g1) < cfg.outer_tol:
+    for _ in range(MAX_OUTER):
+        if abs(g1) < OUTER_TOL:
             break
         if g1 == g0:
             e0, g0 = e1, g1
@@ -250,17 +249,17 @@ def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> O
         iters += 1
     else:
         raise OuterDivergenceError(
-            f"|g| = {abs(g1):.3e} after {cfg.max_outer} outer iterations"
+            f"|g| = {abs(g1):.3e} after {MAX_OUTER} outer iterations"
         )
     E = e1
     op = discretize(p, E, cfg)
     eps, vec = op.eigenpair(k)
     if eps >= 0.0 or abs(E) >= p.m:
         raise NoBoundStateError(f"converged level {k} is not bound (eps = {eps:g}, E = {E:g})")
-    if abs(eps - (E * E - p.m * p.m)) >= cfg.outer_tol:
+    if abs(eps - (E * E - p.m * p.m)) >= OUTER_TOL:
         raise OuterDivergenceError(
             f"self-consistency defect {abs(eps - (E * E - p.m * p.m)):.3e} "
-            f"exceeds outer_tol after convergence"
+            f"exceeds {OUTER_TOL:g} after convergence"
         )
     fine = replace(cfg, n_points=2 * cfg.n_points)
     eps_fine = _eps_k(p, E, k, fine)
@@ -352,10 +351,7 @@ def partner_eigenvalues(
 
     cfg = (cfg or OracleConfig()).resolve(p)
     w = make_superpotential(p, E, 0)
-    x_left = _left_wall(p, cfg.x_max)
-    n = cfg.n_points
-    h = (cfg.x_max - x_left) / (n + 1)
-    x = x_left + h * np.arange(1, n + 1)
+    x, h = _interior_grid(p, cfg)
     wv = np.asarray(superpotential_eval(w, x))
     wd = np.asarray(superpotential_derivative(w, x))
     v1 = (wv * wv - wd).real

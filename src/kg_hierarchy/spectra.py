@@ -5,26 +5,35 @@ affine in E; the honest residual is
 
     f_n(E) = (E^2 - m^2) + mu_n(E)^2.
 
-Since mu_n is affine in E, f_n is a quadratic in E, but it is solved
-numerically: sign-scan plus bisection on the real interval (-m, m) for the
-Hermitian branch, Newton in the complex plane (seeded by the explicit
-closed-form expression evaluated at E = 0) for the complex branches.  The
-closed form E = +/- sqrt(m^2 - mu_n^2) is exact whenever V0_eff = 0 and is used
-as an internal cross-check there.
+Since mu_n = a + b*E is affine in E, f_n is the quadratic
+
+    (1 + b^2) E^2 + 2*a*b*E + (a^2 - m^2).
+
+On the Hermitian branch its real roots in (-m, m) are found by a sign scan plus
+bisection.  On the complex branches both roots come from the cancellation-safe
+quadratic formula (Higham, Accuracy and Stability of Numerical Algorithms,
+sec. 1.8).  Either way every root is Newton-polished on f_n and certified by
+|f_n(E)| < 1e-12.  The closed form E = +/- sqrt(m^2 - mu_n^2) is exact whenever
+V0_eff = 0 and is used as an internal cross-check there.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import warnings
-
 import numpy as np
 
-from .errors import NoRootError, NonConvergenceError, ZeroNuError
-from .hierarchy import _nu1_for, level
-from .potential import Branch, PotentialParams, gamma2
+from .errors import CrossCheckError, NoRootError, NonConvergenceError
+from .hierarchy import level, level_coefficients
+from .potential import Branch, PotentialParams
+
+# Hermitian sign-scan resolution, residual certificate and Newton budget.
+SCAN_POINTS = 2048
+RESIDUAL_TOL = 1e-12
+MAX_NEWTON_ITER = 200
 
 
 class LevelFlag(Enum):
@@ -68,60 +77,42 @@ class PlusMinusPair:
         return 2
 
 
-def _level_coefficients(p: PotentialParams, n: int) -> tuple[complex, complex]:
-    """mu_n(E) = m0 + slope*E with slope = V0_eff/rho_n."""
-    nu1 = _nu1_for(p)
-    rho = nu1 + n * (p.q * p.lambda_eff)
-    if abs(rho) < 1e-14 * max(1.0, abs(nu1)):
-        raise ZeroNuError(f"rho_{n} = 0")
-    m0 = (p.gamma1 + 2.0 * p.q * p.m * p.S0 - rho * rho) / (2.0 * p.q * rho)
-    slope = p.v0_eff / rho
-    return complex(m0), complex(slope)
-
-
 def energy_residual(p: PotentialParams, n: int, E: complex) -> complex:
     """f_n(E) = (E^2 - m^2) + mu_n(E)^2; a root is a self-consistent bound energy."""
     lvl = level(p, E, n)
     return E * E - p.m * p.m + lvl.mu * lvl.mu
 
 
-def closed_form_energy(p: PotentialParams, n: int, E_gamma2: complex = 0.0) -> complex:
-    """Explicit energy expression with Gamma2 frozen at a reference energy.
+def closed_form_energy(p: PotentialParams, n: int) -> complex:
+    """Explicit energy expression with Gamma2 frozen at E = 0.
 
-    E = (i/2q) * sqrt(z^2 - 4 q^2 m^2) with z = rho_n - (Gamma1 + q*Gamma2)/rho_n.
-    Exact when V0_eff = 0 (Gamma2 is then energy independent); otherwise it is the
-    Newton seed for the implicit condition.
+    With mu_n frozen at mu_n(0) = a, eps_n = E^2 - m^2 gives
+    E = (i/2q) * sqrt(4 q^2 (a^2 - m^2)) = i*sign(q)*sqrt(a^2 - m^2).  Exact when
+    V0_eff = 0 (Gamma2 is then energy independent).
     """
-    nu1 = _nu1_for(p)
-    rho = nu1 + n * (p.q * p.lambda_eff)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g2 = gamma2(p, E_gamma2)
-    z = rho - (p.gamma1 + p.q * g2) / rho
-    return complex(0.5j / p.q * np.sqrt(np.complex128(z * z - 4.0 * p.q * p.q * p.m * p.m)))
+    _, a, _ = level_coefficients(p, n)
+    return complex(1j * math.copysign(1.0, p.q) * cmath.sqrt(a * a - p.m * p.m))
 
 
-def _newton_polish(
-    p: PotentialParams, n: int, E0: complex, tol: float, max_iter: int
-) -> tuple[complex, float]:
-    m0, slope = _level_coefficients(p, n)
+def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E0: complex) -> tuple[complex, float]:
     E = complex(E0)
-    for _ in range(max_iter):
-        mu = m0 + slope * E
+    for _ in range(MAX_NEWTON_ITER):
+        mu = a + b * E
         f = E * E - p.m * p.m + mu * mu
-        if abs(f) < tol:
+        if abs(f) < RESIDUAL_TOL:
             return E, abs(f)
-        df = 2.0 * E + 2.0 * mu * slope
+        df = 2.0 * E + 2.0 * mu * b
         if df == 0:
-            E = E + tol + 1e-9
+            E = E + RESIDUAL_TOL + 1e-9
             continue
         E = E - f / df
-    mu = m0 + slope * E
+    mu = a + b * E
     f = E * E - p.m * p.m + mu * mu
-    if abs(f) < tol:
+    if abs(f) < RESIDUAL_TOL:
         return E, abs(f)
     raise NonConvergenceError(
-        f"Newton polishing stalled at |f| = {abs(f):.3e} after {max_iter} iterations"
+        f"level {n}: Newton polishing of E = {E:.6g} stalled at |f| = {abs(f):.3e} "
+        f"after {MAX_NEWTON_ITER} iterations"
     )
 
 
@@ -150,28 +141,23 @@ def _make_level(p: PotentialParams, n: int, E: complex, res: float, note: str = 
     )
 
 
-def solve_level(
-    p: PotentialParams,
-    n: int,
-    *,
-    scan_points: int = 2048,
-    newton_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> list[EnergyLevel]:
+def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     """All self-consistent bound energies at level n (at most two).
 
-    Hermitian branch: uniform sign scan of f_n over the open interval (-m, m),
+    Hermitian branch: sign scan of f_n at SCAN_POINTS interior points of (-m, m),
     bisection of each bracket to 1e-13 in E, then a short Newton polish; the
     parabola vertex is checked separately so that a degenerate double root is
-    still found (returned once, note "double_root").  Complex branches: Newton
-    from +/- the closed-form seed with Gamma2 frozen at E = 0.
+    still found (returned once, note "double_root").  Complex branches: both
+    roots of the level quadratic in closed form, each Newton-polished; a root
+    listed once with note "double_root" is one the two polished roots share.
+    Every returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
+    NonConvergenceError.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _, a, b = level_coefficients(p, n)
     if p.branch is Branch.HERMITIAN:
-        found = _solve_level_hermitian(p, n, scan_points, newton_tol, max_iter)
+        found = _solve_level_hermitian(p, n, a, b)
     else:
-        found = _solve_level_complex(p, n, newton_tol, max_iter)
+        found = _solve_level_complex(p, n, a, b)
     if not found:
         raise NoRootError(f"level {n} supports no self-consistent bound energy")
     if p.v0_eff == 0:
@@ -179,11 +165,8 @@ def solve_level(
     return found
 
 
-def _solve_level_hermitian(
-    p: PotentialParams, n: int, scan_points: int, tol: float, max_iter: int
-) -> list[EnergyLevel]:
-    m0, slope = _level_coefficients(p, n)
-    a0, b0 = float(m0.real), float(slope.real)
+def _solve_level_hermitian(p: PotentialParams, n: int, a: complex, b: complex) -> list[EnergyLevel]:
+    a0, b0 = a.real, b.real
 
     def f(E: float) -> float:
         mu = a0 + b0 * E
@@ -191,7 +174,7 @@ def _solve_level_hermitian(
 
     # Endpoints carry f(+/-m) = mu^2 >= 0; they serve as bracket ends while the
     # strict-interior filter below keeps +/-m themselves out of the root list.
-    grid = np.linspace(-p.m, p.m, scan_points + 2)
+    grid = np.linspace(-p.m, p.m, SCAN_POINTS + 2)
     mu_g = a0 + b0 * grid
     fg = grid * grid - p.m * p.m + mu_g * mu_g
 
@@ -209,7 +192,7 @@ def _solve_level_hermitian(
                 hi = mid
             else:
                 lo, flo = mid, fm
-        E, res = _newton_polish(p, n, 0.5 * (lo + hi), tol, max_iter)
+        E, res = _newton_polish(p, n, a, b, 0.5 * (lo + hi))
         roots.append((complex(E.real), res, ""))
     # Exact hits on scan nodes.
     for i in np.nonzero(fg == 0.0)[0]:
@@ -219,7 +202,7 @@ def _solve_level_hermitian(
     a_lead = 1.0 + b0 * b0
     vertex = -a0 * b0 / a_lead
     f_v = f(vertex)
-    if -p.m < vertex < p.m and abs(f_v) < tol:
+    if -p.m < vertex < p.m and abs(f_v) < RESIDUAL_TOL:
         roots.append((complex(vertex), abs(f_v), "double_root"))
 
     out: list[EnergyLevel] = []
@@ -232,15 +215,26 @@ def _solve_level_hermitian(
     return out
 
 
-def _solve_level_complex(
-    p: PotentialParams, n: int, tol: float, max_iter: int
-) -> list[EnergyLevel]:
-    seed = closed_form_energy(p, n)
-    if seed == 0:
-        seed = 1e-3 * p.m
+def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:
+    """Finite roots of A*E^2 + 2*h*E + C = 0 without cancellation.
+
+    One root is t/A with t = -(h + sqrt(h^2 - A*C)), the sign of the square root
+    chosen so that |t| is as large as possible; the other is C/t, from the
+    product of the roots.  With A = 0 only C/t is finite.
+    """
+    sq = cmath.sqrt(h * h - A * C)
+    if (h.conjugate() * sq).real < 0.0:
+        sq = -sq
+    t = -(h + sq)
+    if t == 0:  # h = 0 and A*C = 0: E = 0 is a double root
+        return [0j, 0j]
+    return [C / t] if A == 0 else [t / A, C / t]
+
+
+def _solve_level_complex(p: PotentialParams, n: int, a: complex, b: complex) -> list[EnergyLevel]:
     out: list[EnergyLevel] = []
-    for s in (seed, -seed):
-        E, res = _newton_polish(p, n, s, tol, max_iter)
+    for E0 in _quadratic_roots(1.0 + b * b, a * b, a * a - p.m * p.m):
+        E, res = _newton_polish(p, n, a, b, E0)
         if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
             out[0] = replace(out[0], note="double_root")
             continue
@@ -254,8 +248,9 @@ def _crosscheck_closed_form(p: PotentialParams, n: int, found: list[EnergyLevel]
     ref = closed_form_energy(p, n)
     for lv in found:
         if min(abs(lv.E - ref), abs(lv.E + ref)) > 1e-9 * (1.0 + abs(ref)):
-            raise ArithmeticError(
-                f"iterative root {lv.E} disagrees with the explicit V0_eff=0 form {ref}"
+            raise CrossCheckError(
+                f"level {n}: iterative root {lv.E} disagrees with the explicit "
+                f"V0_eff = 0 form +/-{ref}"
             )
 
 
@@ -275,11 +270,9 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
     return out
 
 
-def _pm_pair(p: PotentialParams, n: int, tol: float = 1e-12, max_iter: int = 200) -> PlusMinusPair:
-    seed = closed_form_energy(p, n)
-    if seed == 0:
-        seed = 1e-3 * p.m
-    E, _ = _newton_polish(p, n, seed, tol, max_iter)
+def _pm_pair(p: PotentialParams, n: int) -> PlusMinusPair:
+    _, a, b = level_coefficients(p, n)
+    E, _ = _newton_polish(p, n, a, b, closed_form_energy(p, n))
     eps = E * E - p.m * p.m
     return PlusMinusPair(plus=E, minus=-E, epsilon=eps, re_epsilon_negative=eps.real < 0.0)
 

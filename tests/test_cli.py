@@ -1,11 +1,15 @@
 """Command-line interface: config parsing, output contracts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kg_hierarchy
 from kg_hierarchy.cli import main, parse_config
 
 DATA = Path(__file__).parent / "data"
@@ -93,6 +97,22 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg]) == 2
 
 
+class TestErrorExit:
+    @pytest.mark.parametrize("S0", ["0.48", "0.3"])
+    def test_hermitian_discriminant_bound(self, tmp_path, S0):
+        # Gamma1 below -(q*lam)^2/4: a typed error and exit 1, never a traceback
+        # or a silent "no bound level".
+        cfg = write_cfg(tmp_path, f"V0 = 0.5\nS0 = {S0}\nlambda = 0.2\nq = 1\nm = 1\n")
+        src = str(Path(kg_hierarchy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "kg_hierarchy.cli", "spectrum", "--config", cfg],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert any(line.startswith("error:") and "discriminant" in line for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestVerifyCommand:
     CFG = "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 2\noracle.n_points = 1500\n"
 
@@ -149,7 +169,7 @@ class TestSweepCommand:
     def test_sweep_with_q_zero_rejected_before_solving(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5,0,1.5\n")
         assert main(["sweep", "--config", cfg]) == 1
-        assert "q = 0" in capsys.readouterr().err or True
+        assert "q = 0" in capsys.readouterr().err
 
     def test_jobs_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5,0.75,1.0,1.25,1.5\n")

@@ -1,11 +1,19 @@
 """Energy solvers: residual contract, closed-form regressions, branch properties."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 import kg_hierarchy as kg
 from kg_hierarchy import Branch, LevelFlag, PotentialParams
-from kg_hierarchy.errors import NoRootError
+from kg_hierarchy.errors import (
+    ComplexLevelError,
+    CrossCheckError,
+    KGHierarchyError,
+    NonConvergenceError,
+    NoRootError,
+)
 
 from conftest import SET_A, SET_B, SET_C, params
 
@@ -25,6 +33,33 @@ def quadratic_oracle_roots(m: float, V0: float, lam: float, q: float, n: int) ->
     if disc < 0:
         return []
     return sorted(((-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a)))
+
+
+def complex_quadratic_oracle_roots(base: dict, n: int, VI: float = 0.0) -> list[complex]:
+    """Independent root formula for the complex branches (PTSymmetric when VI = 0).
+
+    The paper's chain with lam_eff = i*lam and V0_eff = V0 + i*VI:
+    nu1 = [q*lam_eff + sqrt((q*lam_eff)^2 + 4*Gamma1)]/2, Gamma1 = S0^2 - V0_eff^2,
+    rho = nu1 + n*q*lam_eff, alpha = (rho^2 - Gamma1 - 2*q*m*S0)/(2*q*rho),
+    beta = V0_eff/rho, and the level quadratic
+    (1 + beta^2) E^2 - 2 alpha beta E + (alpha^2 - m^2) = 0.
+    """
+    V0, S0, lam, q, m = (base[k] for k in ("V0", "S0", "lam", "q", "m"))
+    lam_eff, v0_eff = 1j * lam, complex(V0, VI)
+    g1 = S0 * S0 - v0_eff * v0_eff
+    nu1 = 0.5 * (q * lam_eff + cmath.sqrt((q * lam_eff) ** 2 + 4.0 * g1))
+    rho = nu1 + n * q * lam_eff
+    alpha = (rho * rho - g1 - 2.0 * q * m * S0) / (2.0 * q * rho)
+    beta = v0_eff / rho
+    lead = 1.0 + beta * beta
+    root = cmath.sqrt(m * m * lead - alpha * alpha)
+    return [(alpha * beta - root) / lead, (alpha * beta + root) / lead]
+
+
+def assert_roots_match(got: list[complex], expected: list[complex], tol: float = 1e-12) -> None:
+    assert len(got) == len(expected)
+    for e in expected:
+        assert min(abs(g - e) for g in got) < tol * (1.0 + abs(e)), (e, got)
 
 
 class TestEnergyResidual:
@@ -191,6 +226,51 @@ class TestComplexBranches:
             for a, b in zip(r_minus, r_conj):
                 assert abs(a - b) < 1e-12 * (1.0 + abs(b))
 
+    def test_nonhermitian_set_b_level0_has_two_distinct_roots(self):
+        p = params(SET_B, branch=Branch.NON_HERMITIAN, VI=0.1)
+        expected = complex_quadratic_oracle_roots(SET_B, 0, VI=0.1)
+        lvls = kg.solve_level(p, 0)
+        assert [lv.note for lv in lvls] == ["", ""]
+        assert_roots_match([lv.E for lv in lvls], expected)
+        assert min(abs(lv.E - (-1.2382 + 0.1351j)) for lv in lvls) < 1e-4
+
+    def test_nonhermitian_small_q_keeps_normalizable_root(self):
+        base = dict(SET_C, q=0.3)
+        p = params(base, branch=Branch.NON_HERMITIAN, VI=0.1)
+        assert_roots_match([lv.E for lv in kg.solve_level(p, 0)],
+                           complex_quadratic_oracle_roots(base, 0, VI=0.1))
+        spec = kg.spectrum(p, 8)
+        hit = [lv for lv in spec if abs(lv.E - (-1.0281 - 0.2949j)) < 1e-4]
+        assert len(hit) == 1 and hit[0].mu.real > 0.0
+
+    def test_nonhermitian_large_q_spectrum_not_empty(self):
+        base = dict(SET_C, q=5.0)
+        p = params(base, branch=Branch.NON_HERMITIAN, VI=0.1)
+        spec = kg.spectrum(p, 8)
+        assert spec
+        assert_roots_match([lv.E for lv in spec if lv.n == 0],
+                           complex_quadratic_oracle_roots(base, 0, VI=0.1))
+
+    def test_linear_level_condition_has_one_root(self):
+        # S0 = V0 = 0.25 and q*lam = 0.25 give rho_0 = 0.25i and beta = V0/rho_0 = -i,
+        # so 1 + beta^2 = 0 and f_0 is linear, with the single root
+        # (alpha^2 - m^2)/(2*alpha*beta) = -2.21/2.2 (alpha = 1.1i).
+        p = params(dict(SET_B, q=1.25), branch=Branch.PT_SYMMETRIC)
+        lvls = kg.solve_level(p, 0)
+        assert [lv.note for lv in lvls] == [""]
+        assert abs(lvls[0].E - (-2.21 / 2.2)) < 1e-12
+
+    def test_uncertifiable_far_root_raises(self):
+        # Here 1 + beta^2 is nearly 0 and one root sits near E = 114.8, where
+        # |f| cannot reach 1e-12 in double precision: the level must raise,
+        # not report a single root or an uncertified one.
+        base = dict(SET_B, q=1.2620381019050952)
+        far = max(complex_quadratic_oracle_roots(base, 0), key=abs)
+        assert 100.0 < abs(far) < 130.0
+        p = params(base, branch=Branch.PT_SYMMETRIC)
+        with pytest.raises(NonConvergenceError, match="level 0"):
+            kg.solve_level(p, 0)
+
     def test_gamma_conjugation_under_vi_flip(self):
         p_plus = params(SET_C, branch=Branch.NON_HERMITIAN, VI=+0.1)
         p_minus = params(SET_C, branch=Branch.NON_HERMITIAN, VI=-0.1)
@@ -198,6 +278,29 @@ class TestComplexBranches:
         gp, gm = kg.gammas(p_plus, E), kg.gammas(p_minus, E.conjugate())
         assert gm.gamma1 == gp.gamma1.conjugate()
         assert gm.gamma2 == gp.gamma2.conjugate()
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("S0", [0.48, 0.3])
+    def test_hermitian_discriminant_bound(self, S0):
+        # Gamma1 = S0^2 - 0.25 < -(q*lam)^2/4 = -0.01: nu1 would be complex.
+        p = params(dict(V0=0.5, S0=S0, lam=0.2, q=1.0, m=1.0))
+        with pytest.raises(ComplexLevelError, match="discriminant"):
+            kg.spectrum(p, 4)
+        with pytest.raises(ComplexLevelError):
+            kg.level(p, 0.5, 0)
+
+    def test_complex_energy_on_hermitian_branch(self, set_b):
+        with pytest.raises(ComplexLevelError, match="mu_0"):
+            kg.level(set_b, 0.5 + 0.1j, 0)
+
+    def test_closed_form_disagreement_is_typed(self, set_a, monkeypatch):
+        import kg_hierarchy.spectra as spectra
+
+        monkeypatch.setattr(spectra, "closed_form_energy", lambda p, n: 0.5 + 0j)
+        with pytest.raises(CrossCheckError, match="level 0") as info:
+            kg.solve_level(set_a, 0)
+        assert isinstance(info.value, KGHierarchyError)
 
 
 class TestQSweepContinuity:
