@@ -29,7 +29,8 @@ RICCATI_TOL = 1e-10
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
-_OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", "oracle.x_max", "oracle.n_points", "oracle.fd_order"}
+_ORACLE_KEYS = ("oracle.x_max", "oracle.n_points", "oracle.fd_order")
+_OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", *_ORACLE_KEYS}
 _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
 
 
@@ -123,14 +124,15 @@ def _build_params(raw: dict[str, object]) -> PotentialParams:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw = parse_config(args.config)
-    oracle_kwargs = {}
-    if "oracle.x_max" in raw:
-        oracle_kwargs["x_max"] = raw["oracle.x_max"]
-    if "oracle.n_points" in raw:
-        oracle_kwargs["n_points"] = raw["oracle.n_points"]
-    if "oracle.fd_order" in raw:
-        oracle_kwargs["fd_order"] = raw["oracle.fd_order"]
+    oracle_kwargs = {key.removeprefix("oracle."): raw[key] for key in _ORACLE_KEYS if key in raw}
+    try:
+        oracle_cfg = OracleConfig(**oracle_kwargs)
+        oracle_cfg.resolve(raw["_params"])  # checks x_max against 10/lambda
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     cfg = RunConfig(
         params=raw["_params"],
         command=args.command,
@@ -140,8 +142,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         output_path=args.output,
         fmt=args.format,
         perturb_mu=getattr(args, "perturb_mu", 0.0),
-        oracle_cfg=OracleConfig(**oracle_kwargs),
+        oracle_cfg=oracle_cfg,
     )
+    if cfg.n_max < 0:
+        raise ConfigError(f"n_max must be >= 0, got {cfg.n_max}")
     if cfg.command == "sweep":
         if cfg.sweep_key is None or not cfg.sweep_values:
             raise ConfigError("sweep command needs sweep_key and sweep_values")

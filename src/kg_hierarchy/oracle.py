@@ -4,6 +4,13 @@ Discretizes (-d2/dx2 + V_eff(x; E)) psi = eps * psi on a box with Dirichlet
 walls and solves the energy-dependent eigenproblem self-consistently with an
 outer secant iteration on g(E) = eps_k(E) - (E^2 - m^2).
 
+Each eps_k(E) costs O(N) for N grid points: shift-invert and Rayleigh-quotient
+iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
+ch. 4), its index certified by inertia counts from an unpivoted LDL^T
+factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
+Numer. Math. 9 (1967) 386).  Only BandedOperator.eigenvalues, which returns the
+lowest few eigenvalues at once, uses the O(N^2) banded tridiagonal reduction.
+
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
 potential wall diverges and where the analytic ground state vanishes; for
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NoBoundStateError, OuterDivergenceError
+from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
 from .hierarchy import superpotential_derivative, superpotential_eval
 from .potential import Branch, PotentialParams, effective_potential
@@ -31,6 +38,14 @@ DEFAULT_REL_TOL = 1e-3
 # Outer secant iteration: |g(E)| target and iteration budget.
 OUTER_TOL = 1e-10
 MAX_OUTER = 100
+# Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
+# inertia counts get COUNT_SLACK*eps*|A| of rounding slack.  MAX_RITZ_STEPS bounds
+# the iteration from one shift, MAX_ROUNDS the restarts from bisected brackets.
+EPS = float(np.finfo(float).eps)
+RITZ_FLOOR = 1e3
+COUNT_SLACK = 64.0
+MAX_RITZ_STEPS = 8
+MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -53,8 +68,8 @@ class OracleConfig:
 
     def resolve(self, p: PotentialParams) -> "OracleConfig":
         x_max = self.x_max if self.x_max is not None else 40.0 / p.lam
-        if x_max < 10.0 / p.lam:
-            raise ValueError("x_max must extend beyond 10/lam")
+        if not 10.0 / p.lam <= x_max < math.inf:
+            raise ValueError(f"x_max must be finite and extend beyond 10/lam = {10.0 / p.lam:g}")
         return replace(self, x_max=x_max)
 
 
@@ -79,34 +94,154 @@ class BandedOperator:
         return self.x.size
 
     def eigenvalues(self, k_max: int) -> np.ndarray:
+        """The k_max + 1 lowest eigenvalues by full banded reduction (O(N^2))."""
         return scipy.linalg.eig_banded(
             self.bands, lower=False, eigvals_only=True, select="i", select_range=(0, k_max)
         )
 
-    def eigenpair(self, k: int) -> tuple[float, np.ndarray]:
-        """k-th eigenpair; the eigenvector comes from banded inverse iteration."""
-        lam = float(self.eigenvalues(k)[k])
+    def count_below(self, s: float) -> int:
+        """Number of eigenvalues below s, in O(N).
+
+        By Sylvester's law of inertia it is the number of negative pivots d_j of
+        the unpivoted factorization A - s*I = L D L^T.  With l1 = L[j, j-1],
+        l2 = L[j, j-2] and the band entries b = A[j+1, j], c = A[j+2, j]:
+
+            d_j = A[j, j] - s - l1^2 d_{j-1} - l2^2 d_{j-2}
+            L[j+1, j] = (b - L[j+1, j-1] l1 d_{j-1}) / d_j,   L[j+2, j] = c / d_j
+
+        The 3-point stencil is the case c = 0.  An exact zero pivot means s is
+        an eigenvalue of a leading block; s is then nudged down by one ulp.
+        """
         u = self.bands.shape[0] - 1
-        n = self.n
-        # General banded LU form of A - (lam + shift) I; the tiny shift keeps the
-        # factorization away from exact singularity.
-        shift = 1e-10 * (1.0 + abs(lam))
-        ab = np.zeros((2 * u + 1, n))
+        sub1 = self.bands[u - 1, 1:].tolist() + [0.0]
+        sub2 = self.bands[0, 2:].tolist() + [0.0, 0.0] if u == 2 else [0.0] * self.n
+        while True:
+            neg = 0
+            d1 = d2 = 1.0
+            l1 = l2 = l1_next = 0.0
+            try:
+                for a, b, c in zip((self.bands[u] - s).tolist(), sub1, sub2):
+                    d = a - l1 * l1 * d1 - l2 * l2 * d2
+                    if d < 0.0:
+                        neg += 1
+                    l2 = l1_next
+                    l1, l1_next = (b - l2 * l1 * d1) / d, c / d
+                    d2, d1 = d1, d
+            except ZeroDivisionError:
+                s = math.nextafter(s, -math.inf)
+                continue
+            return neg
+
+    def eigenpair(self, k: int, shift: float) -> tuple[float, np.ndarray]:
+        """k-th eigenpair (k = 0 lowest) by shift-invert iteration from shift, in O(N).
+
+        Inverse iteration at the shift, then Rayleigh-quotient iteration, gives a
+        Ritz pair (theta, v) with residual r = |A v - theta v|.  It is accepted
+        only when r is at the rounding floor and the inertia counts put exactly k
+        eigenvalues below theta - tol and k + 1 below theta + tol (tol = r plus
+        rounding), so theta is lambda_k to within tol.  Otherwise more counts
+        widen or bisect a bracket [lo, hi] until it holds lambda_k alone, and the
+        iteration restarts from its midpoint.  Two more inverse-iteration sweeps
+        at theta clean the eigenvector.
+        """
+        u, n = self.bands.shape[0] - 1, self.n
+        if not 0 <= k < n:
+            raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
+        if not math.isfinite(shift):
+            raise ValueError(f"shift must be finite, got {shift}")
+        ab = np.zeros((2 * u + 1, n))  # general band form for solve_banded
         ab[: u + 1] = self.bands
+        radius = np.zeros(n)
         for r in range(u):
-            offset = u - r
-            ab[u + offset, :-offset] = self.bands[r, offset:]
-        ab[u] -= lam + shift
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(3):
-            v = scipy.linalg.solve_banded((u, u), ab, v)
-            v /= np.linalg.norm(v)
-        # Fix an overall sign so results are deterministic: make the largest
-        # component positive.
-        v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
-        return lam, v
+            d = u - r
+            ab[u + d, :-d] = self.bands[r, d:]
+            radius[:-d] += np.abs(self.bands[r, d:])
+            radius[d:] += np.abs(self.bands[r, d:])
+        anorm = float(np.max(np.abs(self.bands[u]) + radius))
+        floor = RITZ_FLOOR * EPS * anorm
+        # Bracket with count_below(lo) = below_lo <= k < below_hi = count_below(hi).
+        lo, hi, below_lo, below_hi = -math.inf, math.inf, 0, n
+        start = np.random.default_rng(0).standard_normal(n)
+        sigma = float(shift)
+        for _ in range(MAX_ROUNDS):
+            theta, v, res = self._ritz(ab, sigma, start, floor)
+            tol = res + COUNT_SLACK * EPS * anorm
+            if res <= floor and lo - tol <= theta <= hi + tol:
+                below, upto = self.count_below(theta - tol), self.count_below(theta + tol)
+                if below <= k < upto:
+                    for _ in range(2):
+                        v = self._inverse_step(ab, theta, v)
+                    v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
+                    return theta, v
+                if below > k and theta - tol < hi:
+                    hi, below_hi = theta - tol, below
+                elif upto <= k and theta + tol > lo:
+                    lo, below_lo = theta + tol, upto
+            # Probe at least once, until lambda_k is alone in a finite [lo, hi]:
+            # a closed bracket is halved; an open end moves out by doubling steps
+            # that start at the last miss |theta - sigma| or a tenth of |theta|.
+            step = abs(theta - sigma) + 0.1 * abs(theta) + tol
+            while True:
+                if lo > -math.inf and hi < math.inf:
+                    probe = 0.5 * (lo + hi)
+                    if not lo < probe < hi:
+                        break
+                elif hi < math.inf:
+                    probe, step = hi - step, 2.0 * step
+                elif lo > -math.inf:
+                    probe, step = lo + step, 2.0 * step
+                else:
+                    probe = sigma
+                below = self.count_below(probe)
+                if below <= k:
+                    lo, below_lo = probe, below
+                else:
+                    hi, below_hi = probe, below
+                if below_lo == k and below_hi == k + 1 and lo > -math.inf and hi < math.inf:
+                    break
+            sigma = 0.5 * (lo + hi)
+        raise NonConvergenceError(
+            f"eigenvalue {k}: no certified Ritz value after {MAX_ROUNDS} rounds "
+            f"(bracket [{lo:.17g}, {hi:.17g}])"
+        )
+
+    def _ritz(self, ab: np.ndarray, sigma: float, v: np.ndarray, floor: float) -> tuple[float, np.ndarray, float]:
+        """Two inverse-iteration steps at sigma, then Rayleigh-quotient steps.
+
+        Stops when the residual |A v - theta v| reaches floor; returns (theta, v, residual).
+        """
+        for step in range(MAX_RITZ_STEPS):
+            v = self._inverse_step(ab, sigma, v)
+            av = self.matvec(v)
+            theta = float(v @ av)
+            res = float(np.linalg.norm(av - theta * v))
+            if res <= floor:
+                break
+            if step >= 1:
+                sigma = theta
+        return theta, v, res
+
+    def _inverse_step(self, ab: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+        """Normalized (A - sigma I)^-1 v; sigma moves up by one ulp off an exactly singular shift."""
+        u = self.bands.shape[0] - 1
+        while True:
+            ab[u] = self.bands[u] - sigma
+            try:
+                w = scipy.linalg.solve_banded((u, u), ab, v, check_finite=False)
+            except np.linalg.LinAlgError:
+                sigma = math.nextafter(sigma, math.inf)
+                continue
+            return w / np.linalg.norm(w)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A @ v from the banded storage."""
+        u = self.bands.shape[0] - 1
+        y = self.bands[u] * v
+        for r in range(u):
+            d = u - r
+            y[:-d] += self.bands[r, d:] * v[d:]
+            y[d:] += self.bands[r, d:] * v[:-d]
+        return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -192,9 +327,8 @@ class OracleResult:
             raise ValueError("oracle results must have eps < 0 (bound state)")
 
 
-def _eps_k(p: PotentialParams, E: float, k: int, cfg: OracleConfig) -> float:
-    op = discretize(p, E, cfg)
-    return float(op.eigenvalues(k)[k])
+def _eps_k(p: PotentialParams, E: float, k: int, cfg: OracleConfig, shift: float) -> float:
+    return discretize(p, E, cfg).eigenpair(k, shift)[0]
 
 
 def solve_selfconsistent(
@@ -202,13 +336,16 @@ def solve_selfconsistent(
 ) -> OracleResult:
     """Secant iteration on g(E) = eps_k(E) - (E^2 - m^2).
 
-    With no explicit seed the two physical candidates are probed from
-    E = +m/2 and E = -m/2 and the first converged bound root is returned.
+    Every eps_k(E) is one BandedOperator.eigenpair(k, shift) solve in O(N),
+    shifted at E^2 - m^2 (which eps_k(E) approaches as g -> 0); the Richardson
+    estimate re-solves on 2N points, shifted at the converged eps.  With no
+    explicit seed the two physical candidates are probed from E = +m/2 and
+    E = -m/2 and the first converged bound root is returned.
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     seeds = [seed] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
     if seed is None:
-        probes = [_eps_k(p, s, k, cfg) for s in (-0.5 * p.m, 0.0, +0.5 * p.m)]
+        probes = [_eps_k(p, s, k, cfg, s * s - p.m * p.m) for s in (-0.5 * p.m, 0.0, +0.5 * p.m)]
         if min(probes) >= 0.0:
             raise NoBoundStateError(
                 f"eps_{k}(E) >= 0 across the scan: level {k} is not bound"
@@ -225,7 +362,7 @@ def solve_selfconsistent(
 
 def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> OracleResult:
     def g(E: float) -> float:
-        return _eps_k(p, E, k, cfg) - (E * E - p.m * p.m)
+        return _eps_k(p, E, k, cfg, E * E - p.m * p.m) - (E * E - p.m * p.m)
 
     e0 = seed
     e1 = seed + 0.01 * p.m if seed > -0.99 * p.m else seed + 0.02 * p.m
@@ -253,7 +390,7 @@ def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> O
         )
     E = e1
     op = discretize(p, E, cfg)
-    eps, vec = op.eigenpair(k)
+    eps, vec = op.eigenpair(k, E * E - p.m * p.m)
     if eps >= 0.0 or abs(E) >= p.m:
         raise NoBoundStateError(f"converged level {k} is not bound (eps = {eps:g}, E = {E:g})")
     if abs(eps - (E * E - p.m * p.m)) >= OUTER_TOL:
@@ -262,7 +399,7 @@ def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> O
             f"exceeds {OUTER_TOL:g} after convergence"
         )
     fine = replace(cfg, n_points=2 * cfg.n_points)
-    eps_fine = _eps_k(p, E, k, fine)
+    eps_fine = _eps_k(p, E, k, fine, eps)
     factor = 2.0**cfg.fd_order
     est = abs(eps - eps_fine) * factor / (factor - 1.0)
     psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))

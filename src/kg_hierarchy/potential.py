@@ -47,6 +47,9 @@ class PotentialParams:
     branch: Branch = Branch.HERMITIAN
 
     def __post_init__(self) -> None:
+        for name in ("V0", "S0", "VI", "lam", "q", "m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.q == 0:
             raise ValueError(
                 "deformation parameter q must be nonzero: the q -> 0 limit sends "

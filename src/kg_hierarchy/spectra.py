@@ -173,7 +173,7 @@ def _solve_level_hermitian(p: PotentialParams, n: int, a: complex, b: complex) -
         return E * E - p.m * p.m + mu * mu
 
     # Endpoints carry f(+/-m) = mu^2 >= 0; they serve as bracket ends while the
-    # strict-interior filter below keeps +/-m themselves out of the root list.
+    # filter below keeps the threshold E = +/-m out of the root list.
     grid = np.linspace(-p.m, p.m, SCAN_POINTS + 2)
     mu_g = a0 + b0 * grid
     fg = grid * grid - p.m * p.m + mu_g * mu_g
@@ -205,9 +205,13 @@ def _solve_level_hermitian(p: PotentialParams, n: int, a: complex, b: complex) -
     if -p.m < vertex < p.m and abs(f_v) < RESIDUAL_TOL:
         roots.append((complex(vertex), abs(f_v), "double_root"))
 
+    # A root within the certificate of +/-m is the threshold itself: there mu = 0
+    # and f' = +/-2m, so |f| < RESIDUAL_TOL places it within RESIDUAL_TOL/(2m) of
+    # +/-m; the band excluded here is twice that wide.
+    edge = p.m - RESIDUAL_TOL / p.m
     out: list[EnergyLevel] = []
     for E, res, note in sorted(roots, key=lambda r: r[0].real):
-        if not (-p.m < E.real < p.m):
+        if not (-edge < E.real < edge):
             continue
         if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
             continue

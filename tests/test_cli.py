@@ -113,6 +113,44 @@ class TestErrorExit:
         assert proc.stdout == ""
 
 
+def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter, the way a user starts it."""
+    src = str(Path(kg_hierarchy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kg_hierarchy.cli", *argv], capture_output=True, text=True, env=env)
+
+
+class TestConfigErrorExit:
+    BASE = {"V0": "0", "S0": "1", "lambda": "0.2", "q": "1", "m": "1"}
+
+    @pytest.mark.parametrize(
+        "command,overrides,extra,fragment",
+        [
+            ("verify", {"oracle.n_points": "32"}, (), "n_points"),
+            ("verify", {"oracle.fd_order": "3"}, (), "fd_order"),
+            ("verify", {"oracle.x_max": "1"}, (), "x_max"),
+            ("spectrum", {"n_max": "-1"}, (), "n_max"),
+            ("spectrum", {"V0": "nan"}, (), "V0 must be finite"),
+            ("spectrum", {"S0": "nan"}, (), "S0 must be finite"),
+            ("spectrum", {"VI": "inf", "branch": "NonHermitian"}, (), "VI must be finite"),
+            ("spectrum", {"lambda": "inf"}, (), "lam must be finite"),
+            ("spectrum", {"q": "nan"}, (), "q must be finite"),
+            ("spectrum", {"m": "inf"}, (), "m must be finite"),
+            ("spectrum", {}, ("--jobs", "0"), "--jobs"),
+            ("spectrum", {}, ("--jobs", "-1"), "--jobs"),
+        ],
+        ids=["n_points", "fd_order", "x_max", "n_max", "V0", "S0", "VI", "lambda", "q", "m", "jobs0", "jobs-1"],
+    )
+    def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
+        # Each input used to pass validation or escape as a raw ValueError.
+        body = "".join(f"{k} = {v}\n" for k, v in {**self.BASE, **overrides}.items())
+        proc = run_cli_fresh(command, "--config", write_cfg(tmp_path, body), *extra)
+        assert proc.returncode == 1
+        assert any(line.startswith("config error:") and fragment in line for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestVerifyCommand:
     CFG = "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 2\noracle.n_points = 1500\n"
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams
@@ -9,6 +10,9 @@ from kg_hierarchy.errors import NoBoundStateError
 from kg_hierarchy.oracle import BandedOperator, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, params
+
+# q = 3 puts the left wall on the deformation pole.
+SET_D = dict(V0=0.3, S0=0.5, lam=0.25, q=3.0, m=1.0)
 
 
 def box_operator(length: float, n: int, fd: int) -> BandedOperator:
@@ -61,6 +65,60 @@ class TestDiscretize:
         op = discretize(set_c, 0.2, OracleConfig(n_points=500))
         assert op.x[0] < 0.0
         assert op.x[0] > np.log(0.8) / 0.25
+
+
+class TestShiftInvertKernel:
+    """count_below and eigenpair against the full banded reduction (eig_banded)."""
+
+    K = 5
+
+    @staticmethod
+    def operator(base: dict, fd: int) -> BandedOperator:
+        return discretize(params(base), 0.3, OracleConfig(n_points=600, fd_order=fd))
+
+    @pytest.mark.parametrize("fd", [2, 4])
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
+    def test_count_below_matches_eigenvalues(self, base, fd):
+        op = self.operator(base, fd)
+        eigs = op.eigenvalues(self.K)
+        shifts = [eigs[0] - 1.0, -1e6]
+        # Offsets of 1e-11 * max(|lambda_j|, m^2) stay well above eps*|A|; 1e-11
+        # of a near-threshold eigenvalue (~5e-4) would not, and there either
+        # count is right.
+        shifts += [lam + sign * 1e-11 * max(abs(lam), 1.0) for lam in eigs[:-1] for sign in (-1.0, 1.0)]
+        shifts += list(0.5 * (eigs[:-1] + eigs[1:]))
+        for s in shifts:
+            assert op.count_below(s) == int(np.sum(eigs < s)), s
+
+    @pytest.mark.parametrize("fd", [2, 4])
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
+    def test_eigenpair_from_any_gap(self, base, fd):
+        op = self.operator(base, fd)
+        eigs = op.eigenvalues(self.K)
+        shifts = [eigs[0] - 1.0, *(0.5 * (eigs[:-1] + eigs[1:])), eigs[-1]]
+        for k in range(4):
+            for shift in shifts:
+                lam, vec = op.eigenpair(k, shift)
+                # Relative to max(|lambda_k|, m^2): both solvers are accurate to
+                # eps*|A| absolutely, and lambda_3 of set A is -7.8e-4.
+                assert abs(lam - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0), (k, shift)
+                assert np.linalg.norm(op.matvec(vec) - lam * vec) < 1e-9
+                assert kg.node_count(kg.GridFunction(float(op.x[0]), op.h, vec.astype(complex))) == k
+
+    def test_count_survives_exact_zero_pivot(self):
+        # s equal to the leading diagonal entry zeroes the first pivot.
+        op = box_operator(10.0, 100, 4)
+        s = float(op.bands[2, 0])
+        assert op.count_below(s) == int(np.sum(op.eigenvalues(99) < s))
+
+    def test_compare_never_calls_eig_banded(self, set_b, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_banded is O(N^2); the oracle solve must not call it")
+
+        monkeypatch.setattr(scipy.linalg, "eig_banded", refuse)
+        report = kg.compare(set_b, kg.solve_level(set_b, 0), OracleConfig(n_points=2000))
+        assert report.ok
+        assert [r.E_oracle is not None for r in report.rows] == [False, True]
 
 
 class TestSolveSelfConsistent:

@@ -132,6 +132,17 @@ class TestSolveLevelHermitian:
         assert lvls[0].note == "double_root"
         assert lvls[0].E.real == pytest.approx(-99.0 / 101.0, abs=1e-9)
 
+    def test_threshold_root_excluded(self):
+        # Set C at q = 6: mu_0(-m) = 0, so f_0 vanishes at the threshold E = -m and
+        # the scan lands within rounding of it.  The threshold is no bound state;
+        # the real near-threshold root of level 1 is one and stays.
+        p = params(dict(SET_C, q=6.0))
+        level0 = [lv.E.real for lv in kg.solve_level(p, 0)]
+        assert level0 == [pytest.approx(0.93207547169811, abs=1e-12)]
+        level1 = [lv.E.real for lv in kg.solve_level(p, 1)]
+        assert any(e == pytest.approx(0.9999918735851947, abs=1e-12) for e in level1)
+        assert all(abs(lv.E.real) < p.m - 1e-12 for lv in kg.spectrum(p, 8))
+
 
 class TestSpectrum:
     def test_set_a_level_count_and_order(self, set_a):
