@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, KGHierarchyError
+from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import make_superpotential, riccati_check
 from .oracle import OracleConfig, compare
 from .potential import Branch, PotentialParams
@@ -79,10 +79,14 @@ def parse_config(path: str | Path) -> dict[str, object]:
             raw[key] = _convert(key, value)
         except ValueError as exc:
             raise ConfigError(str(exc), line_no) from exc
+    missing = {"S0", "lambda", "q", "m"} - raw.keys()
+    if missing:
+        raise ConfigError(f"missing required keys: {sorted(missing)}")
     try:
         raw["_params"] = _build_params(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc), seen_lines.get("q")) from exc
+    except ParameterError as exc:
+        key = "lambda" if exc.param == "lam" else exc.param
+        raise ConfigError(f"invalid potential parameters: {exc}", seen_lines.get(key)) from exc
     return raw
 
 
@@ -106,21 +110,15 @@ def _convert(key: str, value: str) -> object:
 
 
 def _build_params(raw: dict[str, object]) -> PotentialParams:
-    missing = {"S0", "lambda", "q", "m"} - raw.keys()
-    if missing:
-        raise ValueError(f"missing required keys: {sorted(missing)}")
-    try:
-        return PotentialParams(
-            V0=float(raw.get("V0", 0.0)),
-            S0=float(raw["S0"]),
-            lam=float(raw["lambda"]),
-            q=float(raw["q"]),
-            m=float(raw["m"]),
-            VI=float(raw.get("VI", 0.0)),
-            branch=raw.get("branch", Branch.HERMITIAN),
-        )
-    except ValueError as exc:
-        raise ValueError(f"invalid potential parameters: {exc}") from exc
+    return PotentialParams(
+        V0=float(raw.get("V0", 0.0)),
+        S0=float(raw["S0"]),
+        lam=float(raw["lambda"]),
+        q=float(raw["q"]),
+        m=float(raw["m"]),
+        VI=float(raw.get("VI", 0.0)),
+        branch=raw.get("branch", Branch.HERMITIAN),
+    )
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -349,22 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One stderr line per warning: the parameters it names, not a source location.
+    sys.stderr.write(f"warning: {category.__name__}: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = build_run_config(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("once")
+    with warnings.catch_warnings():
+        warnings.simplefilter("once")
+        warnings.showwarning = _show_warning
+        try:
+            cfg = build_run_config(args)
             return _DISPATCH[cfg.command](cfg)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    except KGHierarchyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
-        return 1
+        except ConfigError as exc:
+            sys.stderr.write(f"config error: {exc}\n")
+            return 1
+        except KGHierarchyError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+        except OSError as exc:
+            sys.stderr.write(f"i/o error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

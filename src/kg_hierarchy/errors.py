@@ -5,6 +5,14 @@ class KGHierarchyError(Exception):
     """Base class for all library errors."""
 
 
+class ParameterError(KGHierarchyError, ValueError):
+    """A PotentialParams field is out of range; ``param`` names the field."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        super().__init__(message)
+
+
 class DomainError(KGHierarchyError):
     """Evaluation point is at (or too close to) the deformation pole 1 - q*k(x) = 0."""
 
@@ -34,7 +42,7 @@ class NonConvergenceError(KGHierarchyError):
 
 
 class NonNormalizableError(KGHierarchyError):
-    """Ground-state construction attempted with Re(mu) <= 0 on the Hermitian branch."""
+    """Ground state with Re(mu) <= 0 on the Hermitian branch, or a grid norm of 0 or inf."""
 
 
 class OuterDivergenceError(KGHierarchyError):

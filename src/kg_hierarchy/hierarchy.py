@@ -28,6 +28,9 @@ from .potential import Branch, PotentialParams, _collapse, screened_ratio
 _IMAG_TOL = 1e-13
 _MIN_LADDER_POINTS = 20
 
+# (rho_n, a, b) of level_coefficients; a level solve computes it once and reuses it.
+Coefficients = tuple[complex, complex, complex]
+
 
 @dataclass(frozen=True)
 class HierarchyLevel:
@@ -82,7 +85,7 @@ def _nu1_for(p: PotentialParams) -> complex:
     return solve_nu1(p.gamma1, p.q, p.lambda_eff, root=root)
 
 
-def level_coefficients(p: PotentialParams, n: int) -> tuple[complex, complex, complex]:
+def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
     """(rho_n, a, b): rho_n = nu1 + n*q*lambda_eff and mu_n(E) = a + b*E at level n.
 
     Inserting Gamma2(E) = 2*(m*S0 + E*V0_eff) into mu_n gives
@@ -101,19 +104,28 @@ def level_coefficients(p: PotentialParams, n: int) -> tuple[complex, complex, co
     rho = nu1 + n * (p.q * p.lambda_eff)
     if abs(rho) < 1e-14 * max(1.0, abs(nu1)):
         raise ZeroNuError(f"rho_{n} = 0; level data undefined")
-    a = (p.gamma1 + 2.0 * p.q * p.m * p.S0 - rho * rho) / (2.0 * p.q * rho)
+    denom = 2.0 * p.q * rho
+    if denom == 0:
+        raise ZeroNuError(f"2*q*rho_{n} underflows to 0 at q = {p.q:g}; level data undefined")
+    a = (p.gamma1 + 2.0 * p.q * p.m * p.S0 - rho * rho) / denom
     return complex(rho), complex(a), complex(p.v0_eff / rho)
 
 
-def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
-    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E."""
-    rho, a, b = level_coefficients(p, n)
+def level_mu(p: PotentialParams, n: int, coeffs: Coefficients, E: complex) -> complex:
+    """mu_n(E) = a + b*E from coeffs = level_coefficients(p, n); real on the Hermitian branch."""
+    rho, a, b = coeffs
     mu = a + b * E
     if p.branch is Branch.HERMITIAN and abs(mu.imag) > _IMAG_TOL * (1.0 + abs(rho) + abs(mu)):
         raise ComplexLevelError(
             f"trial energy E = {E} makes mu_{n} complex on the Hermitian branch"
         )
-    return HierarchyLevel(n=n, nu=rho, mu=complex(mu))
+    return complex(mu)
+
+
+def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
+    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E."""
+    coeffs = level_coefficients(p, n)
+    return HierarchyLevel(n=n, nu=coeffs[0], mu=level_mu(p, n, coeffs, E))
 
 
 def make_superpotential(p: PotentialParams, E: complex, n: int) -> Superpotential:

@@ -11,6 +11,9 @@ factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386).  Only BandedOperator.eigenvalues, which returns the
 lowest few eigenvalues at once, uses the O(N^2) banded tridiagonal reduction.
 
+scipy is loaded at the first eigensolve, not when this module is imported, so
+the closed-form commands (spectrum, sweep, wavefunction) never pay its import.
+
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
 potential wall diverges and where the analytic ground state vanishes; for
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
@@ -95,6 +97,8 @@ class BandedOperator:
 
     def eigenvalues(self, k_max: int) -> np.ndarray:
         """The k_max + 1 lowest eigenvalues by full banded reduction (O(N^2))."""
+        import scipy.linalg
+
         return scipy.linalg.eig_banded(
             self.bands, lower=False, eigvals_only=True, select="i", select_range=(0, k_max)
         )
@@ -110,8 +114,16 @@ class BandedOperator:
             L[j+1, j] = (b - L[j+1, j-1] l1 d_{j-1}) / d_j,   L[j+2, j] = c / d_j
 
         The 3-point stencil is the case c = 0.  An exact zero pivot means s is
-        an eigenvalue of a leading block; s is then nudged down by one ulp.
+        an eigenvalue of a leading block; s is then nudged down by one ulp.  A
+        count of 0 (A - s*I positive definite) is settled first by LAPACK's
+        banded Cholesky, pbtrf, which is several times faster than this loop.
         """
+        import scipy.linalg
+
+        shifted = self.bands.copy()
+        shifted[-1] -= s
+        if scipy.linalg.lapack.dpbtrf(shifted, overwrite_ab=True)[1] == 0:
+            return 0
         u = self.bands.shape[0] - 1
         sub1 = self.bands[u - 1, 1:].tolist() + [0.0]
         sub2 = self.bands[0, 2:].tolist() + [0.0, 0.0] if u == 2 else [0.0] * self.n
@@ -137,24 +149,28 @@ class BandedOperator:
 
         Inverse iteration at the shift, then Rayleigh-quotient iteration, gives a
         Ritz pair (theta, v) with residual r = |A v - theta v|.  It is accepted
-        only when r is at the rounding floor and the inertia counts put exactly k
-        eigenvalues below theta - tol and k + 1 below theta + tol (tol = r plus
-        rounding), so theta is lambda_k to within tol.  Otherwise more counts
-        widen or bisect a bracket [lo, hi] until it holds lambda_k alone, and the
-        iteration restarts from its midpoint.  Two more inverse-iteration sweeps
-        at theta clean the eigenvector.
+        only when r is at the rounding floor and the inertia counts put at most k
+        eigenvalues below theta - tol and more than k below theta + tol (tol = r
+        plus rounding), so theta is lambda_k to within tol.  Some eigenvalue lies
+        within r of theta, so the second count is needed only when the first is
+        below k.  Otherwise more counts widen or bisect a bracket [lo, hi] until
+        it holds lambda_k alone, and the iteration restarts from its midpoint.
+        Two more inverse-iteration sweeps at theta clean the eigenvector, from
+        one factorization.
         """
         u, n = self.bands.shape[0] - 1, self.n
         if not 0 <= k < n:
             raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
         if not math.isfinite(shift):
             raise ValueError(f"shift must be finite, got {shift}")
-        ab = np.zeros((2 * u + 1, n))  # general band form for solve_banded
-        ab[: u + 1] = self.bands
+        # General band form for LAPACK gbtrf: u rows of fill-in space, then the
+        # u superdiagonals, the diagonal and the u subdiagonals.
+        ab = np.zeros((3 * u + 1, n))
+        ab[u : 2 * u + 1] = self.bands
         radius = np.zeros(n)
         for r in range(u):
             d = u - r
-            ab[u + d, :-d] = self.bands[r, d:]
+            ab[2 * u + d, :-d] = self.bands[r, d:]
             radius[:-d] += np.abs(self.bands[r, d:])
             radius[d:] += np.abs(self.bands[r, d:])
         anorm = float(np.max(np.abs(self.bands[u]) + radius))
@@ -167,10 +183,14 @@ class BandedOperator:
             theta, v, res = self._ritz(ab, sigma, start, floor)
             tol = res + COUNT_SLACK * EPS * anorm
             if res <= floor and lo - tol <= theta <= hi + tol:
-                below, upto = self.count_below(theta - tol), self.count_below(theta + tol)
+                # Some eigenvalue lies within res of theta, so count_below(theta + tol)
+                # exceeds below; it is counted only when below < k leaves it open.
+                below = self.count_below(theta - tol)
+                upto = self.count_below(theta + tol) if below < k else below + 1
                 if below <= k < upto:
+                    factors = self._factor(ab, theta)
                     for _ in range(2):
-                        v = self._inverse_step(ab, theta, v)
+                        v = self._solve(factors, v)
                     v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
                     return theta, v
                 if below > k and theta - tol < hi:
@@ -209,9 +229,11 @@ class BandedOperator:
         """Two inverse-iteration steps at sigma, then Rayleigh-quotient steps.
 
         Stops when the residual |A v - theta v| reaches floor; returns (theta, v, residual).
+        The two steps at sigma share one factorization.
         """
+        factors = self._factor(ab, sigma)
         for step in range(MAX_RITZ_STEPS):
-            v = self._inverse_step(ab, sigma, v)
+            v = self._solve(factors, v)
             av = self.matvec(v)
             theta = float(v @ av)
             res = float(np.linalg.norm(av - theta * v))
@@ -219,19 +241,29 @@ class BandedOperator:
                 break
             if step >= 1:
                 sigma = theta
+                factors = self._factor(ab, sigma)
         return theta, v, res
 
-    def _inverse_step(self, ab: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-        """Normalized (A - sigma I)^-1 v; sigma moves up by one ulp off an exactly singular shift."""
+    def _factor(self, ab: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Banded LU of A - sigma I (LAPACK gbtrf); sigma moves up by one ulp off an exactly singular shift."""
+        import scipy.linalg
+
         u = self.bands.shape[0] - 1
         while True:
-            ab[u] = self.bands[u] - sigma
-            try:
-                w = scipy.linalg.solve_banded((u, u), ab, v, check_finite=False)
-            except np.linalg.LinAlgError:
-                sigma = math.nextafter(sigma, math.inf)
-                continue
-            return w / np.linalg.norm(w)
+            ab[2 * u] = self.bands[u] - sigma
+            lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, u, u)
+            if info == 0:
+                return lu, piv
+            sigma = math.nextafter(sigma, math.inf)
+
+    def _solve(self, factors: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+        """Normalized (A - sigma I)^-1 v from the factors of A - sigma I."""
+        import scipy.linalg
+
+        u = self.bands.shape[0] - 1
+        lu, piv = factors
+        w, _ = scipy.linalg.lapack.dgbtrs(lu, u, u, v, piv)
+        return w / np.linalg.norm(w)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A @ v from the banded storage."""

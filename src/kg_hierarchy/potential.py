@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DomainError, GammaPositivityWarning
+from .errors import DomainError, GammaPositivityWarning, ParameterError
 
 # Absolute floor on |1 - q*k(x)| before an evaluation counts as sitting on the pole.
 POLE_TOL = 1e-12
@@ -35,7 +35,8 @@ class PotentialParams:
 
     V0, S0 are the real vector/scalar coupling strengths, VI the imaginary
     vector part (non-Hermitian branch only), lam > 0 the screening rate,
-    q != 0 the deformation parameter and m > 0 the particle mass.
+    q != 0 the deformation parameter and m > 0 the particle mass.  An invalid
+    field raises ParameterError (a ValueError) naming it.
     """
 
     V0: float
@@ -49,25 +50,36 @@ class PotentialParams:
     def __post_init__(self) -> None:
         for name in ("V0", "S0", "VI", "lam", "q", "m"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ParameterError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.q == 0:
-            raise ValueError(
+            raise ParameterError(
+                "q",
                 "deformation parameter q must be nonzero: the q -> 0 limit sends "
-                "every bound energy to infinity"
+                "every bound energy to infinity",
             )
         if not self.lam > 0:
-            raise ValueError("screening parameter lam must be positive")
+            raise ParameterError("lam", "screening parameter lam must be positive")
         if not self.m > 0:
-            raise ValueError("mass m must be positive")
+            raise ParameterError("m", "mass m must be positive")
+        if self.q * self.lam == 0:
+            raise ParameterError(
+                "q",
+                f"q*lam = {self.q:g}*{self.lam:g} underflows to 0; the hierarchy step "
+                "q*lambda_eff must be a nonzero double",
+            )
         if self.VI != 0.0 and self.branch is not Branch.NON_HERMITIAN:
-            raise ValueError("VI must be zero outside the NonHermitian branch")
+            raise ParameterError("VI", "VI must be zero outside the NonHermitian branch")
         g1 = self.gamma1
         if g1.imag == 0.0 and g1.real <= 0.0:
+            vi = f", VI = {self.VI:g}" if self.VI else ""
+            # stacklevel 3 skips this method and the generated __init__ to name
+            # the line that built the parameters.
             warnings.warn(
-                f"Gamma1 = S0^2 - V0_eff^2 = {g1.real:g} is not positive; the "
-                "hierarchy still applies but normalizability is not guaranteed",
+                f"Gamma1 = S0^2 - V0_eff^2 = {g1.real:g} is not positive at "
+                f"V0 = {self.V0:g}, S0 = {self.S0:g}{vi}; the hierarchy still "
+                "applies but normalizability is not guaranteed",
                 GammaPositivityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CrossCheckError, NoRootError, NonConvergenceError
-from .hierarchy import level, level_coefficients
+from .hierarchy import Coefficients, level, level_coefficients, level_mu
 from .potential import Branch, PotentialParams
 
 # Hermitian sign-scan resolution, residual certificate and Newton budget.
@@ -90,7 +90,11 @@ def closed_form_energy(p: PotentialParams, n: int) -> complex:
     E = (i/2q) * sqrt(4 q^2 (a^2 - m^2)) = i*sign(q)*sqrt(a^2 - m^2).  Exact when
     V0_eff = 0 (Gamma2 is then energy independent).
     """
-    _, a, _ = level_coefficients(p, n)
+    return _explicit_energy(p, level_coefficients(p, n)[1])
+
+
+def _explicit_energy(p: PotentialParams, a: complex) -> complex:
+    # closed_form_energy from mu_n(0) = a.
     return complex(1j * math.copysign(1.0, p.q) * cmath.sqrt(a * a - p.m * p.m))
 
 
@@ -127,16 +131,18 @@ def _flags_for(p: PotentialParams, E: complex, mu: complex) -> frozenset:
     return frozenset(flags)
 
 
-def _make_level(p: PotentialParams, n: int, E: complex, res: float, note: str = "") -> EnergyLevel:
-    lvl = level(p, E, n)
+def _make_level(
+    p: PotentialParams, n: int, coeffs: Coefficients, E: complex, res: float, note: str = ""
+) -> EnergyLevel:
+    mu = level_mu(p, n, coeffs, E)
     return EnergyLevel(
         n=n,
         E=complex(E),
-        mu=lvl.mu,
+        mu=mu,
         residual=res,
         branch=p.branch,
         mass=p.m,
-        flags=_flags_for(p, E, lvl.mu),
+        flags=_flags_for(p, E, mu),
         note=note,
     )
 
@@ -153,19 +159,20 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     Every returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
     NonConvergenceError.
     """
-    _, a, b = level_coefficients(p, n)
+    coeffs = level_coefficients(p, n)
     if p.branch is Branch.HERMITIAN:
-        found = _solve_level_hermitian(p, n, a, b)
+        found = _solve_level_hermitian(p, n, coeffs)
     else:
-        found = _solve_level_complex(p, n, a, b)
+        found = _solve_level_complex(p, n, coeffs)
     if not found:
         raise NoRootError(f"level {n} supports no self-consistent bound energy")
     if p.v0_eff == 0:
-        _crosscheck_closed_form(p, n, found)
+        _crosscheck_closed_form(p, n, coeffs[1], found)
     return found
 
 
-def _solve_level_hermitian(p: PotentialParams, n: int, a: complex, b: complex) -> list[EnergyLevel]:
+def _solve_level_hermitian(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
+    _, a, b = coeffs
     a0, b0 = a.real, b.real
 
     def f(E: float) -> float:
@@ -215,7 +222,7 @@ def _solve_level_hermitian(p: PotentialParams, n: int, a: complex, b: complex) -
             continue
         if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
             continue
-        out.append(_make_level(p, n, E, res, note))
+        out.append(_make_level(p, n, coeffs, E, res, note))
     return out
 
 
@@ -235,21 +242,22 @@ def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:
     return [C / t] if A == 0 else [t / A, C / t]
 
 
-def _solve_level_complex(p: PotentialParams, n: int, a: complex, b: complex) -> list[EnergyLevel]:
+def _solve_level_complex(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
+    _, a, b = coeffs
     out: list[EnergyLevel] = []
     for E0 in _quadratic_roots(1.0 + b * b, a * b, a * a - p.m * p.m):
         E, res = _newton_polish(p, n, a, b, E0)
         if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
             out[0] = replace(out[0], note="double_root")
             continue
-        out.append(_make_level(p, n, E, res))
+        out.append(_make_level(p, n, coeffs, E, res))
     out.sort(key=lambda lv: (lv.E.real, lv.E.imag))
     return out
 
 
-def _crosscheck_closed_form(p: PotentialParams, n: int, found: list[EnergyLevel]) -> None:
+def _crosscheck_closed_form(p: PotentialParams, n: int, a: complex, found: list[EnergyLevel]) -> None:
     # With V0_eff = 0 the condition is explicit: E = +/- sqrt(m^2 - mu_n^2).
-    ref = closed_form_energy(p, n)
+    ref = _explicit_energy(p, a)
     for lv in found:
         if min(abs(lv.E - ref), abs(lv.E + ref)) > 1e-9 * (1.0 + abs(ref)):
             raise CrossCheckError(
@@ -276,7 +284,7 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
 
 def _pm_pair(p: PotentialParams, n: int) -> PlusMinusPair:
     _, a, b = level_coefficients(p, n)
-    E, _ = _newton_polish(p, n, a, b, closed_form_energy(p, n))
+    E, _ = _newton_polish(p, n, a, b, _explicit_energy(p, a))
     eps = E * E - p.m * p.m
     return PlusMinusPair(plus=E, minus=-E, epsilon=eps, re_epsilon_negative=eps.real < 0.0)
 

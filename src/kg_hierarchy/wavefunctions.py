@@ -59,6 +59,10 @@ def ground_state_from_W(
     vals = np.exp(_log_psi(w.nu, w.mu, w.lambda_eff, w.q, xa))
     psi = GridFunction(float(xa[0]), dx, vals)
     norm = psi.l2_norm() if hermitian else psi.max_modulus()
+    if not 0.0 < norm < np.inf:
+        raise NonNormalizableError(
+            f"grid norm of psi is {norm:g}: the ground state under- or overflows on this grid"
+        )
     return psi.scaled(1.0 / norm)
 
 

@@ -97,27 +97,39 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg]) == 2
 
 
+def run_python_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run python with argv in a new interpreter that imports this checkout."""
+    src = str(Path(kg_hierarchy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter, the way a user starts it."""
+    return run_python_fresh("-m", "kg_hierarchy.cli", *argv)
+
+
 class TestErrorExit:
     @pytest.mark.parametrize("S0", ["0.48", "0.3"])
     def test_hermitian_discriminant_bound(self, tmp_path, S0):
         # Gamma1 below -(q*lam)^2/4: a typed error and exit 1, never a traceback
         # or a silent "no bound level".
         cfg = write_cfg(tmp_path, f"V0 = 0.5\nS0 = {S0}\nlambda = 0.2\nq = 1\nm = 1\n")
-        src = str(Path(kg_hierarchy.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "kg_hierarchy.cli", "spectrum", "--config", cfg],
-                              capture_output=True, text=True, env=env)
+        proc = run_cli_fresh("spectrum", "--config", cfg)
         assert proc.returncode == 1
         assert any(line.startswith("error:") and "discriminant" in line for line in proc.stderr.splitlines())
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-
-def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a new interpreter, the way a user starts it."""
-    src = str(Path(kg_hierarchy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "kg_hierarchy.cli", *argv], capture_output=True, text=True, env=env)
+    def test_gamma_warning_is_one_stderr_line(self, tmp_path):
+        # Set B has Gamma1 = 0: one warning line naming the parameters, with no
+        # "<string>:10:" location and no echoed source line.
+        cfg = write_cfg(tmp_path, "V0 = 0.25\nS0 = 0.25\nlambda = 0.2\nq = 1\nm = 1\nn_max = 8\n")
+        proc = run_cli_fresh("spectrum", "--config", cfg)
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "GammaPositivityWarning" in lines[0] and "V0 = 0.25, S0 = 0.25" in lines[0]
 
 
 class TestConfigErrorExit:
@@ -149,6 +161,68 @@ class TestConfigErrorExit:
         assert any(line.startswith("config error:") and fragment in line for line in proc.stderr.splitlines())
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+class TestConfigErrorLine:
+    BASE = {"V0": "0", "S0": "1", "lambda": "0.2", "q": "1", "m": "1"}
+
+    @pytest.mark.parametrize(
+        "overrides,key,fragment",
+        [
+            ({"V0": "inf"}, "V0", "V0 must be finite"),
+            ({"S0": "nan"}, "S0", "S0 must be finite"),
+            ({"VI": "nan", "branch": "NonHermitian"}, "VI", "VI must be finite"),
+            ({"m": "0"}, "m", "mass m must be positive"),
+            ({"lambda": "-0.5"}, "lambda", "lam must be positive"),
+            ({"VI": "0.1"}, "VI", "VI must be zero"),
+            ({"VI": "0.1", "branch": "PTSymmetric"}, "VI", "VI must be zero"),
+            ({"q": "1e-200", "lambda": "1e-200"}, "q", "underflows"),
+        ],
+        ids=["V0", "S0", "VI-nan", "m", "lambda", "VI-Hermitian", "VI-PTSymmetric", "q-lambda-underflow"],
+    )
+    def test_error_cites_the_line_of_its_key(self, tmp_path, overrides, key, fragment):
+        # Every PotentialParams error used to cite the line of q.
+        cfg = {**self.BASE, **overrides}
+        line_no = list(cfg).index(key) + 1
+        body = "".join(f"{k} = {v}\n" for k, v in cfg.items())
+        proc = run_cli_fresh("spectrum", "--config", write_cfg(tmp_path, body))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: line {line_no}: ")
+        assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+
+# Runs main() on each argv of a JSON list and reports, after the import and after
+# each command, its exit code and whether scipy is loaded.
+SCIPY_PROBE = """
+import json, sys
+from kg_hierarchy.cli import main
+seen = [["import", None, "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv[0], main(argv), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestScipyOnlyForVerify:
+    def test_closed_form_commands_never_load_scipy(self, tmp_path):
+        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.5, 1.0, 1.5\n")
+        runs = [
+            ["spectrum", "--config", str(SET_A_CFG), "--output", str(tmp_path / "s.csv")],
+            ["sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv")],
+            ["wavefunction", "--config", str(SET_A_CFG), "--output", str(tmp_path / "wf.csv")],
+        ]
+        proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["import", None, False], ["spectrum", 0, False], ["sweep", 0, False], ["wavefunction", 0, False]
+        ]
+
+    def test_verify_loads_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, TestVerifyCommand.CFG)
+        runs = [["verify", "--config", cfg, "--output", str(tmp_path / "v.txt")]]
+        proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["import", None, False], ["verify", 0, True]]
 
 
 class TestVerifyCommand:

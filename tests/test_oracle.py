@@ -105,6 +105,25 @@ class TestShiftInvertKernel:
                 assert np.linalg.norm(op.matvec(vec) - lam * vec) < 1e-9
                 assert kg.node_count(kg.GridFunction(float(op.x[0]), op.h, vec.astype(complex))) == k
 
+    def test_certified_eigenpair_takes_one_count(self, monkeypatch):
+        # A Ritz value with residual r has an eigenvalue within r, so once
+        # count_below(theta - tol) == k the upper count cannot fail.
+        op = self.operator(SET_B, 4)
+        eigs = op.eigenvalues(self.K)
+        calls = []
+        orig = BandedOperator.count_below
+
+        def counted(self, s):
+            calls.append(s)
+            return orig(self, s)
+
+        monkeypatch.setattr(BandedOperator, "count_below", counted)
+        for k in range(4):
+            calls.clear()
+            lam, _ = op.eigenpair(k, float(eigs[k]) + 1e-9)
+            assert abs(lam - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0)
+            assert len(calls) == 1, k
+
     def test_count_survives_exact_zero_pivot(self):
         # s equal to the leading diagonal entry zeroes the first pivot.
         op = box_operator(10.0, 100, 4)

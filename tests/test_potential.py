@@ -39,6 +39,16 @@ class TestConstruction:
         with pytest.warns(GammaPositivityWarning):
             PotentialParams(V0=0.5, S0=0.25, lam=0.2, q=1.0, m=1.0)
 
+    def test_gamma1_warning_names_the_caller(self):
+        with pytest.warns(GammaPositivityWarning, match="V0 = 0.25, S0 = 0.25") as record:
+            PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
+        assert record[0].filename == __file__
+
+    def test_underflowing_hierarchy_step_rejected(self):
+        with pytest.raises(kg.ParameterError, match="underflows") as info:
+            PotentialParams(V0=0.0, S0=1.0, lam=1e-200, q=1e-200, m=1.0)
+        assert info.value.param == "q"
+
     def test_domain_start_beyond_pole_for_q_above_one(self):
         p = PotentialParams(V0=1.0, S0=2.0, lam=0.5, q=2.0, m=1.0)
         x0 = np.log(2.0) / 0.5

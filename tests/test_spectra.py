@@ -308,10 +308,38 @@ class TestTypedErrors:
     def test_closed_form_disagreement_is_typed(self, set_a, monkeypatch):
         import kg_hierarchy.spectra as spectra
 
-        monkeypatch.setattr(spectra, "closed_form_energy", lambda p, n: 0.5 + 0j)
+        monkeypatch.setattr(spectra, "_explicit_energy", lambda p, a: 0.5 + 0j)
         with pytest.raises(CrossCheckError, match="level 0") as info:
             kg.solve_level(set_a, 0)
         assert isinstance(info.value, KGHierarchyError)
+
+
+class TestLevelChainOnce:
+    @pytest.mark.parametrize(
+        "base,branch,VI",
+        [
+            (SET_A, Branch.HERMITIAN, 0.0),  # V0 = 0: the closed-form cross-check runs too
+            (SET_B, Branch.HERMITIAN, 0.0),
+            (SET_A, Branch.PT_SYMMETRIC, 0.0),
+            (SET_C, Branch.PT_SYMMETRIC, 0.0),
+            (SET_B, Branch.NON_HERMITIAN, 0.1),
+        ],
+    )
+    def test_solve_level_computes_coefficients_once(self, monkeypatch, base, branch, VI):
+        import kg_hierarchy.hierarchy as hierarchy
+        import kg_hierarchy.spectra as spectra
+
+        calls = []
+        orig = hierarchy.level_coefficients
+
+        def counted(p, n):
+            calls.append(n)
+            return orig(p, n)
+
+        monkeypatch.setattr(hierarchy, "level_coefficients", counted)
+        monkeypatch.setattr(spectra, "level_coefficients", counted)
+        assert kg.solve_level(params(base, branch, VI), 1)
+        assert calls == [1]
 
 
 class TestQSweepContinuity:

@@ -55,6 +55,15 @@ class TestGroundStateFromW:
         with pytest.raises(NonNormalizableError):
             kg.ground_state_from_W(w, np.linspace(0.1, 40.0, 512))
 
+    def test_underflowing_norm_raises(self):
+        # lam = 2^-9 on set A: |psi|^2 underflows everywhere on (0, 40/lam], so the
+        # grid norm is 0; this used to escape as a ZeroDivisionError.
+        p = params(dict(SET_A, lam=0.001953125))
+        lv = solved_level(p)
+        w = kg.make_superpotential(p, lv.E, 0)
+        with pytest.raises(NonNormalizableError, match="grid norm"):
+            kg.ground_state_from_W(w, np.linspace(p.domain_start(), 40.0 / p.lam, 2000))
+
     def test_hermitian_tail_decay(self, set_a):
         lv = solved_level(set_a)
         w = kg.make_superpotential(set_a, lv.E, 0)
