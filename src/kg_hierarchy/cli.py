@@ -10,6 +10,7 @@ LF line endings so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -22,7 +23,7 @@ from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import make_superpotential, riccati_check
 from .oracle import OracleConfig, compare
 from .potential import Branch, PotentialParams
-from .spectra import EnergyLevel, LevelFlag, spectrum
+from .spectra import EnergyLevel, LevelFlag, spectrum, spectrum_batch
 from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
 
 RICCATI_TOL = 1e-10
@@ -51,10 +52,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _flags_cell(level: EnergyLevel) -> str:
-    names = sorted(f.value for f in level.flags)
-    if level.note:
-        names.append(level.note)
+@functools.cache
+def _flags_cell(flags: frozenset, note: str) -> str:
+    names = sorted(f.value for f in flags)
+    if note:
+        names.append(note)
     return ";".join(names)
 
 
@@ -161,33 +163,26 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _level_record(level: EnergyLevel) -> dict[str, object]:
+_LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_mu", "residual", "flags")
+# One CSV row per level; %.17g gives the digits of _fmt.
+_LEVEL_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+_SWEEP_ROW = "%s,%.17g," + _LEVEL_ROW
+
+
+def _level_values(level: EnergyLevel) -> tuple:
     eps = level.epsilon
-    return {
-        "n": level.n,
-        "re_E": level.E.real,
-        "im_E": level.E.imag,
-        "re_epsilon": eps.real,
-        "im_epsilon": eps.imag,
-        "re_mu": level.mu.real,
-        "im_mu": level.mu.imag,
-        "residual": level.residual,
-        "flags": _flags_cell(level),
-    }
+    return (
+        level.n, level.E.real, level.E.imag, eps.real, eps.imag,
+        level.mu.real, level.mu.imag, level.residual, _flags_cell(level.flags, level.note),
+    )
 
 
-def _records_to_csv(records: list[dict[str, object]], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for rec in records:
-        cells = []
-        for col in columns:
-            val = rec[col]
-            cells.append(_fmt(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _level_record(level: EnergyLevel) -> dict[str, object]:
+    return dict(zip(_LEVEL_COLUMNS, _level_values(level)))
 
 
-_LEVEL_COLUMNS = ["n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_mu", "residual", "flags"]
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows, ""])
 
 
 def run_spectrum(cfg: RunConfig) -> int:
@@ -195,12 +190,12 @@ def run_spectrum(cfg: RunConfig) -> int:
     if not levels:
         sys.stderr.write("no bound level at n = 0 for these parameters\n")
         return 2
-    records = [_level_record(lv) for lv in levels]
     if cfg.fmt == "json":
+        records = [_level_record(lv) for lv in levels]
         payload = {"command": "spectrum", "params": _params_record(cfg.params), "levels": records}
         _emit(cfg, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(cfg, _records_to_csv(records, _LEVEL_COLUMNS))
+        _emit(cfg, _csv(",".join(_LEVEL_COLUMNS), [_LEVEL_ROW % _level_values(lv) for lv in levels]))
     return 0
 
 
@@ -267,24 +262,25 @@ def run_wavefunction(cfg: RunConfig) -> int:
         return 2
     ocfg = cfg.oracle_cfg.resolve(p)
     x = np.linspace(p.domain_start(), ocfg.x_max, min(ocfg.n_points, 2000))
-    records: list[dict[str, object]] = []
+    samples: list[tuple[int, float, float, float]] = []
     for lv in levels:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
         w = make_superpotential(p, lv.E, lv.n)
         psi = ground_state_from_W(w, x, hermitian=p.branch is Branch.HERMITIAN)
-        for xi, vi in zip(psi.x, psi.values):
-            records.append({"n": lv.n, "x": float(xi), "re_psi": float(vi.real), "im_psi": float(vi.imag)})
+        samples.extend(
+            (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
+        )
     if cfg.fmt == "json":
         payload = {
             "command": "wavefunction",
             "params": _params_record(p),
             "note": WAVEFORM_NOTE,
-            "samples": records,
+            "samples": [{"n": n, "x": xi, "re_psi": re, "im_psi": im} for n, xi, re, im in samples],
         }
         _emit(cfg, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(cfg, _records_to_csv(records, ["n", "x", "re_psi", "im_psi"]))
+        _emit(cfg, _csv("n,x,re_psi,im_psi", ["%d,%.17g,%.17g,%.17g" % row for row in samples]))
     return 0
 
 
@@ -299,17 +295,22 @@ def run_sweep(cfg: RunConfig) -> int:
         except ValueError as exc:
             sys.stderr.write(f"sweep value {key}={v:g} rejected: {exc}\n")
             return 1
-    records = [
-        {"sweep_key": key, "sweep_value": float(v), **_level_record(lv)}
-        for v, p_val in zip(cfg.sweep_values, swept)
-        for lv in spectrum(p_val, cfg.n_max)
-    ]
-    columns = ["sweep_key", "sweep_value"] + _LEVEL_COLUMNS
+    solved = spectrum_batch(swept, cfg.n_max)
     if cfg.fmt == "json":
+        records = [
+            {"sweep_key": key, "sweep_value": float(v), **_level_record(lv)}
+            for v, levels in zip(cfg.sweep_values, solved)
+            for lv in levels
+        ]
         payload = {"command": "sweep", "params": _params_record(p), "rows": records}
         _emit(cfg, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(cfg, _records_to_csv(records, columns))
+        rows = [
+            _SWEEP_ROW % (key, v, *_level_values(lv))
+            for v, levels in zip(cfg.sweep_values, solved)
+            for lv in levels
+        ]
+        _emit(cfg, _csv(",".join(("sweep_key", "sweep_value", *_LEVEL_COLUMNS)), rows))
     return 0
 
 

@@ -9,9 +9,11 @@ construction shifts nu by q*lambda_eff per level, so
     mu_n  = (Gamma1 + q*Gamma2(E) - rho_n^2) / (2*q*rho_n) = a_n + b_n*E,
     eps_n = -mu_n^2.
 
-Gamma2 is affine in E, so mu_n is too; :func:`level_coefficients` is the one
-place rho_n, a_n and b_n are computed.  All quantities are stored complex on
-every branch; on the Hermitian branch they must be real, which is checked.
+Gamma2 is affine in E, so mu_n is too; :func:`chain_coefficients` is the one
+place rho_n, a_n and b_n are computed, from the level-independent terms that
+:func:`level_chain` collects once per parameter point.  All quantities are
+stored complex on every branch; on the Hermitian branch they must be real,
+which is checked.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ _MIN_LADDER_POINTS = 20
 
 # (rho_n, a, b) of level_coefficients; a level solve computes it once and reuses it.
 Coefficients = tuple[complex, complex, complex]
+# (nu1, q*lambda_eff, Gamma1 + 2*q*m*S0, q, V0_eff) of level_chain: everything level
+# n needs except n, computed once per parameter point.
+LevelChain = tuple[complex, complex, complex, float, complex]
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,8 @@ def _nu1_for(p: PotentialParams) -> complex:
     return solve_nu1(p.gamma1, p.q, p.lambda_eff, root=root)
 
 
-def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
-    """(rho_n, a, b): rho_n = nu1 + n*q*lambda_eff and mu_n(E) = a + b*E at level n.
-
-    Inserting Gamma2(E) = 2*(m*S0 + E*V0_eff) into mu_n gives
-    a = (Gamma1 + 2*q*m*S0 - rho_n^2) / (2*q*rho_n) and b = V0_eff / rho_n.
-    """
-    if n < 0:
-        raise ValueError("level index n must be >= 0")
+def level_chain(p: PotentialParams) -> LevelChain:
+    """Solve for nu1 and collect the terms of the chain that do not depend on n."""
     if p.branch is Branch.HERMITIAN:
         qlam = p.q * p.lam
         if qlam * qlam + 4.0 * p.gamma1.real < 0.0:
@@ -100,15 +99,33 @@ def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
                 f"Gamma1 = {p.gamma1.real:g} is below the Hermitian discriminant bound "
                 f"-(q*lam)^2/4 = {-0.25 * qlam * qlam:g}; nu1 would be complex"
             )
-    nu1 = _nu1_for(p)
-    rho = nu1 + n * (p.q * p.lambda_eff)
+    return _nu1_for(p), p.q * p.lambda_eff, p.gamma1 + 2.0 * p.q * p.m * p.S0, p.q, p.v0_eff
+
+
+def chain_coefficients(chain: LevelChain, n: int) -> Coefficients:
+    """(rho_n, a, b) of level n >= 0 from level_chain(p); see level_coefficients."""
+    nu1, step, num0, q, v0_eff = chain
+    rho = nu1 + n * step
     if abs(rho) < 1e-14 * max(1.0, abs(nu1)):
         raise ZeroNuError(f"rho_{n} = 0; level data undefined")
-    denom = 2.0 * p.q * rho
+    denom = 2.0 * q * rho
     if denom == 0:
-        raise ZeroNuError(f"2*q*rho_{n} underflows to 0 at q = {p.q:g}; level data undefined")
-    a = (p.gamma1 + 2.0 * p.q * p.m * p.S0 - rho * rho) / denom
-    return complex(rho), complex(a), complex(p.v0_eff / rho)
+        raise ZeroNuError(f"2*q*rho_{n} underflows to 0 at q = {q:g}; level data undefined")
+    a = (num0 - rho * rho) / denom
+    return complex(rho), complex(a), complex(v0_eff / rho)
+
+
+def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
+    """(rho_n, a, b): rho_n = nu1 + n*q*lambda_eff and mu_n(E) = a + b*E at level n.
+
+    Inserting Gamma2(E) = 2*(m*S0 + E*V0_eff) into mu_n gives
+    a = (Gamma1 + 2*q*m*S0 - rho_n^2) / (2*q*rho_n) and b = V0_eff / rho_n.
+    A solve over many levels computes :func:`level_chain` once and calls
+    :func:`chain_coefficients` per level, which is the same arithmetic.
+    """
+    if n < 0:
+        raise ValueError("level index n must be >= 0")
+    return chain_coefficients(level_chain(p), n)
 
 
 def level_mu(p: PotentialParams, n: int, coeffs: Coefficients, E: complex) -> complex:

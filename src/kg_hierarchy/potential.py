@@ -9,6 +9,7 @@ eigenproblem (-d2/dx2 + V_eff(x; E)) psi = (E^2 - m^2) psi.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +22,23 @@ from .errors import DomainError, GammaPositivityWarning, ParameterError
 
 # Absolute floor on |1 - q*k(x)| before an evaluation counts as sitting on the pole.
 POLE_TOL = 1e-12
+
+
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _caller_stacklevel() -> int:
+    """warnings.warn stacklevel of the first frame outside this package.
+
+    Counted from the function that calls this helper (stacklevel 1), so a
+    warning names the caller's line however deep in the package it is raised,
+    including from the dataclass-generated ``__init__``, whose globals are this
+    module's.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 class Branch(Enum):
@@ -72,14 +90,12 @@ class PotentialParams:
         g1 = self.gamma1
         if g1.imag == 0.0 and g1.real <= 0.0:
             vi = f", VI = {self.VI:g}" if self.VI else ""
-            # stacklevel 3 skips this method and the generated __init__ to name
-            # the line that built the parameters.
             warnings.warn(
                 f"Gamma1 = S0^2 - V0_eff^2 = {g1.real:g} is not positive at "
                 f"V0 = {self.V0:g}, S0 = {self.S0:g}{vi}; the hierarchy still "
                 "applies but normalizability is not guaranteed",
                 GammaPositivityWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property
@@ -147,7 +163,7 @@ def gamma2(p: PotentialParams, E: complex) -> complex:
         warnings.warn(
             f"Gamma2 = 2(m*S0 + E*V0_eff) = {g2.real:g} is not positive at E = {E}",
             GammaPositivityWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return g2
 

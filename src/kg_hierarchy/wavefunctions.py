@@ -44,7 +44,9 @@ def ground_state_from_W(
     Uses the closed-form antiderivative integral(W) = mu*x - (nu/(q*lambda_eff)) *
     log(1 - q*k(x)).  Hermitian-style data (real lambda_eff) is normalized to unit
     grid L2 norm and requires Re(mu) > 0; complex branches are normalized to unit
-    maximum modulus.
+    maximum modulus.  log(psi) is shifted by its maximum real part before the
+    exponential, so a ground state whose values all lie below the smallest
+    double still normalizes.
     """
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1 or xa.size < 16:
@@ -56,8 +58,12 @@ def ground_state_from_W(
         raise NonNormalizableError(
             f"Re(mu) = {w.mu.real:g} <= 0: exp(-mu*x) does not decay; no bound ground state"
         )
-    vals = np.exp(_log_psi(w.nu, w.mu, w.lambda_eff, w.q, xa))
-    psi = GridFunction(float(xa[0]), dx, vals)
+    log_psi = _log_psi(w.nu, w.mu, w.lambda_eff, w.q, xa)
+    # A constant factor, which the normalization divides out again.
+    peak = float(np.max(log_psi.real))
+    if np.isfinite(peak):
+        log_psi = log_psi - peak
+    psi = GridFunction(float(xa[0]), dx, np.exp(log_psi))
     norm = psi.l2_norm() if hermitian else psi.max_modulus()
     if not 0.0 < norm < np.inf:
         raise NonNormalizableError(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,34 @@ class TestSweepCommand:
         assert lams == sorted(lams)
         assert all(a < b for a, b in zip(e_plus, e_plus[1:]))
         assert all(a < b for a, b in zip(eps, eps[1:]))
+
+    def test_sweep_reports_first_failing_value(self, tmp_path, capsys):
+        # q = -0.79 fails at level 6 and q = 1.05 at level 0; the sweep reports
+        # the error of the earlier sweep value.
+        cfg = write_cfg(tmp_path, "V0 = 1.01\nS0 = -0.63\nlambda = 0.35\nq = 1\nm = 2.88\n"
+                                   "branch = PTSymmetric\nn_max = 8\n"
+                                   "sweep_key = q\nsweep_values = -0.5,-0.79,-1.0,1.05\n")
+        assert main(["sweep", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: level 6: Newton polishing of E = 142.207")
+
+    def test_sweep_memory_stays_small(self, tmp_path):
+        # 2000 q-values are solved level by level with no (points x scan nodes)
+        # array: one float64 array of that shape alone would take 33 MB.
+        rng = np.random.default_rng(7)
+        values = ", ".join(repr(v) for v in np.round(rng.uniform(0.5, 4.0, 2000), 9).tolist())
+        cfg = write_cfg(tmp_path, self.BASE.replace("n_max = 2", "n_max = 8")
+                        + f"sweep_key = q\nsweep_values = {values}\n")
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) > 2000
+        assert peak < 20e6
 
     def test_sweep_key_without_sweep_command_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5\n")

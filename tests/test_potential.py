@@ -1,6 +1,10 @@
 """Potential family: construction invariants, pointwise identities, branch behavior."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from kg_hierarchy import Branch, PotentialParams
 from kg_hierarchy.errors import DomainError, GammaPositivityWarning
 
 from conftest import SET_C, params
+
+SRC = str(Path(kg.__file__).resolve().parent.parent)
 
 
 class TestConstruction:
@@ -43,6 +49,26 @@ class TestConstruction:
         with pytest.warns(GammaPositivityWarning, match="V0 = 0.25, S0 = 0.25") as record:
             PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
         assert record[0].filename == __file__
+
+    def test_gamma2_warning_names_the_caller(self, tmp_path):
+        # Gamma2 = 2*(m*S0 + E*V0) = -1.7 is raised three calls deep
+        # (effective_potential -> gammas -> gamma2); with -W always the warning
+        # must name the script's line, not a line of the package.
+        script = tmp_path / "caller.py"
+        script.write_text(
+            "import numpy as np\n"
+            "import kg_hierarchy as kg\n"
+            "p = kg.PotentialParams(V0=0.5, S0=-1.0, lam=0.2, q=1.0, m=1.0)\n"
+            "kg.effective_potential(p, 0.3, np.linspace(1.0, 2.0, 5))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", str(script)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "GammaPositivityWarning" in line]
+        assert len(lines) == 1 and "Gamma2" in lines[0]
+        assert lines[0].startswith(f"{script}:4: ")
 
     def test_underflowing_hierarchy_step_rejected(self):
         with pytest.raises(kg.ParameterError, match="underflows") as info:

@@ -1,11 +1,15 @@
 """Energy solvers: residual contract, closed-form regressions, branch properties."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kg_hierarchy as kg
+import kg_hierarchy.spectra as spectra
 from kg_hierarchy import Branch, LevelFlag, PotentialParams
 from kg_hierarchy.errors import (
     ComplexLevelError,
@@ -351,3 +355,107 @@ class TestQSweepContinuity:
             e0.append([lv.E.real for lv in kg.solve_level(p, 0) if lv.E.real > 0][0])
         steps = np.abs(np.diff(np.asarray(e0)))
         assert steps.max() <= 10.0 * np.median(steps)
+
+
+def dense_scan(m: float, a0: float, b0: float) -> tuple[list, list, list, list]:
+    """The scan the window replaces: f_n at every node of linspace(-m, m, SCAN_POINTS + 2).
+
+    Returns the brackets (lo, hi, f(lo)) and the nodes where f is exactly 0.
+    """
+    grid = np.linspace(-m, m, spectra.SCAN_POINTS + 2)
+    mu = a0 + b0 * grid
+    fg = grid * grid - m * m + mu * mu
+    signs = np.sign(fg)
+    k = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    return grid[k].tolist(), grid[k + 1].tolist(), fg[k].tolist(), grid[fg == 0.0].tolist()
+
+
+def finite(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def level_quadratics(draw) -> tuple[float, float, float]:
+    """(m, a, b) of f(E) = E^2 - m^2 + (a + b*E)^2: random, near-tangent, or a root on a node."""
+    m = draw(st.one_of(st.just(1.0), finite(1e-3, 1e3)))
+    b0 = draw(st.one_of(st.just(0.0), finite(-50.0, 50.0)))
+    kind = draw(st.sampled_from(["random", "tangent", "node"]))
+    if kind == "random":
+        return m, draw(finite(-100.0, 100.0)) * m, b0
+    if kind == "tangent":
+        # Relative discriminant (m^2*(1 + b^2) - a^2) / (m^2*(1 + b^2)) = rel, of either sign.
+        rel = draw(finite(1e-17, 1e-3)) * draw(st.sampled_from([-1.0, 1.0]))
+        return m, draw(st.sampled_from([-1.0, 1.0])) * m * math.sqrt((1.0 + b0 * b0) * (1.0 - rel)), b0
+    # b = 0 and a = sqrt(m^2 - E0^2) put the roots at +/-E0, E0 a scan node.
+    E0 = float(np.linspace(-m, m, spectra.SCAN_POINTS + 2)[draw(st.integers(0, spectra.SCAN_POINTS + 1))])
+    return m, math.sqrt(max(m * m - E0 * E0, 0.0)), 0.0
+
+
+class TestBatchSolver:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(level_quadratics(), min_size=1, max_size=6))
+    def test_window_scan_matches_dense_scan(self, cases):
+        m, a0, b0 = (np.array(column) for column in zip(*cases))
+        (pt, lo, hi, flo), (zpt, zE) = spectra._scan(m, a0, b0)
+        for i, case in enumerate(cases):
+            got = lo[pt == i].tolist(), hi[pt == i].tolist(), flo[pt == i].tolist(), zE[zpt == i].tolist()
+            assert got == dense_scan(*case), case
+
+    @pytest.mark.parametrize(
+        "base,branch,VI,key,values",
+        [
+            (SET_A, Branch.HERMITIAN, 0.0, "q", np.linspace(-3.0, 5.0, 41)),
+            (SET_B, Branch.HERMITIAN, 0.0, "q", np.linspace(0.05, 5.0, 41)),
+            (SET_C, Branch.HERMITIAN, 0.0, "m", np.linspace(0.2, 3.0, 41)),
+            (SET_A, Branch.PT_SYMMETRIC, 0.0, "q", np.linspace(-3.0, 5.0, 41)),
+            (SET_C, Branch.PT_SYMMETRIC, 0.0, "m", np.linspace(0.2, 3.0, 41)),
+            (SET_B, Branch.NON_HERMITIAN, 0.1, "q", np.linspace(-3.0, 5.0, 41)),
+            (SET_C, Branch.NON_HERMITIAN, 0.1, "m", np.linspace(0.2, 3.0, 41)),
+        ],
+    )
+    def test_batch_equals_batches_of_one(self, base, branch, VI, key, values):
+        points = [params(dict(base, **{key: float(v)}), branch, VI) for v in values if v != 0.0]
+        batch = kg.spectrum_batch(points, 8)
+        assert sum(map(len, batch)) > len(points)
+        assert batch == [kg.spectrum_batch([p], 8)[0] for p in points]
+        assert batch == [kg.spectrum(p, 8) for p in points]
+
+    def test_first_failing_point_is_reported(self):
+        # On this base q = -0.79 fails at level 6 and q = 1.05 at level 0.  Level
+        # by level the second failure comes first; the sweep must still report
+        # the first failing value, as a loop over spectrum() does.
+        base = dict(V0=1.01, S0=-0.63, lam=0.35, m=2.88)
+        points = [params(dict(base, q=q), Branch.PT_SYMMETRIC) for q in (-0.5, -0.79, -1.0, 1.05)]
+        assert kg.spectrum(points[0], 8) and kg.spectrum(points[2], 8)
+        errors = []
+        for p in (points[1], points[3]):
+            with pytest.raises(NonConvergenceError) as info:
+                kg.spectrum(p, 8)
+            errors.append(str(info.value))
+        assert errors[0].startswith("level 6") and errors[1].startswith("level 0")
+        with pytest.raises(NonConvergenceError) as info:
+            kg.spectrum_batch(points, 8)
+        assert str(info.value) == errors[0]
+
+    def test_hermitian_error_order_across_levels(self, monkeypatch):
+        # A Hermitian sweep: the second point's level-2 error beats the fourth
+        # point's level-0 discriminant error.
+        orig = spectra.chain_coefficients
+
+        def fail_at_level_2(chain, n):
+            if n == 2 and chain[3] == 0.75:  # chain[3] is q
+                raise kg.ZeroNuError("marker: second point, level 2")
+            return orig(chain, n)
+
+        monkeypatch.setattr(spectra, "chain_coefficients", fail_at_level_2)
+        points = [params(dict(SET_A, q=q)) for q in (0.5, 0.75, 1.0)]
+        points.append(params(dict(V0=0.5, S0=0.3, lam=0.2, q=1.0, m=1.0)))
+        with pytest.raises(ComplexLevelError):
+            kg.spectrum(points[3], 8)
+        with pytest.raises(kg.ZeroNuError, match="marker"):
+            kg.spectrum_batch(points, 8)
+
+    def test_empty_batch(self):
+        assert kg.spectrum_batch([], 4) == []
+        with pytest.raises(ValueError):
+            kg.spectrum_batch([], -1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kg_hierarchy as kg
-from kg_hierarchy import Branch, GridFunction, Superpotential
+from kg_hierarchy import Branch, GridFunction, HierarchyLevel, Superpotential
 from kg_hierarchy.errors import NonNormalizableError
 
 from conftest import SET_A, SET_C, params
@@ -55,14 +55,25 @@ class TestGroundStateFromW:
         with pytest.raises(NonNormalizableError):
             kg.ground_state_from_W(w, np.linspace(0.1, 40.0, 512))
 
-    def test_underflowing_norm_raises(self):
-        # lam = 2^-9 on set A: |psi|^2 underflows everywhere on (0, 40/lam], so the
-        # grid norm is 0; this used to escape as a ZeroDivisionError.
+    def test_underflowing_psi_normalizes(self):
+        # lam = 2^-9 on set A: |psi|^2 lies below the smallest double on all of
+        # (0, 40/lam], so exp(log psi) alone has grid norm 0.  Shifted by the
+        # largest log(psi) the ground state normalizes.  closed_form_psi underflows
+        # here too, so the shape is checked against it at half the exponents
+        # (nu/2, mu/2), whose square is psi up to a constant.
         p = params(dict(SET_A, lam=0.001953125))
         lv = solved_level(p)
         w = kg.make_superpotential(p, lv.E, 0)
-        with pytest.raises(NonNormalizableError, match="grid norm"):
-            kg.ground_state_from_W(w, np.linspace(p.domain_start(), 40.0 / p.lam, 2000))
+        x = np.linspace(p.domain_start(), 40.0 / p.lam, 2000)
+        psi = kg.ground_state_from_W(w, x)
+        assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
+        full = kg.closed_form_psi(p, HierarchyLevel(0, w.nu, w.mu), x)
+        assert np.sum(np.abs(full) ** 2) == 0.0
+        half = kg.closed_form_psi(p, HierarchyLevel(0, w.nu / 2, w.mu / 2), x).real
+        shape = (half / half.max()) ** 2
+        shape /= np.sqrt(np.sum(shape * shape) * (x[1] - x[0]))
+        np.testing.assert_allclose(psi.values.real, shape, rtol=0, atol=1e-12)
+        assert not np.any(psi.values.imag)
 
     def test_hermitian_tail_decay(self, set_a):
         lv = solved_level(set_a)
