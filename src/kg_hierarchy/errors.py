@@ -46,7 +46,7 @@ class NonNormalizableError(KGHierarchyError):
 
 
 class OuterDivergenceError(KGHierarchyError):
-    """The outer secant iteration on the eigenvalue condition diverged."""
+    """The oracle's Rayleigh-functional iteration on eps_k(E) = E^2 - m^2 escaped or did not settle."""
 
 
 class NoBoundStateError(KGHierarchyError):

@@ -1,8 +1,8 @@
 """Independent finite-difference verifier for the Hermitian branch.
 
 Discretizes (-d2/dx2 + V_eff(x; E)) psi = eps * psi on a box with Dirichlet
-walls and solves the energy-dependent eigenproblem self-consistently with an
-outer secant iteration on g(E) = eps_k(E) - (E^2 - m^2).
+walls and solves the energy-dependent eigenproblem eps_k(E) = E^2 - m^2
+self-consistently with a Rayleigh-functional iteration.
 
 Each eps_k(E) costs O(N) for N grid points: shift-invert and Rayleigh-quotient
 iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
@@ -37,7 +37,7 @@ from .potential import Branch, PotentialParams, effective_potential
 from .spectra import EnergyLevel, LevelFlag
 
 DEFAULT_REL_TOL = 1e-3
-# Outer secant iteration: |g(E)| target and iteration budget.
+# Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration budget.
 OUTER_TOL = 1e-10
 MAX_OUTER = 100
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
@@ -94,6 +94,17 @@ class BandedOperator:
     @property
     def n(self) -> int:
         return self.x.size
+
+    @property
+    def norm(self) -> float:
+        """Infinity norm of A, the scale of its eigenvalues' rounding."""
+        u = self.bands.shape[0] - 1
+        radius = np.zeros(self.n)
+        for r in range(u):
+            d = u - r
+            radius[:-d] += np.abs(self.bands[r, d:])
+            radius[d:] += np.abs(self.bands[r, d:])
+        return float(np.max(np.abs(self.bands[u]) + radius))
 
     def eigenvalues(self, k_max: int) -> np.ndarray:
         """The k_max + 1 lowest eigenvalues by full banded reduction (O(N^2))."""
@@ -167,13 +178,10 @@ class BandedOperator:
         # u superdiagonals, the diagonal and the u subdiagonals.
         ab = np.zeros((3 * u + 1, n))
         ab[u : 2 * u + 1] = self.bands
-        radius = np.zeros(n)
         for r in range(u):
             d = u - r
             ab[2 * u + d, :-d] = self.bands[r, d:]
-            radius[:-d] += np.abs(self.bands[r, d:])
-            radius[d:] += np.abs(self.bands[r, d:])
-        anorm = float(np.max(np.abs(self.bands[u]) + radius))
+        anorm = self.norm
         floor = RITZ_FLOOR * EPS * anorm
         # Bracket with count_below(lo) = below_lo <= k < below_hi = count_below(hi).
         lo, hi, below_lo, below_hi = -math.inf, math.inf, 0, n
@@ -359,79 +367,68 @@ class OracleResult:
             raise ValueError("oracle results must have eps < 0 (bound state)")
 
 
-def _eps_k(p: PotentialParams, E: float, k: int, cfg: OracleConfig, shift: float) -> float:
-    return discretize(p, E, cfg).eigenpair(k, shift)[0]
-
-
 def solve_selfconsistent(
     p: PotentialParams, k: int, cfg: OracleConfig | None = None, *, seed: float | None = None
 ) -> OracleResult:
-    """Secant iteration on g(E) = eps_k(E) - (E^2 - m^2).
+    """Rayleigh-functional iteration on eps_k(E) = E^2 - m^2.
 
-    Every eps_k(E) is one BandedOperator.eigenpair(k, shift) solve in O(N),
-    shifted at E^2 - m^2 (which eps_k(E) approaches as g -> 0); the Richardson
-    estimate re-solves on 2N points, shifted at the converged eps.  With no
-    explicit seed the two physical candidates are probed from E = +m/2 and
-    E = -m/2 and the first converged bound root is returned.
+    At the current E the certified BandedOperator.eigenpair(k, E^2 - m^2) gives
+    (eps, v) in O(N), and with it the Hellmann-Feynman slope s = v^T
+    diag(dV_eff/dE) v; E moves to the root nearest E of eps + (E' - E) s =
+    E'^2 - m^2 (Ruhe, SIAM J. Numer. Anal. 10 (1973) 674; Voss, Handbook of
+    Linear Algebra, 2nd ed., 2013) until the defect eps - (E^2 - m^2) is at the
+    rounding floor eps_mach*|A|, so the answer does not depend on the start.
+    V_eff is affine in E, so the slope diagonal is the difference of two
+    discretizations, once per solve; the E-dependent ghost-closure corners
+    only perturb it, not the fixed point.  The Richardson estimate re-solves on
+    2N points, shifted at the converged eps.  With no seed the iteration starts
+    from E = +m/2, then -m/2 (an iterate may leave (-m, m) on the way), and
+    the first bound root is returned.
     """
     cfg = (cfg or OracleConfig()).resolve(p)
-    seeds = [seed] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
-    if seed is None:
-        probes = [_eps_k(p, s, k, cfg, s * s - p.m * p.m) for s in (-0.5 * p.m, 0.0, +0.5 * p.m)]
-        if min(probes) >= 0.0:
-            raise NoBoundStateError(
-                f"eps_{k}(E) >= 0 across the scan: level {k} is not bound"
-            )
+    starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
+    dE = 0.01 * p.m
+    lower, upper = discretize(p, starts[0], cfg), discretize(p, starts[0] + dE, cfg)
+    slope = (upper.bands[-1] - lower.bands[-1]) / dE
     last_error: Exception | None = None
-    for s in seeds:
+    for start in starts:
         try:
-            return _secant_run(p, k, cfg, float(s))
+            return _rayleigh_functional_run(p, k, cfg, slope, start)
         except (NoBoundStateError, OuterDivergenceError) as exc:
             last_error = exc
     assert last_error is not None
     raise last_error
 
 
-def _secant_run(p: PotentialParams, k: int, cfg: OracleConfig, seed: float) -> OracleResult:
-    def g(E: float) -> float:
-        return _eps_k(p, E, k, cfg, E * E - p.m * p.m) - (E * E - p.m * p.m)
-
-    e0 = seed
-    e1 = seed + 0.01 * p.m if seed > -0.99 * p.m else seed + 0.02 * p.m
-    g0, g1 = g(e0), g(e1)
-    iters = 2
-    for _ in range(MAX_OUTER):
-        if abs(g1) < OUTER_TOL:
+def _rayleigh_functional_run(
+    p: PotentialParams, k: int, cfg: OracleConfig, slope: np.ndarray, E: float
+) -> OracleResult:
+    for iters in range(1, MAX_OUTER + 1):
+        op = discretize(p, E, cfg)
+        eps, vec = op.eigenpair(k, E * E - p.m * p.m)
+        g = eps - (E * E - p.m * p.m)
+        if abs(g) <= EPS * op.norm:
             break
-        if g1 == g0:
-            e0, g0 = e1, g1
-            e1 = e1 + 0.01 * p.m
-            g1 = g(e1)
-            iters += 1
-            continue
-        e_next = e1 - g1 * (e1 - e0) / (g1 - g0)
-        if not math.isfinite(e_next) or abs(e_next) > 5.0 * p.m:
-            raise OuterDivergenceError(f"secant iterate escaped to E = {e_next}")
-        e0, g0 = e1, g1
-        e1 = e_next
-        g1 = g(e1)
-        iters += 1
+        # eps + s*d = (E + d)^2 - m^2 is d^2 - b*d - g = 0 with b = s - 2E; its
+        # root nearest 0, in cancellation-free form, is the step.  Near a root
+        # g -> 0 keeps the discriminant positive.
+        b = float(vec @ (slope * vec)) - 2.0 * E
+        disc = b * b + 4.0 * g
+        if disc < 0.0:
+            raise OuterDivergenceError(f"the local model at E = {E} has no real root")
+        E -= 2.0 * g / (b + math.copysign(math.sqrt(disc), b))
+        if not math.isfinite(E) or abs(E) > 5.0 * p.m:
+            raise OuterDivergenceError(f"Rayleigh-functional iterate escaped to E = {E}")
     else:
-        raise OuterDivergenceError(
-            f"|g| = {abs(g1):.3e} after {MAX_OUTER} outer iterations"
-        )
-    E = e1
-    op = discretize(p, E, cfg)
-    eps, vec = op.eigenpair(k, E * E - p.m * p.m)
+        raise OuterDivergenceError(f"|g| = {abs(g):.3e} after {MAX_OUTER} Rayleigh-functional iterations")
     if eps >= 0.0 or abs(E) >= p.m:
         raise NoBoundStateError(f"converged level {k} is not bound (eps = {eps:g}, E = {E:g})")
-    if abs(eps - (E * E - p.m * p.m)) >= OUTER_TOL:
+    if abs(g) >= OUTER_TOL:
         raise OuterDivergenceError(
-            f"self-consistency defect {abs(eps - (E * E - p.m * p.m)):.3e} "
-            f"exceeds {OUTER_TOL:g} after convergence"
+            f"self-consistency defect {abs(g):.3e} exceeds {OUTER_TOL:g} after convergence"
         )
     fine = replace(cfg, n_points=2 * cfg.n_points)
-    eps_fine = _eps_k(p, E, k, fine, eps)
+    eps_fine = discretize(p, E, fine).eigenpair(k, eps)[0]
     factor = 2.0**cfg.fd_order
     est = abs(eps - eps_fine) * factor / (factor - 1.0)
     psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))
@@ -478,9 +475,10 @@ def compare(
 ) -> CompareReport:
     """Per-level table of analytic vs self-consistent discretized energies.
 
-    Each analytic root seeds its own outer iteration (the convergence criterion
-    is still the oracle's own); roots with Re(mu) <= 0 describe non-normalizable
-    solutions with no discretized counterpart and are reported as skipped.
+    Each analytic root seeds its own Rayleigh-functional iteration (the
+    convergence criterion is still the oracle's own); roots with Re(mu) <= 0
+    describe non-normalizable solutions with no discretized counterpart and are
+    reported as skipped.
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     rows: list[CompareRow] = []

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams
-from kg_hierarchy.errors import NoBoundStateError
+from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
 from kg_hierarchy.oracle import BandedOperator, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, params
@@ -158,6 +158,44 @@ class TestSolveSelfConsistent:
         r_neg = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=-0.5)
         assert r_pos.E == pytest.approx(-r_neg.E, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "base,k,E",
+        [(SET_C, 3, 0.99368), (SET_B, 3, 0.97606), (dict(V0=0.3, S0=0.6, lam=0.3, q=1.0, m=1.0), 2, 0.98813)],
+        ids=["C3", "B3", "V0.3-S0.6-k2"],
+    )
+    def test_unseeded_finds_shallow_bound_level(self, base, k, E):
+        # Shallow levels with eps_k(0) > 0, bound only near |E| = m: set C has
+        # eps_3 > 0 at E = 0 and +-m/2 too, and the roots of the E = 0 local
+        # model fall outside (-m, m) for the other two.
+        res = kg.solve_selfconsistent(params(base), k, OracleConfig())
+        assert res.E == pytest.approx(E, abs=1e-5)
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B], ids="AB")
+    def test_unseeded_unbound_level_raises(self, base):
+        with pytest.raises(NoBoundStateError):
+            kg.solve_selfconsistent(params(base), 4, OracleConfig())
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
+    def test_unseeded_matches_seeded(self, base, k):
+        # The iteration stops at the rounding floor, so where it starts does
+        # not show in the answer.
+        p, cfg = params(base), OracleConfig(n_points=2000)
+        unseeded = kg.solve_selfconsistent(p, k, cfg)
+        roots = [lv.E.real for lv in kg.solve_level(p, k) if kg.LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags]
+        seeded = kg.solve_selfconsistent(p, k, cfg, seed=min(roots, key=lambda e: abs(e - unseeded.E)))
+        assert abs(unseeded.E - seeded.E) <= 1e-12 * abs(seeded.E)
+        assert kg.node_count(seeded.eigenvector) == k
+        assert seeded.outer_iters <= 4
+
+    def test_no_real_root_raises(self):
+        # Strong vector coupling with no real level (Gamma1 = -0.8): the +m/2
+        # start meets a local model with no real root, and neither start may
+        # end in a math domain error.
+        p = params(dict(V0=0.9, S0=0.1, lam=1.0, q=1.0, m=1.0))
+        with pytest.raises(OuterDivergenceError):
+            kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
+
     def test_weak_coupling_no_bound_state(self):
         p = params(dict(V0=0.001, S0=0.001, lam=5.0, q=1.0, m=1.0))
         with pytest.raises(NoBoundStateError):
@@ -220,6 +258,17 @@ class TestCompare:
         skipped = [r for r in report.rows if r.skipped]
         assert len(skipped) == 1
         assert "non-normalizable" in skipped[0].skipped
+
+    def test_set_a_pairs_are_exact_negatives(self, set_a):
+        # V0 = 0: the discrete problem does not depend on the sign of E, so the
+        # +-E analytic seeds must give oracle roots that are exact negatives.
+        report = kg.compare(set_a, kg.spectrum(set_a, 8), OracleConfig(n_points=2000))
+        by_level: dict[int, list[float]] = {}
+        for row in report.rows:
+            by_level.setdefault(row.n, []).append(row.E_oracle)
+        assert len(by_level) == 4
+        for n, pair in by_level.items():
+            assert len(pair) == 2 and pair[0] == -pair[1], (n, pair)
 
     def test_report_ok_contract(self, set_a):
         levels = [lv for lv in kg.solve_level(set_a, 0)]
