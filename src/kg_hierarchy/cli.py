@@ -3,8 +3,10 @@
 Configuration is a flat key=value file with # comments.  Recognized keys:
 V0, S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values,
 oracle.x_max, oracle.n_points, oracle.fd_order.  All quantities are in natural
-units; CSV output uses Re/Im column pairs with 17-significant-digit floats and
-LF line endings so identical configs produce byte-identical files.
+units; every float is written with %.17g, CSV output uses Re/Im column pairs
+and LF line endings, so identical configs produce byte-identical files.  Exit
+codes: 1 for a ConfigError (a bad key, value or sweep value), another
+KGHierarchyError or an OSError, each one stderr line; 2 when level 0 is not bound.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
-from .hierarchy import make_superpotential, riccati_check
+from .hierarchy import RICCATI_TOL, make_superpotential, riccati_check
 from .oracle import OracleConfig, compare
 from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum, spectrum_batch
 from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
-
-RICCATI_TOL = 1e-10
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
@@ -46,10 +46,6 @@ class RunConfig:
     fmt: str = "csv"
     perturb_mu: float = 0.0
     oracle_cfg: OracleConfig = OracleConfig()
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @functools.cache
@@ -149,8 +145,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if cfg.command == "sweep":
         if cfg.sweep_key is None or not cfg.sweep_values:
             raise ConfigError("sweep command needs sweep_key and sweep_values")
-        if cfg.sweep_key == "q" and any(v == 0.0 for v in cfg.sweep_values):
-            raise ConfigError("sweep over q must exclude q = 0 (deformation constraint)")
     elif cfg.sweep_key is not None:
         raise ConfigError(f"sweep_key is only valid with the sweep command, not {cfg.command!r}")
     return cfg
@@ -164,7 +158,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 _LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_mu", "residual", "flags")
-# One CSV row per level; %.17g gives the digits of _fmt.
+# One CSV row per level.
 _LEVEL_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 _SWEEP_ROW = "%s,%.17g," + _LEVEL_ROW
 
@@ -185,10 +179,16 @@ def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows, ""])
 
 
-def run_spectrum(cfg: RunConfig) -> int:
+def _bound_levels(cfg: RunConfig) -> list[EnergyLevel]:
+    """spectrum(params, n_max), with the stderr line of exit code 2 when it is empty."""
     levels = spectrum(cfg.params, cfg.n_max)
     if not levels:
         sys.stderr.write("no bound level at n = 0 for these parameters\n")
+    return levels
+
+
+def run_spectrum(cfg: RunConfig) -> int:
+    if not (levels := _bound_levels(cfg)):
         return 2
     if cfg.fmt == "json":
         records = [_level_record(lv) for lv in levels]
@@ -207,46 +207,42 @@ def _params_record(p: PotentialParams) -> dict[str, object]:
 
 
 def _verify_grid(p: PotentialParams) -> np.ndarray:
+    """The 2001 points of the Riccati check, clear of every deformation pole.
+
+    Complex branches: [0.05, 0.95] of the period 2*pi/lam of k that starts at
+    p.pole_position (pi/lam for q = -1), or at 0 when |q| != 1.
+    """
     if p.branch is Branch.HERMITIAN:
         return np.linspace(p.domain_start(), 40.0 / p.lam, 2001)
-    # Complex branches: stay inside the first pole-free phase window.
     period = 2.0 * np.pi / p.lam
-    return np.linspace(0.05 * period, 0.95 * period, 2001)
+    start = p.pole_position or 0.0
+    return np.linspace(start + 0.05 * period, start + 0.95 * period, 2001)
 
 
 def run_verify(cfg: RunConfig) -> int:
     p = cfg.params
-    levels = spectrum(p, cfg.n_max)
-    if not levels:
-        sys.stderr.write("no bound level at n = 0 for these parameters\n")
+    if not (levels := _bound_levels(cfg)):
         return 2
     x = _verify_grid(p)
-    out: list[str] = []
+    out = [f"Riccati residuals (scaled tolerance {RICCATI_TOL:g}):", "n,re_E,im_E,residual,scale,ok"]
     all_ok = True
-    out.append("Riccati residuals (scaled tolerance {:g}):".format(RICCATI_TOL))
-    out.append("n,re_E,im_E,residual,scale,ok")
     for lv in levels:
-        res, scale, ok = riccati_check(
-            p, lv.E, lv.n, x, tol=RICCATI_TOL, mu_perturbation=cfg.perturb_mu
-        )
+        res, scale, ok = riccati_check(p, lv.E, lv.n, x, mu_perturbation=cfg.perturb_mu)
         all_ok &= ok
-        out.append(
-            f"{lv.n},{_fmt(lv.E.real)},{_fmt(lv.E.imag)},{_fmt(res)},{_fmt(scale)},{ok}"
-        )
+        out.append("%d,%.17g,%.17g,%.17g,%.17g,%s" % (lv.n, lv.E.real, lv.E.imag, res, scale, ok))
     if p.branch is Branch.HERMITIAN:
         report = compare(p, levels, cfg.oracle_cfg)
         out.append(f"Oracle comparison (relative tolerance {report.rel_tol:g}):")
         out.append("n,E_analytic,E_oracle,abs_diff,rel_diff,grid_convergence_est,skipped")
         for row in report.rows:
             if row.skipped:
-                out.append(f"{row.n},{_fmt(row.E_analytic.real)},,,,,{row.skipped}")
+                out.append("%d,%.17g,,,,,%s" % (row.n, row.E_analytic.real, row.skipped))
             else:
-                out.append(
-                    f"{row.n},{_fmt(row.E_analytic.real)},{_fmt(row.E_oracle)},"
-                    f"{_fmt(row.abs_diff)},{_fmt(row.rel_diff)},{_fmt(row.grid_convergence_est)},"
-                )
+                out.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g," % (
+                    row.n, row.E_analytic.real, row.E_oracle, row.abs_diff, row.rel_diff, row.grid_convergence_est
+                ))
         all_ok &= report.ok
-        out.append(f"worst relative diff: {_fmt(report.worst_rel_diff)}")
+        out.append("worst relative diff: %.17g" % report.worst_rel_diff)
     else:
         out.append(f"Oracle comparison: skipped ({p.branch.value} branch)")
     out.append(f"verify: {'PASS' if all_ok else 'FAIL'}")
@@ -256,9 +252,7 @@ def run_verify(cfg: RunConfig) -> int:
 
 def run_wavefunction(cfg: RunConfig) -> int:
     p = cfg.params
-    levels = spectrum(p, cfg.n_max)
-    if not levels:
-        sys.stderr.write("no bound level at n = 0 for these parameters\n")
+    if not (levels := _bound_levels(cfg)):
         return 2
     ocfg = cfg.oracle_cfg.resolve(p)
     x = np.linspace(p.domain_start(), ocfg.x_max, min(ocfg.n_points, 2000))
@@ -292,9 +286,8 @@ def run_sweep(cfg: RunConfig) -> int:
     for v in cfg.sweep_values:
         try:
             swept.append(replace(p, **{field: v}))
-        except ValueError as exc:
-            sys.stderr.write(f"sweep value {key}={v:g} rejected: {exc}\n")
-            return 1
+        except ParameterError as exc:
+            raise ConfigError(f"sweep value {key} = {v:g} rejected: {exc}") from exc
     solved = spectrum_batch(swept, cfg.n_max)
     if cfg.fmt == "json":
         records = [

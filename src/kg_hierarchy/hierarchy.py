@@ -25,10 +25,11 @@ from numpy.typing import ArrayLike
 
 from .errors import ComplexLevelError, DegenerateRootError, ZeroNuError
 from .grid import GridFunction
-from .potential import Branch, PotentialParams, _collapse, screened_ratio
+from .potential import Branch, PotentialParams, _collapse, effective_potential, screened_ratio
 
 _IMAG_TOL = 1e-13
 _MIN_LADDER_POINTS = 20
+RICCATI_TOL = 1e-10  # scaled tolerance of riccati_check, and so of the verify command
 
 # (rho_n, a, b) of level_coefficients; a level solve computes it once and reuses it.
 Coefficients = tuple[complex, complex, complex]
@@ -181,16 +182,13 @@ def hierarchy_potential(p: PotentialParams, E: complex, n: int, x: ArrayLike) ->
     V(0) is the effective potential itself; V(n) = W_{n-1}^2 + W_{n-1}' + eps_{n-1}
     is the partner of the previous member, whose ground level sits at eps_n.
     """
-    from .potential import effective_potential
-
     xa = np.asarray(x, dtype=float)
     if n == 0:
         return np.asarray(effective_potential(p, E, xa))
-    lvl_prev = level(p, E, n - 1)
-    w_prev = Superpotential(lvl_prev.nu, lvl_prev.mu, p.lambda_eff, p.q)
+    w_prev = make_superpotential(p, E, n - 1)
     wv = np.asarray(superpotential_eval(w_prev, xa))
     wd = np.asarray(superpotential_derivative(w_prev, xa))
-    return wv * wv + wd + lvl_prev.epsilon
+    return wv * wv + wd - w_prev.mu * w_prev.mu  # eps_{n-1} = -mu_{n-1}^2
 
 
 def riccati_residual(
@@ -215,7 +213,7 @@ def riccati_check(
     E: complex,
     n: int,
     x: ArrayLike,
-    tol: float = 1e-10,
+    tol: float = RICCATI_TOL,
     *,
     mu_perturbation: complex = 0.0,
 ) -> tuple[float, float, bool]:
@@ -259,10 +257,14 @@ def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunctio
 
 
 def _uniform(x: ArrayLike) -> np.ndarray:
+    """x as a 1-D float array whose steps agree to 1e-12 of a step plus rounding:
+    each point of np.linspace is off by up to an ulp of max|x|, so the steps of
+    an exactly uniform grid differ by up to 4*eps*max|x|."""
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1 or xa.size < 2:
         raise ValueError("need a 1-D grid with at least two points")
     steps = np.diff(xa)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
+    if not np.all(np.abs(steps - steps[0]) <= tol):
         raise ValueError("grid must be uniformly spaced")
     return xa

@@ -32,14 +32,16 @@ import numpy as np
 
 from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
-from .hierarchy import superpotential_derivative, superpotential_eval
+from .hierarchy import make_superpotential, partner_potentials
 from .potential import Branch, PotentialParams, effective_potential
 from .spectra import EnergyLevel, LevelFlag
 
 DEFAULT_REL_TOL = 1e-3
-# Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration budget.
+# Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration
+# budget; a start ends after MAX_STALLED iterations in a row that do not halve it.
 OUTER_TOL = 1e-10
 MAX_OUTER = 100
+MAX_STALLED = 3
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
 # inertia counts get COUNT_SLACK*eps*|A| of rounding slack.  MAX_RITZ_STEPS bounds
 # the iteration from one shift, MAX_ROUNDS the restarts from bisected brackets.
@@ -77,7 +79,8 @@ class OracleConfig:
 
 def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float]:
     """Interior points and spacing of the Dirichlet box (cfg already resolved)."""
-    x_left = max(math.log(p.q) / p.lam, -cfg.x_max) if p.q > 0 else -cfg.x_max
+    pole = p.pole_position
+    x_left = -cfg.x_max if pole is None else max(pole, -cfg.x_max)
     h = (cfg.x_max - x_left) / (cfg.n_points + 1)
     return x_left + h * np.arange(1, cfg.n_points + 1), h
 
@@ -376,39 +379,45 @@ def solve_selfconsistent(
     (eps, v) in O(N), and with it the Hellmann-Feynman slope s = v^T
     diag(dV_eff/dE) v; E moves to the root nearest E of eps + (E' - E) s =
     E'^2 - m^2 (Ruhe, SIAM J. Numer. Anal. 10 (1973) 674; Voss, Handbook of
-    Linear Algebra, 2nd ed., 2013) until the defect eps - (E^2 - m^2) is at the
-    rounding floor eps_mach*|A|, so the answer does not depend on the start.
+    Linear Algebra, 2nd ed., 2013) until the defect g = eps - (E^2 - m^2) is at
+    the rounding floor eps_mach*|A|, so the answer does not depend on the start.
     V_eff is affine in E, so the slope diagonal is the difference of two
     discretizations, once per solve; the E-dependent ghost-closure corners
-    only perturb it, not the fixed point.  The Richardson estimate re-solves on
-    2N points, shifted at the converged eps.  With no seed the iteration starts
-    from E = +m/2, then -m/2 (an iterate may leave (-m, m) on the way), and
-    the first bound root is returned.
+    perturb it, not the fixed point.  The Richardson estimate re-solves on 2N
+    points, shifted at the converged eps.  With no seed the iteration starts
+    from E = +m/2, then -m/2 (an iterate may leave (-m, m) on the way); the
+    first bound root is returned, or the last start's error.  A start ends with
+    OuterDivergenceError when its local model has no real root, |E| > 5m, or
+    |g| fails MAX_STALLED times in a row to halve its smallest value so far (a
+    converging start halves it at every step).
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
     dE = 0.01 * p.m
     lower, upper = discretize(p, starts[0], cfg), discretize(p, starts[0] + dE, cfg)
     slope = (upper.bands[-1] - lower.bands[-1]) / dE
-    last_error: Exception | None = None
-    for start in starts:
+    for start in starts[:-1]:
         try:
             return _rayleigh_functional_run(p, k, cfg, slope, start)
-        except (NoBoundStateError, OuterDivergenceError) as exc:
-            last_error = exc
-    assert last_error is not None
-    raise last_error
+        except (NoBoundStateError, OuterDivergenceError):
+            pass
+    return _rayleigh_functional_run(p, k, cfg, slope, starts[-1])
 
 
 def _rayleigh_functional_run(
     p: PotentialParams, k: int, cfg: OracleConfig, slope: np.ndarray, E: float
 ) -> OracleResult:
+    best, stalled = math.inf, 0
     for iters in range(1, MAX_OUTER + 1):
         op = discretize(p, E, cfg)
         eps, vec = op.eigenpair(k, E * E - p.m * p.m)
         g = eps - (E * E - p.m * p.m)
         if abs(g) <= EPS * op.norm:
             break
+        stalled = 0 if abs(g) <= 0.5 * best else stalled + 1
+        if stalled == MAX_STALLED:
+            raise OuterDivergenceError(f"|g| has not halved from {best:.3e} in {MAX_STALLED} iterations (E = {E})")
+        best = min(best, abs(g))
         # eps + s*d = (E + d)^2 - m^2 is d^2 - b*d - g = 0 with b = s - 2E; its
         # root nearest 0, in cancellation-free form, is the step.  Near a root
         # g -> 0 keeps the discriminant positive.
@@ -514,15 +523,9 @@ def partner_eigenvalues(
     Unbroken-factorization bookkeeping predicts eig(V2)_k = eig(V1)_{k+1} for the
     bound part of the spectra.
     """
-    from .hierarchy import make_superpotential
-
     cfg = (cfg or OracleConfig()).resolve(p)
-    w = make_superpotential(p, E, 0)
     x, h = _interior_grid(p, cfg)
-    wv = np.asarray(superpotential_eval(w, x))
-    wd = np.asarray(superpotential_derivative(w, x))
-    v1 = (wv * wv - wd).real
-    v2 = (wv * wv + wd).real
+    v1, v2 = (v.values.real for v in partner_potentials(make_superpotential(p, E, 0), x))
     op1 = BandedOperator(assemble_bands(v1, h, cfg.fd_order), x, h, cfg.fd_order)
     op2 = BandedOperator(assemble_bands(v2, h, cfg.fd_order), x, h, cfg.fd_order)
     return op1.eigenvalues(k_max), op2.eigenvalues(k_max)

@@ -211,8 +211,8 @@ def effective_potential_direct(
     Algebraically identical to :func:`effective_potential`; kept as the second
     route of the pointwise-identity check.
     """
-    v = -p.v0_eff * screened_ratio(p.q, p.lambda_eff, x)
-    s = -p.S0 * screened_ratio(p.q, p.lambda_eff, x)
+    u = screened_ratio(p.q, p.lambda_eff, x)
+    v, s = -p.v0_eff * u, -p.S0 * u
     return _collapse((s * s - v * v) + 2.0 * (p.m * s + E * v))
 
 

@@ -249,6 +249,17 @@ class TestVerifyCommand:
         assert "Oracle comparison: skipped (PTSymmetric branch)" in out
 
 
+    @pytest.mark.parametrize("branch", ["PTSymmetric", "NonHermitian"])
+    def test_complex_branch_at_q_minus_one(self, tmp_path, branch):
+        # q = -1 has a pole at pi/lam, inside [0.05, 0.95]*2pi/lam; the Riccati
+        # grid starts that window at the pole instead.
+        cfg = write_cfg(tmp_path, f"V0 = 0\nS0 = 1\nlambda = 0.2\nq = -1\nm = 1\nn_max = 2\nbranch = {branch}\n")
+        proc = run_cli_fresh("verify", "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("verify: PASS\n")
+
+
 class TestWavefunctionCommand:
     def test_csv_columns_and_levels(self, tmp_path):
         cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 1\noracle.n_points = 400\n")
@@ -283,6 +294,15 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5,0,1.5\n")
         assert main(["sweep", "--config", cfg]) == 1
         assert "q = 0" in capsys.readouterr().err
+
+    def test_rejected_sweep_value_is_one_config_error_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.BASE + "sweep_key = lambda\nsweep_values = 0.2, -1\n")
+        proc = run_cli_fresh("sweep", "--config", cfg)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: sweep value lambda = -1 rejected: ")
 
     def test_jobs_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5,0.75,1.0,1.25,1.5\n")

@@ -127,6 +127,22 @@ class TestPartnerPotentials:
         v1, v2 = kg.partner_potentials(w, x)
         np.testing.assert_allclose(v2.values - v1.values, 2.0 * np.asarray(kg.superpotential_derivative(w, x)), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [8000, 16000])
+    def test_long_linspace_grid_accepted(self, set_a, n):
+        # Each point is rounded to an ulp of max|x| = 200, so the steps of this
+        # exactly uniform grid differ by more than 1e-12 of a step.
+        w = kg.make_superpotential(set_a, 0.5, 0)
+        v1, v2 = kg.partner_potentials(w, np.linspace(set_a.domain_start(), 200.0, n))
+        assert v1.n == v2.n == n
+
+    def test_nonuniform_grids_rejected(self, set_a):
+        w = kg.make_superpotential(set_a, 0.5, 0)
+        moved = np.linspace(set_a.domain_start(), 200.0, 8000)
+        moved[4000] += 1e-6 * (moved[1] - moved[0])
+        for x in (np.geomspace(1.0, 200.0, 8000), moved):
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                kg.partner_potentials(w, x)
+
     def test_zero_nu_gives_constant_mu_squared(self):
         w = Superpotential(nu=0.0, mu=0.6, lambda_eff=1.0, q=1.0)
         x = np.linspace(0.5, 20.0, 64)

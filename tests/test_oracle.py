@@ -188,13 +188,20 @@ class TestSolveSelfConsistent:
         assert kg.node_count(seeded.eigenvector) == k
         assert seeded.outer_iters <= 4
 
-    def test_no_real_root_raises(self):
+    def test_no_real_root_raises(self, monkeypatch):
         # Strong vector coupling with no real level (Gamma1 = -0.8): the +m/2
-        # start meets a local model with no real root, and neither start may
-        # end in a math domain error.
+        # start wanders without settling, the -m/2 start meets a local model
+        # with no real root, and neither start may end in a math domain error.
+        # The wandering start has |g| near 3e-2 after 5 steps and stays there;
+        # it ends once |g| has not halved for MAX_STALLED steps, not after
+        # MAX_OUTER = 100 eigenpairs.
         p = params(dict(V0=0.9, S0=0.1, lam=1.0, q=1.0, m=1.0))
-        with pytest.raises(OuterDivergenceError):
+        calls = []
+        eigenpair = BandedOperator.eigenpair
+        monkeypatch.setattr(BandedOperator, "eigenpair", lambda op, *a: calls.append(a) or eigenpair(op, *a))
+        with pytest.raises(OuterDivergenceError, match="no real root"):
             kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
+        assert len(calls) <= 15
 
     def test_weak_coupling_no_bound_state(self):
         p = params(dict(V0=0.001, S0=0.001, lam=5.0, q=1.0, m=1.0))

@@ -81,6 +81,27 @@ class TestConstruction:
         assert p.pole_position == pytest.approx(x0)
         assert p.domain_start() > x0
 
+    @pytest.mark.parametrize("branch", [Branch.PT_SYMMETRIC, Branch.NON_HERMITIAN])
+    def test_pole_at_pi_over_lam_for_q_minus_one(self, branch):
+        # k = exp(-i*lam*x) = -1 = 1/q at x = pi/lam.
+        p = params(dict(SET_C, q=-1.0), branch)
+        assert p.pole_position == np.pi / p.lam
+        with pytest.raises(DomainError):
+            kg.effective_potential(p, 0.5, p.pole_position)
+
+
+class TestDeformationKernel:
+    def test_unit_at_origin(self):
+        for branch in Branch:
+            assert kg.deformation_kernel(params(SET_C, branch), 0.0) == 1.0
+
+    def test_real_decay_or_pure_phase(self):
+        x = np.linspace(0.0, 50.0, 101)
+        k = kg.deformation_kernel(params(SET_C), x)
+        np.testing.assert_allclose(k, np.exp(-SET_C["lam"] * x), rtol=1e-15)
+        phase = kg.deformation_kernel(params(SET_C, Branch.PT_SYMMETRIC), x)
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-15)
+
 
 class TestVectorScalar:
     def test_zero_coupling_is_zero(self):

@@ -178,6 +178,12 @@ class TestComplexBranches:
             pair = kg.pt_energy(p, n)
             assert pair.plus + pair.minus == 0.0
 
+    def test_pair_unpacks_to_plus_and_minus(self):
+        pair = kg.pt_energy(params(SET_A, branch=Branch.PT_SYMMETRIC), 1)
+        plus, minus = pair
+        assert len(pair) == 2
+        assert (plus, minus) == (pair.plus, pair.minus) and minus == -plus
+
     def test_pt_requires_branch(self, set_a):
         with pytest.raises(ValueError):
             kg.pt_energy(set_a, 0)
@@ -454,6 +460,29 @@ class TestBatchSolver:
             kg.spectrum(points[3], 8)
         with pytest.raises(kg.ZeroNuError, match="marker"):
             kg.spectrum_batch(points, 8)
+
+    # Set A with V0, S0, lam and m all times 30: E/m is unchanged, but f_n grows
+    # with m^2, so the bisected roots miss the 1e-12 certificate and take
+    # Newton steps in the batch _polish.
+    SCALED_A = dict(V0=0.0, S0=30.0, lam=6.0, q=1.0, m=30.0)
+
+    def test_scaled_set_certifies_through_newton(self):
+        base, scaled = kg.spectrum(params(SET_A), 7), kg.spectrum(params(self.SCALED_A), 7)
+        assert len(scaled) == len(base) == 8
+        for lv, ref in zip(scaled, base):
+            assert lv.n == ref.n
+            assert abs(lv.E / 30.0 - ref.E) < 1e-10
+            assert lv.residual < 1e-12
+
+    def test_newton_stall_names_the_level(self, monkeypatch):
+        # With no Newton step allowed the scaled set stalls and set A does not;
+        # the batch raises the stall of its failing point.
+        monkeypatch.setattr(spectra, "MAX_NEWTON_ITER", 0)
+        with pytest.raises(NonConvergenceError, match="^level 3: Newton polishing") as single:
+            kg.spectrum(params(self.SCALED_A), 7)
+        with pytest.raises(NonConvergenceError) as batch:
+            kg.spectrum_batch([params(SET_A), params(self.SCALED_A)], 7)
+        assert str(batch.value) == str(single.value)
 
     def test_empty_batch(self):
         assert kg.spectrum_batch([], 4) == []
