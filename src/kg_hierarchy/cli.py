@@ -3,9 +3,10 @@
 Configuration is a flat key=value file with # comments.  Recognized keys:
 V0, S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values,
 oracle.x_max, oracle.n_points, oracle.fd_order.  All quantities are in natural
-units; every float is written with %.17g, CSV output uses Re/Im column pairs
-and LF line endings, so identical configs produce byte-identical files.  Exit
-codes: 1 for a ConfigError (a bad key, value or sweep value), another
+units.  spectrum, wavefunction and sweep write one table each: CSV with Re/Im
+column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
+header; identical configs give byte-identical files.  verify writes text only.
+Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
 KGHierarchyError or an OSError, each one stderr line; 2 when level 0 is not bound.
 """
 
@@ -16,6 +17,7 @@ import functools
 import json
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -142,6 +144,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     )
     if cfg.n_max < 0:
         raise ConfigError(f"n_max must be >= 0, got {cfg.n_max}")
+    if cfg.command == "verify" and cfg.fmt != "csv":
+        raise ConfigError(f"verify writes text; --format {cfg.fmt} is not supported")
     if cfg.command == "sweep":
         if cfg.sweep_key is None or not cfg.sweep_values:
             raise ConfigError("sweep command needs sweep_key and sweep_values")
@@ -157,10 +161,22 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_table(cfg: RunConfig, key: str, columns: tuple[str, ...], row_format: str, rows: Iterable[tuple],
+                 **extra: object) -> None:
+    """The one result writer: CSV lines row_format % values under a header of columns, or
+    JSON {"command", "params", **extra, key: [dict(zip(columns, values)), ...]}."""
+    if cfg.fmt == "json":
+        p = cfg.params
+        params = {"V0": p.V0, "S0": p.S0, "VI": p.VI, "lambda": p.lam, "q": p.q, "m": p.m, "branch": p.branch.value}
+        records = [dict(zip(columns, values)) for values in rows]
+        _emit(cfg, json.dumps({"command": cfg.command, "params": params, **extra, key: records}, indent=2) + "\n")
+    else:
+        _emit(cfg, "\n".join([",".join(columns), *(row_format % values for values in rows), ""]))
+
+
 _LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_mu", "residual", "flags")
 # One CSV row per level.
 _LEVEL_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
-_SWEEP_ROW = "%s,%.17g," + _LEVEL_ROW
 
 
 def _level_values(level: EnergyLevel) -> tuple:
@@ -169,14 +185,6 @@ def _level_values(level: EnergyLevel) -> tuple:
         level.n, level.E.real, level.E.imag, eps.real, eps.imag,
         level.mu.real, level.mu.imag, level.residual, _flags_cell(level.flags, level.note),
     )
-
-
-def _level_record(level: EnergyLevel) -> dict[str, object]:
-    return dict(zip(_LEVEL_COLUMNS, _level_values(level)))
-
-
-def _csv(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows, ""])
 
 
 def _bound_levels(cfg: RunConfig) -> list[EnergyLevel]:
@@ -190,20 +198,8 @@ def _bound_levels(cfg: RunConfig) -> list[EnergyLevel]:
 def run_spectrum(cfg: RunConfig) -> int:
     if not (levels := _bound_levels(cfg)):
         return 2
-    if cfg.fmt == "json":
-        records = [_level_record(lv) for lv in levels]
-        payload = {"command": "spectrum", "params": _params_record(cfg.params), "levels": records}
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(cfg, _csv(",".join(_LEVEL_COLUMNS), [_LEVEL_ROW % _level_values(lv) for lv in levels]))
+    _write_table(cfg, "levels", _LEVEL_COLUMNS, _LEVEL_ROW, map(_level_values, levels))
     return 0
-
-
-def _params_record(p: PotentialParams) -> dict[str, object]:
-    return {
-        "V0": p.V0, "S0": p.S0, "VI": p.VI, "lambda": p.lam,
-        "q": p.q, "m": p.m, "branch": p.branch.value,
-    }
 
 
 def _verify_grid(p: PotentialParams) -> np.ndarray:
@@ -265,16 +261,8 @@ def run_wavefunction(cfg: RunConfig) -> int:
         samples.extend(
             (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
         )
-    if cfg.fmt == "json":
-        payload = {
-            "command": "wavefunction",
-            "params": _params_record(p),
-            "note": WAVEFORM_NOTE,
-            "samples": [{"n": n, "x": xi, "re_psi": re, "im_psi": im} for n, xi, re, im in samples],
-        }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(cfg, _csv("n,x,re_psi,im_psi", ["%d,%.17g,%.17g,%.17g" % row for row in samples]))
+    columns = ("n", "x", "re_psi", "im_psi")
+    _write_table(cfg, "samples", columns, "%d,%.17g,%.17g,%.17g", samples, note=WAVEFORM_NOTE)
     return 0
 
 
@@ -289,21 +277,8 @@ def run_sweep(cfg: RunConfig) -> int:
         except ParameterError as exc:
             raise ConfigError(f"sweep value {key} = {v:g} rejected: {exc}") from exc
     solved = spectrum_batch(swept, cfg.n_max)
-    if cfg.fmt == "json":
-        records = [
-            {"sweep_key": key, "sweep_value": float(v), **_level_record(lv)}
-            for v, levels in zip(cfg.sweep_values, solved)
-            for lv in levels
-        ]
-        payload = {"command": "sweep", "params": _params_record(p), "rows": records}
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    else:
-        rows = [
-            _SWEEP_ROW % (key, v, *_level_values(lv))
-            for v, levels in zip(cfg.sweep_values, solved)
-            for lv in levels
-        ]
-        _emit(cfg, _csv(",".join(("sweep_key", "sweep_value", *_LEVEL_COLUMNS)), rows))
+    rows = ((key, v, *_level_values(lv)) for v, levels in zip(cfg.sweep_values, solved) for lv in levels)
+    _write_table(cfg, "rows", ("sweep_key", "sweep_value", *_LEVEL_COLUMNS), "%s,%.17g," + _LEVEL_ROW, rows)
     return 0
 
 

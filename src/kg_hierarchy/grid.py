@@ -5,8 +5,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 MIN_SAMPLES = 16
+
+
+def uniform_grid(x: ArrayLike) -> np.ndarray:
+    """x as a 1-D float array of at least MIN_SAMPLES points whose steps agree to
+    1e-12 of a step plus rounding: each point of np.linspace is off by up to an
+    ulp of max|x|, so the steps of an exactly uniform grid differ by up to
+    4*eps*max|x|."""
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim != 1 or xa.size < MIN_SAMPLES:
+        raise ValueError(f"need a 1-D grid with at least {MIN_SAMPLES} points")
+    steps = np.diff(xa)
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
+    if not np.all(np.abs(steps - steps[0]) <= tol):
+        raise ValueError("grid must be uniformly spaced")
+    return xa
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ComplexLevelError, DegenerateRootError, ZeroNuError
-from .grid import GridFunction
+from .grid import GridFunction, uniform_grid
 from .potential import Branch, PotentialParams, _collapse, effective_potential, screened_ratio
 
 _IMAG_TOL = 1e-13
@@ -165,7 +165,7 @@ def superpotential_derivative(w: Superpotential, x: ArrayLike) -> np.ndarray | c
 
 def partner_potentials(w: Superpotential, x: ArrayLike) -> tuple[GridFunction, GridFunction]:
     """Partner pair (V1, V2) = (W^2 - W', W^2 + W') sampled on a uniform grid."""
-    xa = _uniform(x)
+    xa = uniform_grid(x)
     wv = np.asarray(superpotential_eval(w, xa))
     wd = np.asarray(superpotential_derivative(w, xa))
     w2 = wv * wv
@@ -255,16 +255,3 @@ def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunctio
     w_in = np.asarray(superpotential_eval(w, x_in))
     return GridFunction(float(x_in[0]), h, sign * dpsi + w_in * v[2:-2])
 
-
-def _uniform(x: ArrayLike) -> np.ndarray:
-    """x as a 1-D float array whose steps agree to 1e-12 of a step plus rounding:
-    each point of np.linspace is off by up to an ulp of max|x|, so the steps of
-    an exactly uniform grid differ by up to 4*eps*max|x|."""
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim != 1 or xa.size < 2:
-        raise ValueError("need a 1-D grid with at least two points")
-    steps = np.diff(xa)
-    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
-    if not np.all(np.abs(steps - steps[0]) <= tol):
-        raise ValueError("grid must be uniformly spaced")
-    return xa

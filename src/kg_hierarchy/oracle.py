@@ -79,6 +79,8 @@ class OracleConfig:
 
 def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float]:
     """Interior points and spacing of the Dirichlet box (cfg already resolved)."""
+    if p.branch is not Branch.HERMITIAN:
+        raise ValueError("the finite-difference verifier covers the Hermitian branch only")
     pole = p.pole_position
     x_left = -cfg.x_max if pole is None else max(pole, -cfg.x_max)
     h = (cfg.x_max - x_left) / (cfg.n_points + 1)
@@ -92,7 +94,6 @@ class BandedOperator:
     bands: np.ndarray = field(repr=False)  # LAPACK upper-banded storage
     x: np.ndarray = field(repr=False)  # interior points
     h: float
-    fd_order: int
 
     @property
     def n(self) -> int:
@@ -342,8 +343,6 @@ def assemble_bands(v: np.ndarray, h: float, fd_order: int) -> np.ndarray:
 
 def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperator:
     """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box."""
-    if p.branch is not Branch.HERMITIAN:
-        raise ValueError("the finite-difference verifier covers the Hermitian branch only")
     cfg = cfg.resolve(p)
     x, h = _interior_grid(p, cfg)
     try:
@@ -352,7 +351,7 @@ def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperato
         raise DomainError(f"deformation pole inside the oracle grid: {exc}") from exc
     if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
         raise ValueError("effective potential is not real on the Hermitian branch")
-    return BandedOperator(bands=assemble_bands(v.real, h, cfg.fd_order), x=x, h=h, fd_order=cfg.fd_order)
+    return BandedOperator(bands=assemble_bands(v.real, h, cfg.fd_order), x=x, h=h)
 
 
 @dataclass(frozen=True)
@@ -518,7 +517,8 @@ def partner_eigenvalues(
     cfg: OracleConfig | None = None,
     k_max: int = 5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Discretized spectra of the partner pair (W^2 - W', W^2 + W') at level 0.
+    """Discretized spectra of the partner pair (W^2 - W', W^2 + W') at level 0;
+    Hermitian branch only, like discretize.
 
     Unbroken-factorization bookkeeping predicts eig(V2)_k = eig(V1)_{k+1} for the
     bound part of the spectra.
@@ -526,6 +526,6 @@ def partner_eigenvalues(
     cfg = (cfg or OracleConfig()).resolve(p)
     x, h = _interior_grid(p, cfg)
     v1, v2 = (v.values.real for v in partner_potentials(make_superpotential(p, E, 0), x))
-    op1 = BandedOperator(assemble_bands(v1, h, cfg.fd_order), x, h, cfg.fd_order)
-    op2 = BandedOperator(assemble_bands(v2, h, cfg.fd_order), x, h, cfg.fd_order)
+    op1 = BandedOperator(assemble_bands(v1, h, cfg.fd_order), x, h)
+    op2 = BandedOperator(assemble_bands(v2, h, cfg.fd_order), x, h)
     return op1.eigenvalues(k_max), op2.eigenvalues(k_max)

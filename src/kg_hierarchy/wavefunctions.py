@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DomainError, NonNormalizableError
-from .grid import GridFunction
+from .grid import GridFunction, uniform_grid
 from .hierarchy import HierarchyLevel, Superpotential
 from .potential import POLE_TOL, PotentialParams
 
@@ -39,7 +39,7 @@ def _log_psi(nu: complex, mu: complex, lambda_eff: complex, q: float, x: np.ndar
 def ground_state_from_W(
     w: Superpotential, x: ArrayLike, *, hermitian: bool | None = None
 ) -> GridFunction:
-    """exp(-integral W) on a uniform grid, normalized.
+    """exp(-integral W) on a uniform grid, normalized; ValueError on any other grid.
 
     Uses the closed-form antiderivative integral(W) = mu*x - (nu/(q*lambda_eff)) *
     log(1 - q*k(x)).  Hermitian-style data (real lambda_eff) is normalized to unit
@@ -48,9 +48,7 @@ def ground_state_from_W(
     exponential, so a ground state whose values all lie below the smallest
     double still normalizes.
     """
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim != 1 or xa.size < 16:
-        raise ValueError("need a 1-D grid with at least 16 points")
+    xa = uniform_grid(x)
     dx = float(xa[1] - xa[0])
     if hermitian is None:
         hermitian = w.lambda_eff.imag == 0.0

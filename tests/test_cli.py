@@ -151,8 +151,10 @@ class TestConfigErrorExit:
             ("spectrum", {"m": "inf"}, (), "m must be finite"),
             ("spectrum", {}, ("--jobs", "0"), "--jobs"),
             ("spectrum", {}, ("--jobs", "-1"), "--jobs"),
+            ("verify", {}, ("--format", "json"), "verify writes text"),
         ],
-        ids=["n_points", "fd_order", "x_max", "n_max", "V0", "S0", "VI", "lambda", "q", "m", "jobs0", "jobs-1"],
+        ids=["n_points", "fd_order", "x_max", "n_max", "V0", "S0", "VI", "lambda", "q", "m", "jobs0", "jobs-1",
+             "verify-json"],
     )
     def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
         # Each input used to pass validation or escape as a raw ValueError.
@@ -258,6 +260,36 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.endswith("verify: PASS\n")
+
+
+_LEVEL_ROW = "%d" + ",%.17g" * 7 + ",%s"
+
+
+class TestJsonMatchesCsv:
+    # command -> (records key, CSV row format, extra config lines)
+    CASES = {
+        "spectrum": ("levels", _LEVEL_ROW, ""),
+        "wavefunction": ("samples", "%d,%.17g,%.17g,%.17g", "oracle.n_points = 400\n"),
+        "sweep": ("rows", "%s,%.17g," + _LEVEL_ROW, "sweep_key = q\nsweep_values = 0.5,0.75,1.0,1.25,1.5\n"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_json_records_are_the_csv_rows(self, tmp_path, command):
+        key, row_format, extra = self.CASES[command]
+        cfg = write_cfg(tmp_path, SET_A_CFG.read_text() + extra)
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / f"out.{fmt}"
+            assert main([command, "--config", cfg, "--format", fmt, "--output", str(outs[fmt])]) == 0
+        header, *lines = outs["csv"].read_text().splitlines()
+        payload = json.loads(outs["json"].read_text())
+        assert list(payload) == ["command", "params", *(["note"] if command == "wavefunction" else []), key]
+        assert payload["command"] == command
+        records = payload[key]
+        assert len(records) == len(lines) > 0
+        for record, line in zip(records, lines):
+            assert ",".join(record) == header
+            assert row_format % tuple(record.values()) == line
 
 
 class TestWavefunctionCommand:

@@ -17,7 +17,7 @@ SET_D = dict(V0=0.3, S0=0.5, lam=0.25, q=3.0, m=1.0)
 
 def box_operator(length: float, n: int, fd: int) -> BandedOperator:
     h = length / (n + 1)
-    return BandedOperator(assemble_bands(np.zeros(n), h, fd), h * np.arange(1, n + 1), h, fd)
+    return BandedOperator(assemble_bands(np.zeros(n), h, fd), h * np.arange(1, n + 1), h)
 
 
 class TestDiscretize:
@@ -52,6 +52,13 @@ class TestDiscretize:
         p = params(SET_A, branch=kg.Branch.PT_SYMMETRIC)
         with pytest.raises(ValueError, match="Hermitian"):
             discretize(p, 0.5, OracleConfig())
+
+    def test_partner_eigenvalues_complex_branch_rejected(self):
+        # W^2 -+ W' is complex on the PT branch, so a real banded spectrum of it
+        # means nothing.
+        p = params(dict(SET_A, q=2.0), branch=kg.Branch.PT_SYMMETRIC)
+        with pytest.raises(ValueError, match="Hermitian branch only"):
+            kg.partner_eigenvalues(p, kg.pt_energy(p, 0).plus, OracleConfig(n_points=500), k_max=2)
 
     def test_wall_at_pole_for_strong_deformation(self):
         # q > 1: the box starts at the pole ln(q)/lam, keeping the grid clean.

@@ -50,6 +50,14 @@ class TestGroundStateFromW:
         np.testing.assert_allclose(psi.values.real, ref, atol=1e-12)
         np.testing.assert_allclose(psi.values.imag, 0.0, atol=1e-14)
 
+    def test_nonuniform_grid_rejected(self, set_a):
+        # The GridFunction keeps x0 and the first step only, so any other grid
+        # would come back with the wrong x and the wrong normalization.
+        lv = solved_level(set_a)
+        w = kg.make_superpotential(set_a, lv.E, 0)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            kg.ground_state_from_W(w, np.geomspace(set_a.domain_start(), 120.0, 1600))
+
     def test_non_normalizable_raises(self):
         w = Superpotential(nu=0.5, mu=-0.2, lambda_eff=0.5, q=1.0)
         with pytest.raises(NonNormalizableError):

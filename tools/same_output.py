@@ -1,0 +1,86 @@
+"""List the CLI commands whose output differs between this tree and another.
+
+    python tools/same_output.py OTHER_TREE --seeds 1,2,3
+
+OTHER_TREE is a checkout of this repository (for example a `git archive` of
+the parent commit).  For each seed the tool writes the inputs of the `verify`
+and `analytic` benchmark workloads with perfbench/inputs.py and takes every
+command they list, plus a `--format json` run of each `sweep` and
+`wavefunction` command.  Each command runs in a fresh interpreter, once with
+this tree's src/ and once with OTHER_TREE's src/, and every command whose exit
+code, stdout or stderr bytes differ is printed.  Inputs go to a temporary
+directory; perfbench/ is only read.  Exit code 0 when no command differs, 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCH = "import sys; from kg_hierarchy.cli import main; sys.exit(main())"
+WORKLOADS = ("verify", "analytic")
+
+
+def commands(seeds: list[int], work: Path) -> list[list[str]]:
+    """CLI argvs of the benchmark commands for the seeds, with paths relative to work."""
+    argvs = []
+    for seed in seeds:
+        for workload in WORKLOADS:
+            proc = subprocess.run(
+                [sys.executable, "-B", str(ROOT / "perfbench" / "inputs.py"),
+                 "--workload", workload, "--seed", str(seed), "--out", f"{workload}_{seed}"],
+                capture_output=True, text=True, cwd=work, check=True,
+            )
+            for op in json.loads(proc.stdout):
+                argvs.append(op["argv"])
+                if op["kind"] in ("sweep", "wavefunction"):
+                    argvs.append([*op["argv"], "--format", "json"])
+    return argvs
+
+
+def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one CLI command on tree's sources."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], capture_output=True, env=env, cwd=work)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def differing(other: Path, argvs: list[list[str]], work: Path) -> list[str]:
+    """One line per command whose output on this tree and on other differs."""
+    lines = []
+    for argv in argvs:
+        mine, theirs = run(ROOT, argv, work), run(other, argv, work)
+        fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), mine, theirs) if a != b]
+        if fields:
+            lines.append(f"{' '.join(argv)}: {', '.join(fields)} differ")
+    return lines
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("other", type=Path, help="the tree to compare with")
+    ap.add_argument("--seeds", default="1", help="comma-separated benchmark seeds (default: 1)")
+    args = ap.parse_args()
+    if not (args.other / "src" / "kg_hierarchy" / "cli.py").is_file():
+        ap.error(f"no src/kg_hierarchy/cli.py under {args.other}")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argvs = commands(seeds, work)
+        lines = differing(args.other.resolve(), argvs, work)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(argvs)} commands differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
