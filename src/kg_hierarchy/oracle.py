@@ -11,8 +11,10 @@ factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386).  Only BandedOperator.eigenvalues, which returns the
 lowest few eigenvalues at once, uses the O(N^2) banded tridiagonal reduction.
 
-scipy is loaded at the first eigensolve, not when this module is imported, so
-the closed-form commands (spectrum, sweep, wavefunction) never pay its import.
+Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
+the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
+never pay for it.  scipy.linalg itself, with its much larger import, is loaded
+only by BandedOperator.eigenvalues.
 
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
@@ -25,7 +27,9 @@ flattens to a plateau on the left) and the wall is pushed to -x_max.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,6 +91,33 @@ def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, f
     return x_left + h * np.arange(1, cfg.n_points + 1), h
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension, loaded without running scipy/linalg/__init__.py.
+
+    The module is registered in sys.modules under its own name, so a later
+    `import scipy.linalg` reuses it and scipy.linalg.lapack hands out the same
+    routine objects; if scipy.linalg is already loaded, its module is returned.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 @dataclass(frozen=True)
 class BandedOperator:
     """Symmetric banded form of -d2/dx2 + v(x) with Dirichlet walls."""
@@ -133,11 +164,9 @@ class BandedOperator:
         count of 0 (A - s*I positive definite) is settled first by LAPACK's
         banded Cholesky, pbtrf, which is several times faster than this loop.
         """
-        import scipy.linalg
-
         shifted = self.bands.copy()
         shifted[-1] -= s
-        if scipy.linalg.lapack.dpbtrf(shifted, overwrite_ab=True)[1] == 0:
+        if _lapack().dpbtrf(shifted, overwrite_ab=True)[1] == 0:
             return 0
         u = self.bands.shape[0] - 1
         sub1 = self.bands[u - 1, 1:].tolist() + [0.0]
@@ -258,23 +287,19 @@ class BandedOperator:
 
     def _factor(self, ab: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Banded LU of A - sigma I (LAPACK gbtrf); sigma moves up by one ulp off an exactly singular shift."""
-        import scipy.linalg
-
         u = self.bands.shape[0] - 1
         while True:
             ab[2 * u] = self.bands[u] - sigma
-            lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, u, u)
+            lu, piv, info = _lapack().dgbtrf(ab, u, u)
             if info == 0:
                 return lu, piv
             sigma = math.nextafter(sigma, math.inf)
 
     def _solve(self, factors: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
         """Normalized (A - sigma I)^-1 v from the factors of A - sigma I."""
-        import scipy.linalg
-
         u = self.bands.shape[0] - 1
         lu, piv = factors
-        w, _ = scipy.linalg.lapack.dgbtrs(lu, u, u, v, piv)
+        w, _ = _lapack().dgbtrs(lu, u, u, v, piv)
         return w / np.linalg.norm(w)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

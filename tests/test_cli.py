@@ -206,6 +206,66 @@ print(json.dumps(seen))
 """
 
 
+LAPACK_PROBE = """
+import json, sys
+from kg_hierarchy.cli import main
+rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, "scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules]))
+"""
+
+# scipy is hidden from the path finder, as if it were not installed.
+NO_SCIPY_PROBE = """
+import importlib.machinery, json, sys
+
+class NoScipy(importlib.machinery.PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        return None if name.partition(".")[0] == "scipy" else super().find_spec(name, path, target)
+
+sys.meta_path = [NoScipy if f is importlib.machinery.PathFinder else f for f in sys.meta_path]
+
+import kg_hierarchy as kg
+from kg_hierarchy.cli import main
+
+def raised(call):
+    try:
+        call()
+    except ModuleNotFoundError as exc:
+        return [type(exc).__name__, exc.name, str(exc)]
+
+rc = main(json.loads(sys.argv[1]))
+p = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+error = raised(lambda: kg.compare(p, kg.solve_level(p, 0), kg.OracleConfig(n_points=500)))
+print(json.dumps([rc, error, raised(lambda: __import__("scipy.linalg"))]))
+"""
+
+SHARED_LAPACK_PROBE = """
+import json, sys
+import numpy as np
+import kg_hierarchy as kg
+from kg_hierarchy.oracle import BandedOperator, _interior_grid, _lapack, assemble_bands
+
+b = kg.PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
+assert kg.compare(b, kg.solve_level(b, 0), kg.OracleConfig(n_points=2000)).ok
+import scipy.linalg
+same = [getattr(scipy.linalg.lapack, f) is getattr(_lapack(), f) for f in ("dgbtrf", "dgbtrs", "dpbtrf")]
+one_module = sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack is _lapack()
+
+a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+cfg = kg.OracleConfig(n_points=2000).resolve(a)
+E = [lv.E for lv in kg.solve_level(a, 0) if lv.E.real > 0][0]
+eigs1, eigs2 = kg.partner_eigenvalues(a, E, cfg, k_max=3)
+x, h = _interior_grid(a, cfg)
+checks = []
+for v, eigs in zip(kg.partner_potentials(kg.make_superpotential(a, E, 0), x), (eigs1, eigs2)):
+    op = BandedOperator(assemble_bands(v.values.real, h, cfg.fd_order), x, h)
+    checks.append(np.array_equal(op.eigenvalues(3), eigs))
+    # The O(N) shift-invert path agrees with eig_banded to rounding.
+    checks += [abs(op.eigenpair(k, eigs[k])[0] - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0) for k in range(4)]
+print(json.dumps({"same_routines": same, "one_module": one_module, "eig_banded_matches": bool(all(checks))}))
+"""
+
+
 class TestScipyOnlyForVerify:
     def test_closed_form_commands_never_load_scipy(self, tmp_path):
         sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.5, 1.0, 1.5\n")
@@ -220,12 +280,30 @@ class TestScipyOnlyForVerify:
             ["import", None, False], ["spectrum", 0, False], ["sweep", 0, False], ["wavefunction", 0, False]
         ]
 
-    def test_verify_loads_scipy(self, tmp_path):
+    def test_verify_loads_only_lapack(self, tmp_path):
+        # The oracle needs scipy's f2py LAPACK extension, not the scipy.linalg package.
         cfg = write_cfg(tmp_path, TestVerifyCommand.CFG)
-        runs = [["verify", "--config", cfg, "--output", str(tmp_path / "v.txt")]]
-        proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
+        argv = ["verify", "--config", cfg, "--output", str(tmp_path / "v.txt")]
+        proc = run_python_fresh("-c", LAPACK_PROBE, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [["import", None, False], ["verify", 0, True]]
+        assert json.loads(proc.stdout) == [0, True, False]
+
+    def test_missing_scipy_fails_only_the_oracle(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        proc = run_python_fresh("-c", NO_SCIPY_PROBE, json.dumps(["spectrum", "--config", str(SET_A_CFG), "--output", out]))
+        assert proc.returncode == 0, proc.stderr
+        spectrum_rc, error, import_error = json.loads(proc.stdout)
+        assert spectrum_rc == 0
+        assert error == import_error == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+
+    def test_scipy_linalg_reuses_the_loaded_lapack(self):
+        # A second load of the extension, or a scipy layout in which
+        # scipy.linalg.lapack takes its routines from elsewhere, breaks the identity.
+        proc = run_python_fresh("-c", SHARED_LAPACK_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "same_routines": [True, True, True], "one_module": True, "eig_banded_matches": True
+        }
 
 
 class TestVerifyCommand:
