@@ -7,13 +7,16 @@ units.  spectrum, wavefunction and sweep write one table each: CSV with Re/Im
 column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
 header; identical configs give byte-identical files.  verify writes text only.
 Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
-KGHierarchyError or an OSError, each one stderr line; 2 when level 0 is not bound.
+KGHierarchyError, an OSError or a verify run without scipy, each one stderr
+line; 2 when level 0 is not bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import sys
 import warnings
@@ -35,6 +38,8 @@ _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
 _ORACLE_KEYS = ("oracle.x_max", "oracle.n_points", "oracle.fd_order")
 _OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", *_ORACLE_KEYS}
 _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
+# Output chunks joined per write: one write per chunk is slow on an unbuffered stdout.
+_EMIT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -154,24 +159,28 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text, newline="")
-    else:
-        sys.stdout.write(text)
+def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order and joined in batches, to the output path or to stdout."""
+    chunks = iter(chunks)
+    with open(cfg.output_path, "w", newline="") if cfg.output_path else contextlib.nullcontext(sys.stdout) as out:
+        for batch in iter(lambda: list(itertools.islice(chunks, _EMIT_BATCH)), []):
+            out.write("".join(batch))
 
 
 def _write_table(cfg: RunConfig, key: str, columns: tuple[str, ...], row_format: str, rows: Iterable[tuple],
                  **extra: object) -> None:
     """The one result writer: CSV lines row_format % values under a header of columns, or
-    JSON {"command", "params", **extra, key: [dict(zip(columns, values)), ...]}."""
+    JSON {"command", "params", **extra, key: [dict(zip(columns, values)), ...]}.
+
+    The JSON text is streamed chunk by chunk; json.dumps would join the same chunks."""
     if cfg.fmt == "json":
         p = cfg.params
         params = {"V0": p.V0, "S0": p.S0, "VI": p.VI, "lambda": p.lam, "q": p.q, "m": p.m, "branch": p.branch.value}
         records = [dict(zip(columns, values)) for values in rows]
-        _emit(cfg, json.dumps({"command": cfg.command, "params": params, **extra, key: records}, indent=2) + "\n")
+        document = {"command": cfg.command, "params": params, **extra, key: records}
+        _emit(cfg, itertools.chain(json.JSONEncoder(indent=2).iterencode(document), "\n"))
     else:
-        _emit(cfg, "\n".join([",".join(columns), *(row_format % values for values in rows), ""]))
+        _emit(cfg, ["\n".join([",".join(columns), *(row_format % values for values in rows), ""])])
 
 
 _LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_mu", "residual", "flags")
@@ -242,7 +251,7 @@ def run_verify(cfg: RunConfig) -> int:
     else:
         out.append(f"Oracle comparison: skipped ({p.branch.value} branch)")
     out.append(f"verify: {'PASS' if all_ok else 'FAIL'}")
-    _emit(cfg, "\n".join(out) + "\n")
+    _emit(cfg, ["\n".join(out) + "\n"])
     return 0 if all_ok else 1
 
 
@@ -337,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         except OSError as exc:
             sys.stderr.write(f"i/o error: {exc}\n")
+            return 1
+        except ModuleNotFoundError as exc:
+            # The oracle loads scipy at its first eigensolve; nothing else is optional.
+            if (exc.name or "").partition(".")[0] != "scipy":
+                raise
+            sys.stderr.write(f"error: {exc}; the finite-difference verifier needs scipy\n")
             return 1
 
 

@@ -296,6 +296,19 @@ class TestScipyOnlyForVerify:
         assert spectrum_rc == 0
         assert error == import_error == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
 
+    def test_verify_without_scipy_is_one_error_line(self, tmp_path):
+        # The library raises ModuleNotFoundError; the CLI reports it like any
+        # other solver error.
+        cfg = write_cfg(tmp_path, TestVerifyCommand.CFG)
+        out = tmp_path / "v.txt"
+        proc = run_python_fresh("-c", NO_SCIPY_PROBE, json.dumps(["verify", "--config", cfg, "--output", str(out)]))
+        assert proc.returncode == 0, proc.stderr
+        verify_rc, error, _ = json.loads(proc.stdout)
+        assert verify_rc == 1
+        assert error == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+        assert proc.stderr.splitlines() == ["error: No module named 'scipy'; the finite-difference verifier needs scipy"]
+        assert not out.exists()
+
     def test_scipy_linalg_reuses_the_loaded_lapack(self):
         # A second load of the extension, or a scipy layout in which
         # scipy.linalg.lapack takes its routines from elsewhere, breaks the identity.
@@ -465,6 +478,25 @@ class TestSweepCommand:
         finally:
             tracemalloc.stop()
         assert len(out.read_text().splitlines()) > 2000
+        assert peak < 20e6
+
+    def test_json_sweep_memory_stays_small(self, tmp_path):
+        # The JSON text is streamed: building the whole string (4.4 MB here)
+        # with its list of chunks peaked at 39 MB.
+        rng = np.random.default_rng(7)
+        values = ", ".join(repr(v) for v in np.round(rng.uniform(0.5, 4.0, 2000), 9).tolist())
+        cfg = write_cfg(tmp_path, self.BASE.replace("n_max = 2", "n_max = 8")
+                        + f"sweep_key = q\nsweep_values = {values}\n")
+        out = tmp_path / "sweep.json"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text()
+        assert len(json.loads(text)["rows"]) > 2000
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert peak < 20e6
 
     def test_sweep_key_without_sweep_command_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import scipy.linalg
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams
 from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
-from kg_hierarchy.oracle import BandedOperator, assemble_bands, discretize
+from kg_hierarchy.oracle import BandedOperator, _interior_grid, _pole_wall_rows, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, params
 
@@ -72,6 +72,70 @@ class TestDiscretize:
         op = discretize(set_c, 0.2, OracleConfig(n_points=500))
         assert op.x[0] < 0.0
         assert op.x[0] > np.log(0.8) / 0.25
+
+
+class TestPoleWallClosure:
+    """Rows next to a left wall on the pole, where V_eff ~ A/t^2 + B/t."""
+
+    @staticmethod
+    def local_solution(p: PotentialParams, E: float):
+        # Independent of the oracle: A, B from the couplings, s(s - 1) = A,
+        # f = t^s (1 + beta t) with beta = B/(2s).
+        g1, g2 = p.S0**2 - p.V0**2, 2.0 * (p.m * p.S0 + E * p.V0)
+        qlam = p.q * p.lam
+        a, b = g1 / qlam**2, -(g1 / p.q + g2) / qlam
+        s = 0.5 + np.sqrt(0.25 + a)
+        beta = b / (2.0 * s)
+        f = lambda t: t**s * (1.0 + beta * t)
+        f2 = lambda t: s * (s - 1.0) * t ** (s - 2.0) + beta * s * (s + 1.0) * t ** (s - 1.0)
+        return f, f2
+
+    def test_rows_reproduce_the_local_solution(self):
+        p, E = params(SET_D), -0.9956637780343593
+        op = discretize(p, E, OracleConfig(n_points=1000))
+        f, f2 = self.local_solution(p, E)
+        t = op.h * np.arange(1, 8)
+        v = np.asarray(kg.effective_potential(p, E, op.x[:3])).real
+        applied = op.matvec(np.concatenate([f(t), np.zeros(op.n - t.size)]))[:3]
+        expected = -f2(t[:3]) + v * f(t[:3])
+        # Rounding of a row is eps times its largest term, 30/(12 h^2) * f.
+        assert np.all(np.abs(applied - expected) <= 1e-12 * f(t[:3]) / op.h**2)
+        dense = op.to_dense()
+        assert np.array_equal(dense, dense.T)
+
+    def test_s_equal_one_is_the_ghost_factor_with_exact_b(self):
+        # Gamma1 = 0 (set B): the first row's correction is the ghost reflection
+        # (-1 + beta h)/(1 + beta h) with beta = B/2; the next two rows need none.
+        p, E, h = params(SET_B), -0.995532828318463, 0.1
+        beta = -(p.m * p.S0 + E * p.V0) / (p.q * p.lam)
+        rows = _pole_wall_rows(p, E, h) * 12.0 * h * h
+        assert rows[0] == pytest.approx((-1.0 + beta * h) / (1.0 + beta * h), abs=1e-12)
+        assert np.all(np.abs(rows[1:]) < 1e-12)
+
+    @pytest.mark.parametrize(
+        "base,n_points,corrected",
+        [(SET_A, 1000, False), (SET_C, 1000, False), (SET_B, 1000, False), (SET_B, 4000, True), (SET_D, 1000, True)],
+        ids=["A", "C", "B-coarse", "B", "D"],
+    )
+    def test_closure_is_chosen_for_every_energy_at_once(self, base, n_points, corrected):
+        # A (s = 5.52) and C (s = 2.56) keep the ghost closure bit for bit: their
+        # wall error h^(2s-1) is below h^4.  B at 1000 points is too coarse for
+        # the expansion.  The choice must not switch as E moves.
+        p, cfg = params(base), OracleConfig(n_points=n_points)
+        x, h = _interior_grid(p, cfg.resolve(p))
+        for E in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.99):
+            v = np.asarray(kg.effective_potential(p, E, x)).real
+            assert np.array_equal(discretize(p, E, cfg).bands, assemble_bands(v, h, 4)) is not corrected, E
+
+    @pytest.mark.parametrize("base,n_points,tol", [(SET_D, 1000, 2e-4), (SET_B, 4000, 3e-5)], ids="DB")
+    def test_level_zero_accuracy(self, base, n_points, tol):
+        # Without the closure: 7.5e-3 on D at 1000 points, 1.1e-4 on B at 4000.
+        p = params(base)
+        roots = [lv.E.real for lv in kg.solve_level(p, 0) if kg.LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags]
+        assert roots
+        for E in roots:
+            res = kg.solve_selfconsistent(p, 0, OracleConfig(n_points=n_points), seed=E)
+            assert abs(res.E - E) < tol * abs(E)
 
 
 class TestShiftInvertKernel:
