@@ -11,6 +11,13 @@ factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386).  Only BandedOperator.eigenvalues, which returns the
 lowest few eigenvalues at once, uses the O(N^2) banded tridiagonal reduction.
 
+Inverse iteration from a good start vector converges in one step (Parlett,
+ch. 4), so the self-consistent solve warm-starts each eigensolve from the last
+eigenvector, and cleans only the vector it returns; a cold eigensolve starts
+from the fixed vector sin(j*phi), phi the golden angle.  u(x) = k/(1 - q*k) is
+computed once per grid: only Gamma2(E) in V_eff = Gamma1*u^2 - Gamma2(E)*u
+depends on E.
+
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
 never pay for it.  scipy.linalg itself, with its much larger import, is loaded
@@ -43,15 +50,17 @@ import numpy as np
 from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
 from .hierarchy import make_superpotential, partner_potentials
-from .potential import Branch, PotentialParams, effective_potential, gamma2
+from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
 DEFAULT_REL_TOL = 1e-3
 # Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration
-# budget; a start ends after MAX_STALLED iterations in a row that do not halve it.
+# budget; a start ends after MAX_STALLED iterations in a row that do not halve it,
+# unless it stops halving within OUTER_SLACK rounding floors eps*|A|.
 OUTER_TOL = 1e-10
 MAX_OUTER = 100
 MAX_STALLED = 3
+OUTER_SLACK = 8.0
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
 # inertia counts get COUNT_SLACK*eps*|A| of rounding slack.  MAX_RITZ_STEPS bounds
 # the iteration from one shift, MAX_ROUNDS the restarts from bisected brackets.
@@ -60,6 +69,8 @@ RITZ_FLOOR = 1e3
 COUNT_SLACK = 64.0
 MAX_RITZ_STEPS = 8
 MAX_ROUNDS = 64
+# A cold eigensolve starts from sin(j*phi), phi the golden angle: fixed and generic.
+START_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Pole-wall closure: the number of rows next to the wall that it corrects, and
 # the wall exponent from which the plain ghost closure is already below the
 # stencil's h^4 (the wall error is of order h^(2s - 1)).
@@ -109,6 +120,15 @@ def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, f
     return x_left + h * np.arange(1, cfg.n_points + 1), h
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_ratio(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float, np.ndarray]:
+    """Interior points, spacing and u(x) of the box (cfg resolved); read-only, cached for the N and 2N grids."""
+    x, h = _interior_grid(p, cfg)
+    u = screened_ratio(p.q, p.lambda_eff, x)
+    x.flags.writeable = u.flags.writeable = False
+    return x, h, u
+
+
 @functools.cache
 def _lapack():
     """scipy's f2py LAPACK extension, loaded without running scipy/linalg/__init__.py.
@@ -148,7 +168,7 @@ class BandedOperator:
     def n(self) -> int:
         return self.x.size
 
-    @property
+    @functools.cached_property
     def norm(self) -> float:
         """Infinity norm of A, the scale of its eigenvalues' rounding."""
         u = self.bands.shape[0] - 1
@@ -206,7 +226,9 @@ class BandedOperator:
                 continue
             return neg
 
-    def eigenpair(self, k: int, shift: float) -> tuple[float, np.ndarray]:
+    def eigenpair(
+        self, k: int, shift: float, start: np.ndarray | None = None, clean: bool = True
+    ) -> tuple[float, np.ndarray]:
         """k-th eigenpair (k = 0 lowest) by shift-invert iteration from shift, in O(N).
 
         Inverse iteration at the shift, then Rayleigh-quotient iteration, gives a
@@ -217,28 +239,25 @@ class BandedOperator:
         within r of theta, so the second count is needed only when the first is
         below k.  Otherwise more counts widen or bisect a bracket [lo, hi] until
         it holds lambda_k alone, and the iteration restarts from its midpoint.
-        Two more inverse-iteration sweeps at theta clean the eigenvector, from
-        one factorization.
+
+        The first round starts from start (a warm start) or else, like every
+        restart, from sin(j*phi), phi the golden angle.  With clean, two more
+        inverse-iteration sweeps at theta clean the eigenvector (_polish).
         """
-        u, n = self.bands.shape[0] - 1, self.n
+        n = self.n
         if not 0 <= k < n:
             raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
         if not math.isfinite(shift):
             raise ValueError(f"shift must be finite, got {shift}")
-        # General band form for LAPACK gbtrf: u rows of fill-in space, then the
-        # u superdiagonals, the diagonal and the u subdiagonals.
-        ab = np.zeros((3 * u + 1, n))
-        ab[u : 2 * u + 1] = self.bands
-        for r in range(u):
-            d = u - r
-            ab[2 * u + d, :-d] = self.bands[r, d:]
+        ab = self._general_band()
         anorm = self.norm
         floor = RITZ_FLOOR * EPS * anorm
         # Bracket with count_below(lo) = below_lo <= k < below_hi = count_below(hi).
         lo, hi, below_lo, below_hi = -math.inf, math.inf, 0, n
-        start = np.random.default_rng(0).standard_normal(n)
         sigma = float(shift)
         for _ in range(MAX_ROUNDS):
+            if start is None:
+                start = np.sin(START_ANGLE * np.arange(1.0, n + 1.0))
             theta, v, res = self._ritz(ab, sigma, start, floor)
             tol = res + COUNT_SLACK * EPS * anorm
             if res <= floor and lo - tol <= theta <= hi + tol:
@@ -247,11 +266,7 @@ class BandedOperator:
                 below = self.count_below(theta - tol)
                 upto = self.count_below(theta + tol) if below < k else below + 1
                 if below <= k < upto:
-                    factors = self._factor(ab, theta)
-                    for _ in range(2):
-                        v = self._solve(factors, v)
-                    v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
-                    return theta, v
+                    return theta, self._polish(ab, theta, v) if clean else v
                 if below > k and theta - tol < hi:
                     hi, below_hi = theta - tol, below
                 elif upto <= k and theta + tol > lo:
@@ -278,7 +293,7 @@ class BandedOperator:
                     hi, below_hi = probe, below
                 if below_lo == k and below_hi == k + 1 and lo > -math.inf and hi < math.inf:
                     break
-            sigma = 0.5 * (lo + hi)
+            sigma, start = 0.5 * (lo + hi), None
         raise NonConvergenceError(
             f"eigenvalue {k}: no certified Ritz value after {MAX_ROUNDS} rounds "
             f"(bracket [{lo:.17g}, {hi:.17g}])"
@@ -302,6 +317,24 @@ class BandedOperator:
                 sigma = theta
                 factors = self._factor(ab, sigma)
         return theta, v, res
+
+    def _general_band(self) -> np.ndarray:
+        """A in LAPACK gbtrf band form: u rows of fill-in space, then the u
+        superdiagonals, the diagonal and the u subdiagonals."""
+        u = self.bands.shape[0] - 1
+        ab = np.zeros((3 * u + 1, self.n))
+        ab[u : 2 * u + 1] = self.bands
+        for r in range(u):
+            d = u - r
+            ab[2 * u + d, :-d] = self.bands[r, d:]
+        return ab
+
+    def _polish(self, ab: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray:
+        """Two inverse-iteration sweeps at theta from one factorization; largest entry made positive."""
+        factors = self._factor(ab, theta)
+        for _ in range(2):
+            v = self._solve(factors, v)
+        return v * (np.sign(v[np.argmax(np.abs(v))]) or 1.0)
 
     def _factor(self, ab: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Banded LU of A - sigma I (LAPACK gbtrf); sigma moves up by one ulp off an exactly singular shift."""
@@ -389,7 +422,7 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
     b_max = abs(g1 / p.q) + 2.0 * p.m * (abs(p.S0) + abs(p.V0))
     if s >= POLE_WALL_MAX_S or b_max / (qlam * 2.0 * s) * POLE_WALL_ROWS * h >= 1.0:
         return None
-    # complex(E), as in effective_potential, so a Gamma2 warning is not repeated.
+    # complex(E), as in discretize, so a Gamma2 warning is not repeated.
     beta = -(g1 / p.q + gamma2(p, complex(E)).real) / (qlam * 2.0 * s)
     # f(i*h)/h^s on the stencil points i = -1 (ghost), 0 (wall), 1, ..., ROWS + 2.
     i = np.arange(-1.0, POLE_WALL_ROWS + 3.0)
@@ -434,11 +467,11 @@ def assemble_bands(v: np.ndarray, h: float, fd_order: int, wall_rows: np.ndarray
 def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperator:
     """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box."""
     cfg = cfg.resolve(p)
-    x, h = _interior_grid(p, cfg)
     try:
-        v = np.asarray(effective_potential(p, complex(E), x))
+        x, h, u = _grid_ratio(p, cfg)
     except DomainError as exc:
         raise DomainError(f"deformation pole inside the oracle grid: {exc}") from exc
+    v = gamma_form(p, complex(E), u)
     if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
         raise ValueError("effective potential is not real on the Hermitian branch")
     at_pole = _left_wall(p, cfg)[1]
@@ -471,16 +504,18 @@ def solve_selfconsistent(
     diag(dV_eff/dE) v; E moves to the root nearest E of eps + (E' - E) s =
     E'^2 - m^2 (Ruhe, SIAM J. Numer. Anal. 10 (1973) 674; Voss, Handbook of
     Linear Algebra, 2nd ed., 2013) until the defect g = eps - (E^2 - m^2) is at
-    the rounding floor eps_mach*|A|, so the answer does not depend on the start.
-    V_eff is affine in E, so the slope diagonal is the difference of two
-    discretizations, once per solve; the E-dependent wall-closure rows
-    perturb it, not the fixed point.  The Richardson estimate re-solves on 2N
-    points, shifted at the converged eps.  With no seed the iteration starts
-    from E = +m/2, then -m/2 (an iterate may leave (-m, m) on the way); the
-    first bound root is returned, or the last start's error.  A start ends with
-    OuterDivergenceError when its local model has no real root, |E| > 5m, or
-    |g| fails MAX_STALLED times in a row to halve its smallest value so far (a
-    converging start halves it at every step).
+    the rounding floor eps_mach*|A|, or stops halving within OUTER_SLACK floors,
+    so the answer does not depend on the start.  Each eigenpair warm-starts
+    from the previous v; only the returned v is cleaned.  V_eff is affine in E,
+    so the slope diagonal is the difference of two discretizations, once per
+    solve; the E-dependent wall-closure rows perturb it, not the fixed point.
+    The Richardson estimate takes the eigenvalue on 2N points, shifted at the
+    converged eps and started from v interpolated onto that grid.  With no seed
+    the iteration starts from E = +m/2, then -m/2 (an iterate may leave (-m, m)
+    on the way); the first bound root is returned, or the last start's error.
+    A start ends with OuterDivergenceError when its local model has no real
+    root, |E| > 5m, or |g| fails MAX_STALLED times in a row to halve its
+    smallest value so far (a converging start halves it at every step).
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
@@ -498,14 +533,15 @@ def solve_selfconsistent(
 def _rayleigh_functional_run(
     p: PotentialParams, k: int, cfg: OracleConfig, slope: np.ndarray, E: float
 ) -> OracleResult:
-    best, stalled = math.inf, 0
+    best, stalled, vec = math.inf, 0, None
     for iters in range(1, MAX_OUTER + 1):
         op = discretize(p, E, cfg)
-        eps, vec = op.eigenpair(k, E * E - p.m * p.m)
+        eps, vec = op.eigenpair(k, E * E - p.m * p.m, vec, False)
         g = eps - (E * E - p.m * p.m)
-        if abs(g) <= EPS * op.norm:
+        floor, halved = EPS * op.norm, abs(g) <= 0.5 * best
+        if abs(g) <= floor or (not halved and abs(g) <= OUTER_SLACK * floor):
             break
-        stalled = 0 if abs(g) <= 0.5 * best else stalled + 1
+        stalled = 0 if halved else stalled + 1
         if stalled == MAX_STALLED:
             raise OuterDivergenceError(f"|g| has not halved from {best:.3e} in {MAX_STALLED} iterations (E = {E})")
         best = min(best, abs(g))
@@ -527,10 +563,11 @@ def _rayleigh_functional_run(
         raise OuterDivergenceError(
             f"self-consistency defect {abs(g):.3e} exceeds {OUTER_TOL:g} after convergence"
         )
-    fine = replace(cfg, n_points=2 * cfg.n_points)
-    eps_fine = discretize(p, E, fine).eigenpair(k, eps)[0]
+    fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))
+    eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec), False)[0]
     factor = 2.0**cfg.fd_order
     est = abs(eps - eps_fine) * factor / (factor - 1.0)
+    vec = op._polish(op._general_band(), eps, vec)
     psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))
     return OracleResult(
         E=float(E),

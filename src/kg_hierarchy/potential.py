@@ -198,9 +198,17 @@ def scalar_potential(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:
 
 def effective_potential(p: PotentialParams, E: complex, x: ArrayLike) -> np.ndarray | complex:
     """Gamma-form effective potential Gamma1*u^2 - Gamma2(E)*u."""
+    return _collapse(gamma_form(p, E, screened_ratio(p.q, p.lambda_eff, x)))
+
+
+def gamma_form(p: PotentialParams, E: complex, u: np.ndarray) -> np.ndarray:
+    """Gamma1*u^2 - Gamma2(E)*u from a precomputed screened ratio u = k/(1 - q*k).
+
+    Only Gamma2 depends on E, so a caller that evaluates many energies on one
+    grid computes u once (the oracle does).
+    """
     g1, g2_ = gammas(p, E)
-    u = screened_ratio(p.q, p.lambda_eff, x)
-    return _collapse(g1 * u * u - g2_ * u)
+    return g1 * u * u - g2_ * u
 
 
 def effective_potential_direct(

@@ -210,7 +210,8 @@ LAPACK_PROBE = """
 import json, sys
 from kg_hierarchy.cli import main
 rc = main(json.loads(sys.argv[1]))
-print(json.dumps([rc, "scipy.linalg._flapack" in sys.modules, "scipy.linalg" in sys.modules]))
+loaded = ("scipy.linalg._flapack", "scipy.linalg", "numpy.random")
+print(json.dumps([rc, *(name in sys.modules for name in loaded)]))
 """
 
 # scipy is hidden from the path finder, as if it were not installed.
@@ -281,12 +282,13 @@ class TestScipyOnlyForVerify:
         ]
 
     def test_verify_loads_only_lapack(self, tmp_path):
-        # The oracle needs scipy's f2py LAPACK extension, not the scipy.linalg package.
+        # The oracle needs scipy's f2py LAPACK extension, not the scipy.linalg
+        # package, and no random generator (numpy.random loads libcrypto).
         cfg = write_cfg(tmp_path, TestVerifyCommand.CFG)
         argv = ["verify", "--config", cfg, "--output", str(tmp_path / "v.txt")]
         proc = run_python_fresh("-c", LAPACK_PROBE, json.dumps(argv))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, True, False]
+        assert json.loads(proc.stdout) == [0, True, False, False]
 
     def test_missing_scipy_fails_only_the_oracle(self, tmp_path):
         out = str(tmp_path / "s.csv")

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import kg_hierarchy as kg
-from kg_hierarchy import OracleConfig, PotentialParams
+from kg_hierarchy import OracleConfig, PotentialParams, oracle
 from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
 from kg_hierarchy.oracle import BandedOperator, _interior_grid, _pole_wall_rows, assemble_bands, discretize
 
@@ -163,18 +163,35 @@ class TestShiftInvertKernel:
 
     @pytest.mark.parametrize("fd", [2, 4])
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
-    def test_eigenpair_from_any_gap(self, base, fd):
+    def test_eigenpair_from_any_gap(self, base, fd, monkeypatch):
         op = self.operator(base, fd)
-        eigs = op.eigenvalues(self.K)
+        eigs, vecs = scipy.linalg.eig_banded(op.bands, lower=False, select="i", select_range=(0, self.K))
         shifts = [eigs[0] - 1.0, *(0.5 * (eigs[:-1] + eigs[1:])), eigs[-1]]
+        calls = []
+        ritz = BandedOperator._ritz
+        monkeypatch.setattr(BandedOperator, "_ritz", lambda op, *a: calls.append(a) or ritz(op, *a))
+        cold = warm = 0
         for k in range(4):
+            # A warm start that is the neighbouring eigenvector, with almost no
+            # share of eigenvector k, must not change the certified answer.
+            starts = [None, *(vecs[:, j] for j in (k - 1, k + 1) if j >= 0)]
             for shift in shifts:
-                lam, vec = op.eigenpair(k, shift)
-                # Relative to max(|lambda_k|, m^2): both solvers are accurate to
-                # eps*|A| absolutely, and lambda_3 of set A is -7.8e-4.
-                assert abs(lam - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0), (k, shift)
-                assert np.linalg.norm(op.matvec(vec) - lam * vec) < 1e-9
-                assert kg.node_count(kg.GridFunction(float(op.x[0]), op.h, vec.astype(complex))) == k
+                rounds = []
+                for start in starts:
+                    calls.clear()
+                    lam, vec = op.eigenpair(k, shift, start)
+                    rounds.append(len(calls))
+                    # Relative to max(|lambda_k|, m^2): both solvers are accurate to
+                    # eps*|A| absolutely, and lambda_3 of set A is -7.8e-4.
+                    assert abs(lam - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0), (k, shift)
+                    assert np.linalg.norm(op.matvec(vec) - lam * vec) < 1e-9
+                    assert kg.node_count(kg.GridFunction(float(op.x[0]), op.h, vec.astype(complex))) == k
+                cold += rounds[0] * (len(rounds) - 1)
+                warm += sum(rounds[1:])
+        # A missed first round restarts from the generic vector, so such a start
+        # costs about as many rounds as a cold one (1.0-1.2 times; 5-12 times if
+        # every round restarted from the warm start).
+        assert warm <= 2 * cold
 
     def test_certified_eigenpair_takes_one_count(self, monkeypatch):
         # A Ritz value with residual r has an eigenvalue within r, so once
@@ -273,6 +290,25 @@ class TestSolveSelfConsistent:
         with pytest.raises(OuterDivergenceError, match="no real root"):
             kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
         assert len(calls) <= 15
+
+    @pytest.mark.parametrize("floors,converges", [(3.0, True), (100.0, False)])
+    def test_defect_that_stops_halving(self, set_a, monkeypatch, floors, converges):
+        # An eigensolve whose defect g settles at a fixed number of rounding
+        # floors eps*|A|: within OUTER_SLACK floors the start has converged,
+        # far above them it is stalled.
+        eigenpair = BandedOperator.eigenpair
+
+        def settled(op, k, shift, *a):
+            eps, vec = eigenpair(op, k, shift, *a)
+            return shift + floors * oracle.EPS * op.norm, vec
+
+        monkeypatch.setattr(BandedOperator, "eigenpair", settled)
+        solve = lambda: kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=0.5)
+        if converges:
+            assert solve().outer_iters == 2
+        else:
+            with pytest.raises(OuterDivergenceError, match="has not halved"):
+                solve()
 
     def test_weak_coupling_no_bound_state(self):
         p = params(dict(V0=0.001, S0=0.001, lam=5.0, q=1.0, m=1.0))

@@ -8,16 +8,20 @@ and `analytic` benchmark workloads with perfbench/inputs.py and takes every
 command they list, plus a `--format json` run of each `sweep` and
 `wavefunction` command.  Each command runs in a fresh interpreter, once with
 this tree's src/ and once with OTHER_TREE's src/, and every command whose exit
-code, stdout or stderr bytes differ is printed.  Inputs go to a temporary
-directory; perfbench/ is only read.  Exit code 0 when no command differs, 1
-otherwise.
+code, stdout or stderr bytes differ is printed.  When stdout differs, the line
+also gives the largest relative change of a numeric field and the stdout line
+(this tree's, numbered from 1) where it occurs: lines are paired in order and
+the numbers of a line by position.  Inputs go to a temporary directory;
+perfbench/ is only read.  Exit code 0 when no command differs, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCH = "import sys; from kg_hierarchy.cli import main; sys.exit(main())"
 WORKLOADS = ("verify", "analytic")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
 def commands(seeds: list[int], work: Path) -> list[list[str]]:
@@ -53,6 +58,24 @@ def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def largest_change(mine: bytes, theirs: bytes) -> tuple[float, int, str] | None:
+    """Largest relative change of a numeric field, its line number and this tree's line.
+
+    None when no paired numeric field differs.
+    """
+    worst = None
+    for number, (line, other) in enumerate(zip(mine.splitlines(), theirs.splitlines()), 1):
+        for a, b in zip(NUMBER.findall(line), NUMBER.findall(other)):
+            x, y = float(a), float(b)
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            finite = math.isfinite(x) and math.isfinite(y)
+            rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+            if worst is None or rel > worst[0]:
+                worst = (rel, number, line.decode(errors="replace"))
+    return worst
+
+
 def differing(other: Path, argvs: list[list[str]], work: Path) -> list[str]:
     """One line per command whose output on this tree and on other differs."""
     lines = []
@@ -60,7 +83,11 @@ def differing(other: Path, argvs: list[list[str]], work: Path) -> list[str]:
         mine, theirs = run(ROOT, argv, work), run(other, argv, work)
         fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), mine, theirs) if a != b]
         if fields:
-            lines.append(f"{' '.join(argv)}: {', '.join(fields)} differ")
+            line = f"{' '.join(argv)}: {', '.join(fields)} differ"
+            change = largest_change(mine[1], theirs[1])
+            if change is not None:
+                line += " (largest relative change %.2g, stdout line %d: %s)" % change
+            lines.append(line)
     return lines
 
 
