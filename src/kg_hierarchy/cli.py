@@ -67,7 +67,12 @@ def parse_config(path: str | Path) -> dict[str, object]:
     """Parse a flat key=value file; raises ConfigError with the offending line."""
     raw: dict[str, object] = {}
     seen_lines: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: byte {data[exc.start]:#04x}", data.count(b"\n", 0, exc.start) + 1) from exc
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -133,7 +138,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     oracle_kwargs = {key.removeprefix("oracle."): raw[key] for key in _ORACLE_KEYS if key in raw}
     try:
         oracle_cfg = OracleConfig(**oracle_kwargs)
-        oracle_cfg.resolve(raw["_params"])  # checks x_max against 10/lambda
+        # x_max against 10/lambda and the pole; spectrum and sweep never use the default box.
+        if oracle_kwargs or args.command in ("verify", "wavefunction"):
+            oracle_cfg.resolve(raw["_params"])
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc
     cfg = RunConfig(

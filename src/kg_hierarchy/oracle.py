@@ -8,8 +8,8 @@ Each eps_k(E) costs O(N) for N grid points: shift-invert and Rayleigh-quotient
 iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
 ch. 4), its index certified by inertia counts from an unpivoted LDL^T
 factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
-Numer. Math. 9 (1967) 386).  Only BandedOperator.eigenvalues, which returns the
-lowest few eigenvalues at once, uses the O(N^2) banded tridiagonal reduction.
+Numer. Math. 9 (1967) 386).  BandedOperator.eigenvalues, the lowest few at
+once, is a ladder of these certified eigenpairs.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
 ch. 4), so the self-consistent solve warm-starts each eigensolve from the last
@@ -20,8 +20,8 @@ depends on E.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
-never pay for it.  scipy.linalg itself, with its much larger import, is loaded
-only by BandedOperator.eigenvalues.
+never pay for it.  scipy.linalg itself, with its much larger import, is never
+loaded.
 
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
@@ -82,8 +82,9 @@ POLE_WALL_MAX_S = 2.5
 class OracleConfig:
     """Discretization controls.
 
-    x_max defaults to 40/lam at resolution time; n_points is the number of
-    interior grid points; fd_order selects the 3-point or 5-point stencil.
+    x_max defaults to 40/lam at resolution time and must lie right of the
+    deformation pole; n_points is the number of interior grid points; fd_order
+    selects the 3-point or 5-point stencil.
     """
 
     x_max: float | None = None
@@ -100,6 +101,8 @@ class OracleConfig:
         x_max = self.x_max if self.x_max is not None else 40.0 / p.lam
         if not 10.0 / p.lam <= x_max < math.inf:
             raise ValueError(f"x_max must be finite and extend beyond 10/lam = {10.0 / p.lam:g}")
+        if not x_max > p.domain_start():
+            raise ValueError(f"x_max = {x_max:g} must lie right of the deformation pole at {p.domain_start():g}")
         return replace(self, x_max=x_max)
 
 
@@ -133,9 +136,9 @@ def _grid_ratio(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, floa
 def _lapack():
     """scipy's f2py LAPACK extension, loaded without running scipy/linalg/__init__.py.
 
-    The module is registered in sys.modules under its own name, so a later
-    `import scipy.linalg` reuses it and scipy.linalg.lapack hands out the same
-    routine objects; if scipy.linalg is already loaded, its module is returned.
+    The module is registered in sys.modules under its own name, so scipy.linalg,
+    if a caller loads it later, reuses it and scipy.linalg.lapack hands out the
+    same routine objects; if scipy.linalg is already loaded, its module is returned.
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
@@ -180,12 +183,17 @@ class BandedOperator:
         return float(np.max(np.abs(self.bands[u]) + radius))
 
     def eigenvalues(self, k_max: int) -> np.ndarray:
-        """The k_max + 1 lowest eigenvalues by full banded reduction (O(N^2))."""
-        import scipy.linalg
+        """The k_max + 1 lowest eigenvalues, each a certified eigenpair, in O(N) each.
 
-        return scipy.linalg.eig_banded(
-            self.bands, lower=False, eigvals_only=True, select="i", select_range=(0, k_max)
-        )
+        The first shift, -|A|, lies below the whole spectrum; each later one is
+        the eigenvalue below plus the last gap, a guess at the next eigenvalue.
+        """
+        eigs = []
+        shift = -self.norm
+        for k in range(k_max + 1):
+            eigs.append(self.eigenpair(k, shift, clean=False)[0])
+            shift = 2.0 * eigs[-1] - eigs[-2] if k else eigs[-1]
+        return np.array(eigs)
 
     def count_below(self, s: float) -> int:
         """Number of eigenvalues below s, in O(N).

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kg_hierarchy import Branch, PotentialParams
 
@@ -23,6 +24,13 @@ def params(base: dict, branch: Branch = Branch.HERMITIAN, VI: float = 0.0) -> Po
 
 def hermitian_grid(p: PotentialParams, n: int = 2001) -> np.ndarray:
     return np.linspace(p.domain_start(), 40.0 / p.lam, n)
+
+
+def eig_banded_reference(op, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k_max + 1 lowest eigenpairs of a BandedOperator by LAPACK's full banded
+    reduction (scipy.linalg.eig_banded, O(N^2)): a reference that shares no code
+    with the library's shift-invert kernel."""
+    return scipy.linalg.eig_banded(op.bands, lower=False, select="i", select_range=(0, k_max))
 
 
 def complex_branch_grid(p: PotentialParams, n: int = 2001) -> np.ndarray:

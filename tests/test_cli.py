@@ -142,6 +142,9 @@ class TestConfigErrorExit:
             ("verify", {"oracle.n_points": "32"}, (), "n_points"),
             ("verify", {"oracle.fd_order": "3"}, (), "fd_order"),
             ("verify", {"oracle.x_max": "1"}, (), "x_max"),
+            # The deformation pole ln(q)/lambda = 51.54 lies right of x_max.
+            ("verify", {"S0": "1000", "q": "3e4", "oracle.x_max": "50", "oracle.n_points": "500"}, (), "pole"),
+            ("wavefunction", {"S0": "1000", "q": "3e4", "oracle.x_max": "50", "oracle.n_points": "500"}, (), "pole"),
             ("spectrum", {"n_max": "-1"}, (), "n_max"),
             ("spectrum", {"V0": "nan"}, (), "V0 must be finite"),
             ("spectrum", {"S0": "nan"}, (), "S0 must be finite"),
@@ -153,8 +156,8 @@ class TestConfigErrorExit:
             ("spectrum", {}, ("--jobs", "-1"), "--jobs"),
             ("verify", {}, ("--format", "json"), "verify writes text"),
         ],
-        ids=["n_points", "fd_order", "x_max", "n_max", "V0", "S0", "VI", "lambda", "q", "m", "jobs0", "jobs-1",
-             "verify-json"],
+        ids=["n_points", "fd_order", "x_max", "x_max-pole-verify", "x_max-pole-wavefunction", "n_max", "V0", "S0",
+             "VI", "lambda", "q", "m", "jobs0", "jobs-1", "verify-json"],
     )
     def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
         # Each input used to pass validation or escape as a raw ValueError.
@@ -192,6 +195,15 @@ class TestConfigErrorLine:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"config error: line {line_no}: ")
         assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_utf8_file_cites_its_line(self, tmp_path):
+        # A byte that is not UTF-8 used to end in a raw UnicodeDecodeError.
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"V0 = 0\nS0 = 1\xff\nlambda = 0.2\nq = 1\nm = 1\n")
+        proc = run_cli_fresh("spectrum", "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["config error: line 2: not UTF-8 text: byte 0xff"]
+        assert proc.stdout == ""
 
 
 # Runs main() on each argv of a JSON list and reports, after the import and after
@@ -259,11 +271,29 @@ eigs1, eigs2 = kg.partner_eigenvalues(a, E, cfg, k_max=3)
 x, h = _interior_grid(a, cfg)
 checks = []
 for v, eigs in zip(kg.partner_potentials(kg.make_superpotential(a, E, 0), x), (eigs1, eigs2)):
+    # Fresh operators, the same certified eigenpairs: bit-identical.
     op = BandedOperator(assemble_bands(v.values.real, h, cfg.fd_order), x, h)
     checks.append(np.array_equal(op.eigenvalues(3), eigs))
     # The O(N) shift-invert path agrees with eig_banded to rounding.
-    checks += [abs(op.eigenpair(k, eigs[k])[0] - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0) for k in range(4)]
+    ref = scipy.linalg.eig_banded(op.bands, lower=False, eigvals_only=True, select="i", select_range=(0, 3))
+    checks += [abs(eigs[k] - ref[k]) <= 1e-12 * max(abs(ref[k]), 1.0) for k in range(4)]
 print(json.dumps({"same_routines": same, "one_module": one_module, "eig_banded_matches": bool(all(checks))}))
+"""
+
+
+# Every library call that reaches the oracle, partner_eigenvalues included,
+# loads scipy's LAPACK extension and never the scipy.linalg package.
+NO_SCIPY_LINALG_PROBE = """
+import json, sys
+import kg_hierarchy as kg
+
+a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+cfg = kg.OracleConfig(n_points=2000)
+levels = kg.solve_level(a, 0)
+E = [lv.E for lv in levels if lv.E.real > 0][0]
+kg.partner_eigenvalues(a, E, cfg, k_max=3)
+assert kg.compare(a, levels, cfg).ok
+print(json.dumps([name in sys.modules for name in ("scipy.linalg._flapack", "scipy.linalg")]))
 """
 
 
@@ -310,6 +340,11 @@ class TestScipyOnlyForVerify:
         assert error == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
         assert proc.stderr.splitlines() == ["error: No module named 'scipy'; the finite-difference verifier needs scipy"]
         assert not out.exists()
+
+    def test_library_never_loads_scipy_linalg(self):
+        proc = run_python_fresh("-c", NO_SCIPY_LINALG_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True, False]
 
     def test_scipy_linalg_reuses_the_loaded_lapack(self):
         # A second load of the extension, or a scipy layout in which

@@ -9,7 +9,7 @@ from kg_hierarchy import OracleConfig, PotentialParams, oracle
 from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
 from kg_hierarchy.oracle import BandedOperator, _interior_grid, _pole_wall_rows, assemble_bands, discretize
 
-from conftest import SET_A, SET_B, SET_C, params
+from conftest import SET_A, SET_B, SET_C, eig_banded_reference, params
 
 # q = 3 puts the left wall on the deformation pole.
 SET_D = dict(V0=0.3, S0=0.5, lam=0.25, q=3.0, m=1.0)
@@ -28,6 +28,10 @@ class TestDiscretize:
             OracleConfig(fd_order=3)
         with pytest.raises(ValueError):
             OracleConfig(x_max=1.0).resolve(params(SET_A))  # below 10/lam
+        # The pole ln(q)/lam = 207.2 lies past the default x_max = 40/lam = 200;
+        # the box used to be built backwards, with h < 0.
+        with pytest.raises(ValueError, match="deformation pole"):
+            discretize(params(dict(SET_A, q=1e18)), 0.5, OracleConfig(n_points=100))
 
     def test_box_ground_state(self):
         # V = 0: lowest eigenvalue of the Dirichlet box is (pi/L)^2.
@@ -139,7 +143,7 @@ class TestPoleWallClosure:
 
 
 class TestShiftInvertKernel:
-    """count_below and eigenpair against the full banded reduction (eig_banded)."""
+    """count_below, eigenpair and eigenvalues against the full banded reduction (eig_banded)."""
 
     K = 5
 
@@ -151,7 +155,9 @@ class TestShiftInvertKernel:
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
     def test_count_below_matches_eigenvalues(self, base, fd):
         op = self.operator(base, fd)
-        eigs = op.eigenvalues(self.K)
+        eigs, _ = eig_banded_reference(op, self.K)
+        # The eigenvalues ladder of certified eigenpairs agrees to rounding.
+        assert np.all(np.abs(op.eigenvalues(self.K) - eigs) <= 1e-12 * np.maximum(np.abs(eigs), 1.0))
         shifts = [eigs[0] - 1.0, -1e6]
         # Offsets of 1e-11 * max(|lambda_j|, m^2) stay well above eps*|A|; 1e-11
         # of a near-threshold eigenvalue (~5e-4) would not, and there either
@@ -165,7 +171,7 @@ class TestShiftInvertKernel:
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
     def test_eigenpair_from_any_gap(self, base, fd, monkeypatch):
         op = self.operator(base, fd)
-        eigs, vecs = scipy.linalg.eig_banded(op.bands, lower=False, select="i", select_range=(0, self.K))
+        eigs, vecs = eig_banded_reference(op, self.K)
         shifts = [eigs[0] - 1.0, *(0.5 * (eigs[:-1] + eigs[1:])), eigs[-1]]
         calls = []
         ritz = BandedOperator._ritz
@@ -197,7 +203,7 @@ class TestShiftInvertKernel:
         # A Ritz value with residual r has an eigenvalue within r, so once
         # count_below(theta - tol) == k the upper count cannot fail.
         op = self.operator(SET_B, 4)
-        eigs = op.eigenvalues(self.K)
+        eigs, _ = eig_banded_reference(op, self.K)
         calls = []
         orig = BandedOperator.count_below
 
@@ -216,16 +222,19 @@ class TestShiftInvertKernel:
         # s equal to the leading diagonal entry zeroes the first pivot.
         op = box_operator(10.0, 100, 4)
         s = float(op.bands[2, 0])
-        assert op.count_below(s) == int(np.sum(op.eigenvalues(99) < s))
+        assert op.count_below(s) == int(np.sum(eig_banded_reference(op, 99)[0] < s))
 
     def test_compare_never_calls_eig_banded(self, set_b, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eig_banded is O(N^2); the oracle solve must not call it")
 
         monkeypatch.setattr(scipy.linalg, "eig_banded", refuse)
-        report = kg.compare(set_b, kg.solve_level(set_b, 0), OracleConfig(n_points=2000))
+        levels = kg.solve_level(set_b, 0)
+        report = kg.compare(set_b, levels, OracleConfig(n_points=2000))
         assert report.ok
         assert [r.E_oracle is not None for r in report.rows] == [False, True]
+        eigs1, eigs2 = kg.partner_eigenvalues(set_b, levels[1].E, OracleConfig(n_points=2000), k_max=3)
+        assert eigs1.size == eigs2.size == 4
 
 
 class TestSolveSelfConsistent:
