@@ -2,8 +2,8 @@
 
 Configuration is a flat key=value file with # comments.  Recognized keys:
 V0, S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values,
-oracle.x_max, oracle.n_points, oracle.fd_order.  All quantities are in natural
-units.  spectrum, wavefunction and sweep write one table each: CSV with Re/Im
+oracle.x_max, oracle.n_points.  All quantities are in natural units.
+spectrum, wavefunction and sweep write one table each: CSV with Re/Im
 column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
 header; identical configs give byte-identical files.  verify writes text only.
 Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
@@ -28,14 +28,14 @@ import numpy as np
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, make_superpotential, riccati_check
-from .oracle import OracleConfig, compare
+from .oracle import REL_TOL, OracleConfig, compare
 from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum, spectrum_batch
 from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
-_ORACLE_KEYS = ("oracle.x_max", "oracle.n_points", "oracle.fd_order")
+_ORACLE_KEYS = ("oracle.x_max", "oracle.n_points")
 _OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", *_ORACLE_KEYS}
 _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
 # Output chunks joined per write: one write per chunk is slow on an unbuffered stdout.
@@ -114,7 +114,7 @@ def _convert(key: str, value: str) -> object:
         if not parts:
             raise ValueError("sweep_values must be a nonempty comma-separated list")
         return tuple(float(s) for s in parts)
-    if key in ("n_max", "oracle.n_points", "oracle.fd_order"):
+    if key in ("n_max", "oracle.n_points"):
         return int(value)
     return float(value)
 
@@ -244,7 +244,7 @@ def run_verify(cfg: RunConfig) -> int:
         out.append("%d,%.17g,%.17g,%.17g,%.17g,%s" % (lv.n, lv.E.real, lv.E.imag, res, scale, ok))
     if p.branch is Branch.HERMITIAN:
         report = compare(p, levels, cfg.oracle_cfg)
-        out.append(f"Oracle comparison (relative tolerance {report.rel_tol:g}):")
+        out.append(f"Oracle comparison (relative tolerance {REL_TOL:g}):")
         out.append("n,E_analytic,E_oracle,abs_diff,rel_diff,grid_convergence_est,skipped")
         for row in report.rows:
             if row.skipped:
@@ -273,7 +273,7 @@ def run_wavefunction(cfg: RunConfig) -> int:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
         w = make_superpotential(p, lv.E, lv.n)
-        psi = ground_state_from_W(w, x, hermitian=p.branch is Branch.HERMITIAN)
+        psi = ground_state_from_W(w, x)
         samples.extend(
             (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
         )

@@ -213,11 +213,10 @@ def riccati_check(
     E: complex,
     n: int,
     x: ArrayLike,
-    tol: float = RICCATI_TOL,
     *,
     mu_perturbation: complex = 0.0,
 ) -> tuple[float, float, bool]:
-    """(residual, scale, ok) with ok meaning residual < tol * scale.
+    """(residual, scale, ok) with ok meaning residual < RICCATI_TOL * scale.
 
     The scale is 1 + the sup of the magnitudes actually entering the identity
     (|W_n|^2, |W_n'| and the chain potential), so the check stays meaningful
@@ -235,7 +234,7 @@ def riccati_check(
     res = float(np.max(np.abs((wv * wv - wd) - (chain + mu * mu))))
     aw = np.abs(wv)
     scale = 1.0 + float(np.max(aw * aw + np.abs(wd) + np.abs(chain)))
-    return res, scale, res < tol * scale
+    return res, scale, res < RICCATI_TOL * scale
 
 
 def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunction:

@@ -53,7 +53,7 @@ from .hierarchy import make_superpotential, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
-DEFAULT_REL_TOL = 1e-3
+REL_TOL = 1e-3
 # Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration
 # budget; a start ends after MAX_STALLED iterations in a row that do not halve it,
 # unless it stops halving within OUTER_SLACK rounding floors eps*|A|.
@@ -83,19 +83,16 @@ class OracleConfig:
     """Discretization controls.
 
     x_max defaults to 40/lam at resolution time and must lie right of the
-    deformation pole; n_points is the number of interior grid points; fd_order
-    selects the 3-point or 5-point stencil.
+    deformation pole; n_points is the number of interior grid points of the
+    5-point stencil.
     """
 
     x_max: float | None = None
     n_points: int = 4000
-    fd_order: int = 4
 
     def __post_init__(self) -> None:
         if self.n_points < 64:
             raise ValueError("n_points must be >= 64")
-        if self.fd_order not in (2, 4):
-            raise ValueError("fd_order must be 2 or 4")
 
     def resolve(self, p: PotentialParams) -> "OracleConfig":
         x_max = self.x_max if self.x_max is not None else 40.0 / p.lam
@@ -161,11 +158,19 @@ def _lapack():
 
 @dataclass(frozen=True)
 class BandedOperator:
-    """Symmetric banded form of -d2/dx2 + v(x) with Dirichlet walls."""
+    """Symmetric banded form of -d2/dx2 + v(x) with Dirichlet walls.
+
+    bands holds the 5-point stencil, 3 x n; any other shape is a ValueError.
+    """
 
     bands: np.ndarray = field(repr=False)  # LAPACK upper-banded storage
     x: np.ndarray = field(repr=False)  # interior points
     h: float
+
+    def __post_init__(self) -> None:
+        # count_below reads the pentadiagonal LDL^T recurrence; other storage would count wrong.
+        if self.bands.shape != (3, self.x.size):
+            raise ValueError(f"bands must be 3 x {self.x.size} (5-point stencil), got {self.bands.shape}")
 
     @property
     def n(self) -> int:
@@ -205,24 +210,23 @@ class BandedOperator:
             d_j = A[j, j] - s - l1^2 d_{j-1} - l2^2 d_{j-2}
             L[j+1, j] = (b - L[j+1, j-1] l1 d_{j-1}) / d_j,   L[j+2, j] = c / d_j
 
-        The 3-point stencil is the case c = 0.  An exact zero pivot means s is
-        an eigenvalue of a leading block; s is then nudged down by one ulp.  A
-        count of 0 (A - s*I positive definite) is settled first by LAPACK's
-        banded Cholesky, pbtrf, which is several times faster than this loop.
+        An exact zero pivot means s is an eigenvalue of a leading block; s is
+        then nudged down by one ulp.  A count of 0 (A - s*I positive definite)
+        is settled first by LAPACK's banded Cholesky, pbtrf, which is several
+        times faster than this loop.
         """
         shifted = self.bands.copy()
         shifted[-1] -= s
         if _lapack().dpbtrf(shifted, overwrite_ab=True)[1] == 0:
             return 0
-        u = self.bands.shape[0] - 1
-        sub1 = self.bands[u - 1, 1:].tolist() + [0.0]
-        sub2 = self.bands[0, 2:].tolist() + [0.0, 0.0] if u == 2 else [0.0] * self.n
+        sub1 = self.bands[1, 1:].tolist() + [0.0]
+        sub2 = self.bands[0, 2:].tolist() + [0.0, 0.0]
         while True:
             neg = 0
             d1 = d2 = 1.0
             l1 = l2 = l1_next = 0.0
             try:
-                for a, b, c in zip((self.bands[u] - s).tolist(), sub1, sub2):
+                for a, b, c in zip((self.bands[2] - s).tolist(), sub1, sub2):
                     d = a - l1 * l1 * d1 - l2 * l2 * d2
                     if d < 0.0:
                         neg += 1
@@ -441,10 +445,10 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
     return (l_h - f2) / (h * h * f[2:-2])
 
 
-def assemble_bands(v: np.ndarray, h: float, fd_order: int, wall_rows: np.ndarray | None = None) -> np.ndarray:
-    """Upper-banded stencil for -d2/dx2 + diag(v) with Dirichlet boundaries.
+def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None) -> np.ndarray:
+    """Upper-banded 5-point stencil for -d2/dx2 + diag(v) with Dirichlet boundaries.
 
-    The 5-point scheme eliminates the ghost point behind each wall with the
+    The scheme eliminates the ghost point behind each wall with the
     singularity-aware reflection of :func:`_ghost_factor`, or, at the left wall,
     adds the diagonal corrections wall_rows (:func:`_pole_wall_rows`) to the
     first rows instead.  Only diagonal entries are touched, so the matrix stays
@@ -455,11 +459,6 @@ def assemble_bands(v: np.ndarray, h: float, fd_order: int, wall_rows: np.ndarray
     """
     n = v.size
     inv_h2 = 1.0 / (h * h)
-    if fd_order == 2:
-        bands = np.zeros((2, n))
-        bands[0, 1:] = -inv_h2
-        bands[1] = 2.0 * inv_h2 + v
-        return bands
     bands = np.zeros((3, n))
     bands[0, 2:] = inv_h2 / 12.0
     bands[1, 1:] = -16.0 * inv_h2 / 12.0
@@ -483,8 +482,8 @@ def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperato
     if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
         raise ValueError("effective potential is not real on the Hermitian branch")
     at_pole = _left_wall(p, cfg)[1]
-    wall_rows = _pole_wall_rows(p, E, h) if at_pole and cfg.fd_order == 4 else None
-    return BandedOperator(bands=assemble_bands(v.real, h, cfg.fd_order, wall_rows), x=x, h=h)
+    wall_rows = _pole_wall_rows(p, E, h) if at_pole else None
+    return BandedOperator(bands=assemble_bands(v.real, h, wall_rows), x=x, h=h)
 
 
 @dataclass(frozen=True)
@@ -573,8 +572,8 @@ def _rayleigh_functional_run(
         )
     fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))
     eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec), False)[0]
-    factor = 2.0**cfg.fd_order
-    est = abs(eps - eps_fine) * factor / (factor - 1.0)
+    # Richardson for an h^4 error: halving h divides it by 2^4 = 16.
+    est = abs(eps - eps_fine) * 16.0 / 15.0
     vec = op._polish(op._general_band(), eps, vec)
     psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))
     return OracleResult(
@@ -600,7 +599,6 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareReport:
     rows: list[CompareRow]
-    rel_tol: float
 
     @property
     def worst_rel_diff(self) -> float:
@@ -609,16 +607,15 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        return self.worst_rel_diff < self.rel_tol
+        return self.worst_rel_diff < REL_TOL
 
 
 def compare(
     p: PotentialParams,
     levels: list[EnergyLevel],
     cfg: OracleConfig | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> CompareReport:
-    """Per-level table of analytic vs self-consistent discretized energies.
+    """Per-level table of analytic vs self-consistent discretized energies; ok below REL_TOL.
 
     Each analytic root seeds its own Rayleigh-functional iteration (the
     convergence criterion is still the oracle's own); roots with Re(mu) <= 0
@@ -645,7 +642,7 @@ def compare(
                 grid_convergence_est=res.grid_convergence_est,
             )
         )
-    return CompareReport(rows=rows, rel_tol=rel_tol)
+    return CompareReport(rows=rows)
 
 
 def partner_eigenvalues(
@@ -663,6 +660,6 @@ def partner_eigenvalues(
     cfg = (cfg or OracleConfig()).resolve(p)
     x, h = _interior_grid(p, cfg)
     v1, v2 = (v.values.real for v in partner_potentials(make_superpotential(p, E, 0), x))
-    op1 = BandedOperator(assemble_bands(v1, h, cfg.fd_order), x, h)
-    op2 = BandedOperator(assemble_bands(v2, h, cfg.fd_order), x, h)
+    op1 = BandedOperator(assemble_bands(v1, h), x, h)
+    op2 = BandedOperator(assemble_bands(v2, h), x, h)
     return op1.eigenvalues(k_max), op2.eigenvalues(k_max)

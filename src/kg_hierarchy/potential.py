@@ -132,13 +132,11 @@ class PotentialParams:
             return math.pi / self.lam
         return None
 
-    def domain_start(self, delta: float | None = None) -> float:
-        """Left edge for grid work: max(0, pole) plus a small standoff (default 1e-6/lam)."""
-        if delta is None:
-            delta = 1e-6 / self.lam
+    def domain_start(self) -> float:
+        """Left edge for grid work: max(0, pole) plus a standoff of 1e-6/lam."""
         pole = self.pole_position
         base = 0.0 if pole is None else max(0.0, pole)
-        return base + delta
+        return base + 1e-6 / self.lam
 
 
 class GammaPair(NamedTuple):
@@ -174,16 +172,24 @@ def deformation_kernel(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex
     return _collapse(k)
 
 
-def screened_ratio(q: float, lambda_eff: complex, x: ArrayLike) -> np.ndarray:
-    """u(x) = k/(1 - q*k) with k = exp(-lambda_eff*x); raises DomainError on the pole."""
+def kernel_and_base(q: float, lambda_eff: complex, x: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """k = exp(-lambda_eff*x) and the deformation base 1 - q*k, as complex arrays.
+
+    The one pole check: DomainError where |1 - q*k| < POLE_TOL.
+    """
     k = np.exp(-lambda_eff * np.asarray(x, dtype=np.complex128))
-    denom = 1.0 - q * k
-    bad = np.abs(denom) < POLE_TOL
-    if np.any(bad):
+    base = 1.0 - q * k
+    if np.any(np.abs(base) < POLE_TOL):
         raise DomainError(
             "evaluation point within pole tolerance of 1 - q*exp(-lambda_eff*x) = 0"
         )
-    return k / denom
+    return k, base
+
+
+def screened_ratio(q: float, lambda_eff: complex, x: ArrayLike) -> np.ndarray:
+    """u(x) = k/(1 - q*k) with k = exp(-lambda_eff*x); raises DomainError on the pole."""
+    k, base = kernel_and_base(q, lambda_eff, x)
+    return k / base
 
 
 def vector_potential(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:

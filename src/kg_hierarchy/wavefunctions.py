@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DomainError, NonNormalizableError
+from .errors import NonNormalizableError
 from .grid import GridFunction, uniform_grid
 from .hierarchy import HierarchyLevel, Superpotential
-from .potential import POLE_TOL, PotentialParams
+from .potential import PotentialParams, kernel_and_base
 
 # Serialized next to wavefunction output: records the normalization rule and the
 # generative form actually evaluated.
@@ -26,19 +26,16 @@ WAVEFORM_NOTE = (
     "psi(x) = N * (1 - q*exp(-lambda_eff*x))**(nu/(q*lambda_eff)) * exp(-mu*x); "
     "normalization: grid L2 (Hermitian) or max-modulus (complex branches)"
 )
+# node_count ignores samples below this fraction of the largest modulus.
+NODE_FLOOR = 1e-12
 
 
 def _log_psi(nu: complex, mu: complex, lambda_eff: complex, q: float, x: np.ndarray) -> np.ndarray:
-    k = np.exp(-lambda_eff * x.astype(np.complex128))
-    base = 1.0 - q * k
-    if np.any(np.abs(base) < POLE_TOL):
-        raise DomainError("wavefunction evaluated at a deformation pole")
+    base = kernel_and_base(q, lambda_eff, x)[1]
     return (nu / (q * lambda_eff)) * np.log(base) - mu * x
 
 
-def ground_state_from_W(
-    w: Superpotential, x: ArrayLike, *, hermitian: bool | None = None
-) -> GridFunction:
+def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
     """exp(-integral W) on a uniform grid, normalized; ValueError on any other grid.
 
     Uses the closed-form antiderivative integral(W) = mu*x - (nu/(q*lambda_eff)) *
@@ -50,8 +47,7 @@ def ground_state_from_W(
     """
     xa = uniform_grid(x)
     dx = float(xa[1] - xa[0])
-    if hermitian is None:
-        hermitian = w.lambda_eff.imag == 0.0
+    hermitian = w.lambda_eff.imag == 0.0
     if hermitian and w.mu.real <= 0.0:
         raise NonNormalizableError(
             f"Re(mu) = {w.mu.real:g} <= 0: exp(-mu*x) does not decay; no bound ground state"
@@ -80,15 +76,12 @@ def closed_form_psi(
     used by :func:`ground_state_from_W`; the two must agree pointwise.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float)).astype(np.complex128)
-    k = np.exp(-p.lambda_eff * xa)
-    base = 1.0 - p.q * k
-    if np.any(np.abs(base) < POLE_TOL):
-        raise DomainError("wavefunction evaluated at a deformation pole")
+    base = kernel_and_base(p.q, p.lambda_eff, xa)[1]
     vals = np.power(base, lvl.nu / (p.q * p.lambda_eff)) * np.exp(-lvl.mu * xa)
     return complex(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
-def node_count(f: GridFunction, *, rel_floor: float = 1e-12) -> int:
+def node_count(f: GridFunction) -> int:
     """Strict sign changes of a real-valued grid function, ignoring near-zero samples."""
     vals = f.values
     vmax = float(np.max(np.abs(vals)))
@@ -97,6 +90,6 @@ def node_count(f: GridFunction, *, rel_floor: float = 1e-12) -> int:
     if np.max(np.abs(vals.imag)) > 1e-9 * vmax:
         raise ValueError("node counting expects real-valued samples")
     real = vals.real
-    keep = np.abs(real) >= rel_floor * vmax
+    keep = np.abs(real) >= NODE_FLOOR * vmax
     signs = np.sign(real[keep])
     return int(np.sum(signs[:-1] * signs[1:] < 0))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import kg_hierarchy
-from kg_hierarchy.cli import main, parse_config
+from kg_hierarchy.cli import build_parser, build_run_config, main, parse_config
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 SET_A_CFG = DATA / "set_a.cfg"
 GOLDEN_A = DATA / "golden_spectrum_set_a.csv"
@@ -59,6 +61,16 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, "V0 = 0\nV0 = 1\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\n")
         with pytest.raises(Exception, match="duplicate"):
             parse_config(cfg)
+
+    def test_readme_config_example(self, tmp_path):
+        # The fenced example in README.md is a valid sweep configuration.
+        block = re.search(r"`#` comments:\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg_path = write_cfg(tmp_path, block)
+        raw = parse_config(cfg_path)
+        assert raw["_params"] == kg_hierarchy.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+        cfg = build_run_config(build_parser().parse_args(["sweep", "--config", cfg_path]))
+        assert cfg.oracle_cfg == kg_hierarchy.OracleConfig(x_max=200.0, n_points=4000)
+        assert (cfg.n_max, cfg.sweep_key, cfg.sweep_values) == (8, "q", (0.5, 0.75, 1.0, 1.25, 1.5))
 
 
 class TestSpectrumCommand:
@@ -140,7 +152,8 @@ class TestConfigErrorExit:
         "command,overrides,extra,fragment",
         [
             ("verify", {"oracle.n_points": "32"}, (), "n_points"),
-            ("verify", {"oracle.fd_order": "3"}, (), "fd_order"),
+            # The stencil is fixed; its old key is unknown.
+            ("verify", {"oracle.fd_order": "4"}, (), "unknown key 'oracle.fd_order'"),
             ("verify", {"oracle.x_max": "1"}, (), "x_max"),
             # The deformation pole ln(q)/lambda = 51.54 lies right of x_max.
             ("verify", {"S0": "1000", "q": "3e4", "oracle.x_max": "50", "oracle.n_points": "500"}, (), "pole"),
@@ -272,7 +285,7 @@ x, h = _interior_grid(a, cfg)
 checks = []
 for v, eigs in zip(kg.partner_potentials(kg.make_superpotential(a, E, 0), x), (eigs1, eigs2)):
     # Fresh operators, the same certified eigenpairs: bit-identical.
-    op = BandedOperator(assemble_bands(v.values.real, h, cfg.fd_order), x, h)
+    op = BandedOperator(assemble_bands(v.values.real, h), x, h)
     checks.append(np.array_equal(op.eigenvalues(3), eigs))
     # The O(N) shift-invert path agrees with eig_banded to rounding.
     ref = scipy.linalg.eig_banded(op.bands, lower=False, eigvals_only=True, select="i", select_range=(0, 3))

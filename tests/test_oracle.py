@@ -13,19 +13,19 @@ from conftest import SET_A, SET_B, SET_C, eig_banded_reference, params
 
 # q = 3 puts the left wall on the deformation pole.
 SET_D = dict(V0=0.3, S0=0.5, lam=0.25, q=3.0, m=1.0)
+# Test ids that end in "4" name the order of the 5-point stencil.
+SET_IDS = ["A-4", "B-4", "C-4", "D-4"]
 
 
-def box_operator(length: float, n: int, fd: int) -> BandedOperator:
+def box_operator(length: float, n: int) -> BandedOperator:
     h = length / (n + 1)
-    return BandedOperator(assemble_bands(np.zeros(n), h, fd), h * np.arange(1, n + 1), h)
+    return BandedOperator(assemble_bands(np.zeros(n), h), h * np.arange(1, n + 1), h)
 
 
 class TestDiscretize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(n_points=32)
-        with pytest.raises(ValueError):
-            OracleConfig(fd_order=3)
         with pytest.raises(ValueError):
             OracleConfig(x_max=1.0).resolve(params(SET_A))  # below 10/lam
         # The pole ln(q)/lam = 207.2 lies past the default x_max = 40/lam = 200;
@@ -35,20 +35,31 @@ class TestDiscretize:
 
     def test_box_ground_state(self):
         # V = 0: lowest eigenvalue of the Dirichlet box is (pi/L)^2.
-        op = box_operator(50.0, 1000, 4)
+        op = box_operator(50.0, 1000)
         assert op.eigenvalues(0)[0] == pytest.approx((np.pi / 50.0) ** 2, rel=1e-8)
 
-    @pytest.mark.parametrize("fd", [2, 4])
-    def test_matrix_symmetric_exactly(self, fd, set_a):
-        op = discretize(set_a, 0.5, OracleConfig(n_points=300, fd_order=fd))
+    @pytest.mark.parametrize("E", [0.5], ids=["4"])
+    def test_matrix_symmetric_exactly(self, E, set_a):
+        # to_dense mirrors the upper bands, so dense == dense.T holds for any
+        # bands; each interior row must be the symmetric stencil itself.
+        op = discretize(set_a, E, OracleConfig(n_points=300))
+        inv_h2 = 1.0 / (op.h * op.h)
+        stencil = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) * inv_h2 / 12.0
+        v = np.asarray(kg.effective_potential(set_a, complex(E), op.x)).real
         dense = op.to_dense()
-        assert np.array_equal(dense, dense.T)
+        for j in range(2, op.n - 2):
+            row = np.zeros(op.n)
+            row[j - 2 : j + 3] = stencil
+            row[j] += v[j]
+            assert np.array_equal(dense[j], row), j
+        w = np.random.default_rng(0).standard_normal(op.n)
+        np.testing.assert_allclose(dense @ w, op.matvec(w), rtol=0, atol=1e-13 * op.norm)
 
-    @pytest.mark.parametrize("fd,lo,hi", [(2, 1.7, 2.3), (4, 3.6, 4.4)])
-    def test_order_of_accuracy(self, fd, lo, hi):
+    @pytest.mark.parametrize("lo,hi", [(3.6, 4.4)], ids=["4-3.6-4.4"])
+    def test_order_of_accuracy(self, lo, hi):
         # Grid-refinement study on the third box level.
         exact = (3.0 * np.pi / 6.0) ** 2
-        errs = [abs(box_operator(6.0, n, fd).eigenvalues(2)[2] - exact) for n in (48, 96, 192)]
+        errs = [abs(box_operator(6.0, n).eigenvalues(2)[2] - exact) for n in (48, 96, 192)]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(lo < o < hi for o in orders)
 
@@ -77,6 +88,18 @@ class TestDiscretize:
         assert op.x[0] < 0.0
         assert op.x[0] > np.log(0.8) / 0.25
 
+    def test_wall_at_minus_x_max_without_pole(self):
+        # q < 0: no pole; the potential flattens to a plateau on the left, and
+        # the box spans [-x_max, x_max].
+        p = params(dict(SET_A, q=-0.5))
+        cfg = OracleConfig().resolve(p)
+        op = discretize(p, 0.5, cfg)
+        assert op.x[0] == -cfg.x_max + op.h
+        report = kg.compare(p, kg.spectrum(p, 8), cfg)
+        assert report.ok
+        assert all(row.E_oracle is not None for row in report.rows)
+        assert report.worst_rel_diff < 1e-6
+
 
 class TestPoleWallClosure:
     """Rows next to a left wall on the pole, where V_eff ~ A/t^2 + B/t."""
@@ -104,8 +127,12 @@ class TestPoleWallClosure:
         expected = -f2(t[:3]) + v * f(t[:3])
         # Rounding of a row is eps times its largest term, 30/(12 h^2) * f.
         assert np.all(np.abs(applied - expected) <= 1e-12 * f(t[:3]) / op.h**2)
-        dense = op.to_dense()
-        assert np.array_equal(dense, dense.T)
+        # Only the diagonal of the first three rows differs from the ghost closure.
+        v = np.asarray(kg.effective_potential(p, complex(E), op.x)).real
+        plain = assemble_bands(v, op.h)
+        assert np.array_equal(op.bands[:2], plain[:2])
+        assert np.array_equal(op.bands[2, 3:], plain[2, 3:])
+        assert np.all(op.bands[2, :3] != plain[2, :3])
 
     def test_s_equal_one_is_the_ghost_factor_with_exact_b(self):
         # Gamma1 = 0 (set B): the first row's correction is the ghost reflection
@@ -129,7 +156,7 @@ class TestPoleWallClosure:
         x, h = _interior_grid(p, cfg.resolve(p))
         for E in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.99):
             v = np.asarray(kg.effective_potential(p, E, x)).real
-            assert np.array_equal(discretize(p, E, cfg).bands, assemble_bands(v, h, 4)) is not corrected, E
+            assert np.array_equal(discretize(p, E, cfg).bands, assemble_bands(v, h)) is not corrected, E
 
     @pytest.mark.parametrize("base,n_points,tol", [(SET_D, 1000, 2e-4), (SET_B, 4000, 3e-5)], ids="DB")
     def test_level_zero_accuracy(self, base, n_points, tol):
@@ -148,13 +175,12 @@ class TestShiftInvertKernel:
     K = 5
 
     @staticmethod
-    def operator(base: dict, fd: int) -> BandedOperator:
-        return discretize(params(base), 0.3, OracleConfig(n_points=600, fd_order=fd))
+    def operator(base: dict) -> BandedOperator:
+        return discretize(params(base), 0.3, OracleConfig(n_points=600))
 
-    @pytest.mark.parametrize("fd", [2, 4])
-    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
-    def test_count_below_matches_eigenvalues(self, base, fd):
-        op = self.operator(base, fd)
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
+    def test_count_below_matches_eigenvalues(self, base):
+        op = self.operator(base)
         eigs, _ = eig_banded_reference(op, self.K)
         # The eigenvalues ladder of certified eigenpairs agrees to rounding.
         assert np.all(np.abs(op.eigenvalues(self.K) - eigs) <= 1e-12 * np.maximum(np.abs(eigs), 1.0))
@@ -167,10 +193,9 @@ class TestShiftInvertKernel:
         for s in shifts:
             assert op.count_below(s) == int(np.sum(eigs < s)), s
 
-    @pytest.mark.parametrize("fd", [2, 4])
-    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
-    def test_eigenpair_from_any_gap(self, base, fd, monkeypatch):
-        op = self.operator(base, fd)
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
+    def test_eigenpair_from_any_gap(self, base, monkeypatch):
+        op = self.operator(base)
         eigs, vecs = eig_banded_reference(op, self.K)
         shifts = [eigs[0] - 1.0, *(0.5 * (eigs[:-1] + eigs[1:])), eigs[-1]]
         calls = []
@@ -202,7 +227,7 @@ class TestShiftInvertKernel:
     def test_certified_eigenpair_takes_one_count(self, monkeypatch):
         # A Ritz value with residual r has an eigenvalue within r, so once
         # count_below(theta - tol) == k the upper count cannot fail.
-        op = self.operator(SET_B, 4)
+        op = self.operator(SET_B)
         eigs, _ = eig_banded_reference(op, self.K)
         calls = []
         orig = BandedOperator.count_below
@@ -220,9 +245,17 @@ class TestShiftInvertKernel:
 
     def test_count_survives_exact_zero_pivot(self):
         # s equal to the leading diagonal entry zeroes the first pivot.
-        op = box_operator(10.0, 100, 4)
+        op = box_operator(10.0, 100)
         s = float(op.bands[2, 0])
         assert op.count_below(s) == int(np.sum(eig_banded_reference(op, 99)[0] < s))
+
+    def test_operator_takes_only_the_five_point_stencil(self):
+        # count_below reads three bands; tridiagonal storage would count wrong.
+        x = np.arange(1.0, 101.0)
+        with pytest.raises(ValueError, match="3 x 100"):
+            BandedOperator(np.ones((2, 100)), x, 1.0)
+        with pytest.raises(ValueError, match="3 x 100"):
+            BandedOperator(np.ones((3, 99)), x, 1.0)
 
     def test_compare_never_calls_eig_banded(self, set_b, monkeypatch):
         def refuse(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 
 import kg_hierarchy as kg
 from kg_hierarchy import Branch, GridFunction, HierarchyLevel, Superpotential
-from kg_hierarchy.errors import NonNormalizableError
+from kg_hierarchy.errors import DomainError, NonNormalizableError
 
 from conftest import SET_A, SET_C, params
 
@@ -125,7 +125,7 @@ class TestRouteEquivalence:
             period = 2 * np.pi / p.lam
             x = np.linspace(0.05 * period, 0.95 * period, 900)
         hermitian = branch is Branch.HERMITIAN and lvl.mu.real > 0
-        psi_w = kg.ground_state_from_W(w, x, hermitian=hermitian)
+        psi_w = kg.ground_state_from_W(w, x)
         raw = np.asarray(kg.closed_form_psi(p, lvl, x))
         if hermitian:
             ref = raw / (np.sqrt(np.sum(np.abs(raw) ** 2) * (x[1] - x[0])))
@@ -150,6 +150,16 @@ class TestRouteEquivalence:
         psi = np.asarray(kg.closed_form_psi(p, lvl_imag, x))
         base = np.asarray(kg.closed_form_psi(p, kg.HierarchyLevel(n=0, nu=0.5 + 0.1j, mu=0.0), x))
         np.testing.assert_allclose(np.abs(psi), np.abs(base), rtol=1e-12)
+
+    def test_grid_through_the_pole_raises(self):
+        # q = 2: 1 - q*exp(-lam*x) vanishes at ln(2)/lam, the middle grid point.
+        p = params(dict(SET_A, q=2.0))
+        x = np.log(2.0) / p.lam + np.linspace(-1.0, 1.0, 33)
+        w = Superpotential(nu=1.5, mu=0.3, lambda_eff=p.lambda_eff, q=p.q)
+        with pytest.raises(DomainError, match="pole"):
+            kg.ground_state_from_W(w, x)
+        with pytest.raises(DomainError, match="pole"):
+            kg.closed_form_psi(p, HierarchyLevel(n=0, nu=1.5, mu=0.3), x)
 
     def test_boundary_value_finite_for_nonnegative_exponent(self, set_c):
         lv = solved_level(set_c)
