@@ -191,23 +191,6 @@ def hierarchy_potential(p: PotentialParams, E: complex, n: int, x: ArrayLike) ->
     return wv * wv + wd - w_prev.mu * w_prev.mu  # eps_{n-1} = -mu_{n-1}^2
 
 
-def riccati_residual(
-    p: PotentialParams,
-    E: complex,
-    n: int,
-    x: ArrayLike,
-    *,
-    mu_perturbation: complex = 0.0,
-) -> float:
-    """Sup-norm defect of W_n^2 - W_n' = V(n) - eps_n over the given grid.
-
-    The alternating pairing is used: level n's (W^2 - W') is compared against the
-    chain potential built from level n-1's (W^2 + W').  mu_perturbation offsets
-    mu_n before the check (sensitivity hook used by the verify command).
-    """
-    return riccati_check(p, E, n, x, mu_perturbation=mu_perturbation)[0]
-
-
 def riccati_check(
     p: PotentialParams,
     E: complex,
@@ -217,6 +200,11 @@ def riccati_check(
     mu_perturbation: complex = 0.0,
 ) -> tuple[float, float, bool]:
     """(residual, scale, ok) with ok meaning residual < RICCATI_TOL * scale.
+
+    The residual is the sup-norm defect of W_n^2 - W_n' = V(n) - eps_n over the
+    grid: level n's (W^2 - W') against the chain potential built from level
+    n-1's (W^2 + W').  mu_perturbation offsets mu_n first (the sensitivity hook
+    of verify --perturb-mu).
 
     The scale is 1 + the sup of the magnitudes actually entering the identity
     (|W_n|^2, |W_n'| and the chain potential), so the check stays meaningful

@@ -13,10 +13,10 @@ once, is a ladder of these certified eigenpairs.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
 ch. 4), so the self-consistent solve warm-starts each eigensolve from the last
-eigenvector, and cleans only the vector it returns; a cold eigensolve starts
-from the fixed vector sin(j*phi), phi the golden angle.  u(x) = k/(1 - q*k) is
-computed once per grid: only Gamma2(E) in V_eff = Gamma1*u^2 - Gamma2(E)*u
-depends on E.
+Ritz vector, and cleans (BandedOperator.polish) only the vector it returns; a
+cold eigensolve starts from the fixed vector sin(j*phi), phi the golden angle.
+u(x) = k/(1 - q*k) is computed once per grid: only Gamma2(E) in
+V_eff = Gamma1*u^2 - Gamma2(E)*u depends on E.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
@@ -158,9 +158,11 @@ def _lapack():
 
 @dataclass(frozen=True)
 class BandedOperator:
-    """Symmetric banded form of -d2/dx2 + v(x) with Dirichlet walls.
+    """Symmetric pentadiagonal form of -d2/dx2 + v(x) with Dirichlet walls.
 
-    bands holds the 5-point stencil, 3 x n; any other shape is a ValueError.
+    bands holds the 5-point stencil, 3 x n: bands[0, j] = A[j-2, j],
+    bands[1, j] = A[j-1, j] and bands[2, j] = A[j, j]; any other shape is a
+    ValueError.
     """
 
     bands: np.ndarray = field(repr=False)  # LAPACK upper-banded storage
@@ -179,13 +181,24 @@ class BandedOperator:
     @functools.cached_property
     def norm(self) -> float:
         """Infinity norm of A, the scale of its eigenvalues' rounding."""
-        u = self.bands.shape[0] - 1
+        upper2, upper1 = np.abs(self.bands[0, 2:]), np.abs(self.bands[1, 1:])
         radius = np.zeros(self.n)
-        for r in range(u):
-            d = u - r
-            radius[:-d] += np.abs(self.bands[r, d:])
-            radius[d:] += np.abs(self.bands[r, d:])
-        return float(np.max(np.abs(self.bands[u]) + radius))
+        radius[:-2] += upper2
+        radius[2:] += upper2
+        radius[:-1] += upper1
+        radius[1:] += upper1
+        return float(np.max(np.abs(self.bands[2]) + radius))
+
+    @functools.cached_property
+    def _lu_band(self) -> np.ndarray:
+        """A in LAPACK gbtrf band form, 7 x n: two rows of fill-in space, the two
+        superdiagonals, the diagonal and the two subdiagonals.  _factor rewrites
+        the diagonal row with that of A - sigma I before each factorization."""
+        ab = np.zeros((7, self.n))
+        ab[2:5] = self.bands
+        ab[5, :-1] = self.bands[1, 1:]
+        ab[6, :-2] = self.bands[0, 2:]
+        return ab
 
     def eigenvalues(self, k_max: int) -> np.ndarray:
         """The k_max + 1 lowest eigenvalues, each a certified eigenpair, in O(N) each.
@@ -196,7 +209,7 @@ class BandedOperator:
         eigs = []
         shift = -self.norm
         for k in range(k_max + 1):
-            eigs.append(self.eigenpair(k, shift, clean=False)[0])
+            eigs.append(self.eigenpair(k, shift)[0])
             shift = 2.0 * eigs[-1] - eigs[-2] if k else eigs[-1]
         return np.array(eigs)
 
@@ -238,9 +251,7 @@ class BandedOperator:
                 continue
             return neg
 
-    def eigenpair(
-        self, k: int, shift: float, start: np.ndarray | None = None, clean: bool = True
-    ) -> tuple[float, np.ndarray]:
+    def eigenpair(self, k: int, shift: float, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """k-th eigenpair (k = 0 lowest) by shift-invert iteration from shift, in O(N).
 
         Inverse iteration at the shift, then Rayleigh-quotient iteration, gives a
@@ -253,15 +264,15 @@ class BandedOperator:
         it holds lambda_k alone, and the iteration restarts from its midpoint.
 
         The first round starts from start (a warm start) or else, like every
-        restart, from sin(j*phi), phi the golden angle.  With clean, two more
-        inverse-iteration sweeps at theta clean the eigenvector (_polish).
+        restart, from sin(j*phi), phi the golden angle.  The vector returned is
+        the Ritz vector v, accurate to the residual floor; polish(theta, v)
+        cleans it when its shape, not just theta, is wanted.
         """
         n = self.n
         if not 0 <= k < n:
             raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
         if not math.isfinite(shift):
             raise ValueError(f"shift must be finite, got {shift}")
-        ab = self._general_band()
         anorm = self.norm
         floor = RITZ_FLOOR * EPS * anorm
         # Bracket with count_below(lo) = below_lo <= k < below_hi = count_below(hi).
@@ -270,7 +281,7 @@ class BandedOperator:
         for _ in range(MAX_ROUNDS):
             if start is None:
                 start = np.sin(START_ANGLE * np.arange(1.0, n + 1.0))
-            theta, v, res = self._ritz(ab, sigma, start, floor)
+            theta, v, res = self._ritz(sigma, start, floor)
             tol = res + COUNT_SLACK * EPS * anorm
             if res <= floor and lo - tol <= theta <= hi + tol:
                 # Some eigenvalue lies within res of theta, so count_below(theta + tol)
@@ -278,7 +289,7 @@ class BandedOperator:
                 below = self.count_below(theta - tol)
                 upto = self.count_below(theta + tol) if below < k else below + 1
                 if below <= k < upto:
-                    return theta, self._polish(ab, theta, v) if clean else v
+                    return theta, v
                 if below > k and theta - tol < hi:
                     hi, below_hi = theta - tol, below
                 elif upto <= k and theta + tol > lo:
@@ -311,13 +322,13 @@ class BandedOperator:
             f"(bracket [{lo:.17g}, {hi:.17g}])"
         )
 
-    def _ritz(self, ab: np.ndarray, sigma: float, v: np.ndarray, floor: float) -> tuple[float, np.ndarray, float]:
+    def _ritz(self, sigma: float, v: np.ndarray, floor: float) -> tuple[float, np.ndarray, float]:
         """Two inverse-iteration steps at sigma, then Rayleigh-quotient steps.
 
         Stops when the residual |A v - theta v| reaches floor; returns (theta, v, residual).
         The two steps at sigma share one factorization.
         """
-        factors = self._factor(ab, sigma)
+        factors = self._factor(sigma)
         for step in range(MAX_RITZ_STEPS):
             v = self._solve(factors, v)
             av = self.matvec(v)
@@ -327,63 +338,51 @@ class BandedOperator:
                 break
             if step >= 1:
                 sigma = theta
-                factors = self._factor(ab, sigma)
+                factors = self._factor(sigma)
         return theta, v, res
 
-    def _general_band(self) -> np.ndarray:
-        """A in LAPACK gbtrf band form: u rows of fill-in space, then the u
-        superdiagonals, the diagonal and the u subdiagonals."""
-        u = self.bands.shape[0] - 1
-        ab = np.zeros((3 * u + 1, self.n))
-        ab[u : 2 * u + 1] = self.bands
-        for r in range(u):
-            d = u - r
-            ab[2 * u + d, :-d] = self.bands[r, d:]
-        return ab
-
-    def _polish(self, ab: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray:
-        """Two inverse-iteration sweeps at theta from one factorization; largest entry made positive."""
-        factors = self._factor(ab, theta)
+    def polish(self, theta: float, v: np.ndarray) -> np.ndarray:
+        """Eigenvector v of theta cleaned by two inverse-iteration sweeps at theta
+        from one factorization; unit norm, largest entry made positive."""
+        factors = self._factor(theta)
         for _ in range(2):
             v = self._solve(factors, v)
         return v * (np.sign(v[np.argmax(np.abs(v))]) or 1.0)
 
-    def _factor(self, ab: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    def _factor(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Banded LU of A - sigma I (LAPACK gbtrf); sigma moves up by one ulp off an exactly singular shift."""
-        u = self.bands.shape[0] - 1
+        ab = self._lu_band
         while True:
-            ab[2 * u] = self.bands[u] - sigma
-            lu, piv, info = _lapack().dgbtrf(ab, u, u)
+            ab[4] = self.bands[2] - sigma
+            lu, piv, info = _lapack().dgbtrf(ab, 2, 2)
             if info == 0:
                 return lu, piv
             sigma = math.nextafter(sigma, math.inf)
 
     def _solve(self, factors: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
         """Normalized (A - sigma I)^-1 v from the factors of A - sigma I."""
-        u = self.bands.shape[0] - 1
         lu, piv = factors
-        w, _ = _lapack().dgbtrs(lu, u, u, v, piv)
+        w, _ = _lapack().dgbtrs(lu, 2, 2, v, piv)
         return w / np.linalg.norm(w)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A @ v from the banded storage."""
-        u = self.bands.shape[0] - 1
-        y = self.bands[u] * v
-        for r in range(u):
-            d = u - r
-            y[:-d] += self.bands[r, d:] * v[d:]
-            y[d:] += self.bands[r, d:] * v[:-d]
+        upper2, upper1 = self.bands[0, 2:], self.bands[1, 1:]
+        y = self.bands[2] * v
+        y[:-2] += upper2 * v[2:]
+        y[2:] += upper2 * v[:-2]
+        y[:-1] += upper1 * v[1:]
+        y[1:] += upper1 * v[:-1]
         return y
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        u = self.bands.shape[0] - 1
-        for r in range(u + 1):
-            offset = u - r
-            diag = self.bands[r, offset:]
-            a += np.diag(diag, k=offset)
-            if offset:
-                a += np.diag(diag, k=-offset)
+        """A as a dense n x n array."""
+        upper2, upper1 = self.bands[0, 2:], self.bands[1, 1:]
+        a = np.diag(self.bands[2])
+        a += np.diag(upper1, 1)
+        a += np.diag(upper1, -1)
+        a += np.diag(upper2, 2)
+        a += np.diag(upper2, -2)
         return a
 
 
@@ -543,7 +542,7 @@ def _rayleigh_functional_run(
     best, stalled, vec = math.inf, 0, None
     for iters in range(1, MAX_OUTER + 1):
         op = discretize(p, E, cfg)
-        eps, vec = op.eigenpair(k, E * E - p.m * p.m, vec, False)
+        eps, vec = op.eigenpair(k, E * E - p.m * p.m, vec)
         g = eps - (E * E - p.m * p.m)
         floor, halved = EPS * op.norm, abs(g) <= 0.5 * best
         if abs(g) <= floor or (not halved and abs(g) <= OUTER_SLACK * floor):
@@ -571,10 +570,10 @@ def _rayleigh_functional_run(
             f"self-consistency defect {abs(g):.3e} exceeds {OUTER_TOL:g} after convergence"
         )
     fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))
-    eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec), False)[0]
+    eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec))[0]
     # Richardson for an h^4 error: halving h divides it by 2^4 = 16.
     est = abs(eps - eps_fine) * 16.0 / 15.0
-    vec = op._polish(op._general_band(), eps, vec)
+    vec = op.polish(eps, vec)
     psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))
     return OracleResult(
         E=float(E),

@@ -66,6 +66,10 @@ class PotentialParams:
     branch: Branch = Branch.HERMITIAN
 
     def __post_init__(self) -> None:
+        # A str such as "Hermitian" is no Branch: every `is Branch.HERMITIAN` test
+        # would fail, and the parameters would be solved as a complex branch.
+        if not isinstance(self.branch, Branch):
+            raise ParameterError("branch", f"branch must be a Branch, got {self.branch!r}")
         for name in ("V0", "S0", "VI", "lam", "q", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(name, f"{name} must be finite, got {getattr(self, name)}")

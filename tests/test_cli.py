@@ -385,6 +385,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--perturb-mu", "1e-3"]) == 1
         assert "verify: FAIL" in capsys.readouterr().out
 
+    def test_non_normalizable_root_is_a_skipped_row(self, tmp_path, capsys):
+        # Set B's level 0 has a root with Re(mu) <= 0 and no discretized
+        # counterpart: its oracle row is empty, and it does not fail verify.
+        p = kg_hierarchy.PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
+        flag = kg_hierarchy.LevelFlag.NORMALIZABLE_MU_POSITIVE
+        (root,) = [lv for lv in kg_hierarchy.solve_level(p, 0) if flag not in lv.flags]
+        cfg = write_cfg(tmp_path, "V0 = 0.25\nS0 = 0.25\nlambda = 0.2\nq = 1\nm = 1\nn_max = 0\noracle.n_points = 2000\n")
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "0,%.17g,,,,,non-normalizable (Re mu <= 0)" % root.E.real in out
+        assert out[-1] == "verify: PASS"
+
     def test_pt_branch_skips_oracle(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nbranch = PTSymmetric\nn_max = 2\n")
         assert main(["verify", "--config", cfg]) == 0

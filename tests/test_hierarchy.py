@@ -156,7 +156,7 @@ class TestRiccatiResidual:
         # Away from the deformation pole the raw sup-norm defect is tiny.
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
         x = np.linspace(1.0, 40.0, 1500)
-        assert kg.riccati_residual(set_a, E, 0, x) < 1e-10
+        assert kg.riccati_check(set_a, E, 0, x)[0] < 1e-10
 
     @pytest.mark.parametrize("branch,vi", [(Branch.HERMITIAN, 0.0), (Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1)])
     def test_scaled_identity_every_level(self, branch, vi):
@@ -178,7 +178,7 @@ class TestRiccatiResidual:
         x = hermitian_grid(set_a)
         res, scale, ok = kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)
         assert not ok
-        assert kg.riccati_residual(set_a, E, 0, x, mu_perturbation=1e-3) > 1e-4
+        assert kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)[0] > 1e-4
 
 
 class TestApplyLadder:

@@ -194,6 +194,15 @@ class TestShiftInvertKernel:
             assert op.count_below(s) == int(np.sum(eigs < s)), s
 
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
+    def test_norm_is_the_dense_infinity_norm(self, base):
+        # Every row counts, the wall rows too: set A's largest row sum is its
+        # ghost-closed first row, and set D's first rows carry the pole-wall
+        # corrections.
+        op = self.operator(base)
+        dense = np.abs(op.to_dense()).sum(1).max()
+        assert abs(op.norm - dense) <= 1e-15 * dense
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
     def test_eigenpair_from_any_gap(self, base, monkeypatch):
         op = self.operator(base)
         eigs, vecs = eig_banded_reference(op, self.K)
@@ -216,6 +225,7 @@ class TestShiftInvertKernel:
                     # eps*|A| absolutely, and lambda_3 of set A is -7.8e-4.
                     assert abs(lam - eigs[k]) <= 1e-12 * max(abs(eigs[k]), 1.0), (k, shift)
                     assert np.linalg.norm(op.matvec(vec) - lam * vec) < 1e-9
+                    vec = op.polish(lam, vec)
                     assert kg.node_count(kg.GridFunction(float(op.x[0]), op.h, vec.astype(complex))) == k
                 cold += rounds[0] * (len(rounds) - 1)
                 warm += sum(rounds[1:])

@@ -70,6 +70,14 @@ class TestConstruction:
         assert len(lines) == 1 and "Gamma2" in lines[0]
         assert lines[0].startswith(f"{script}:4: ")
 
+    def test_branch_must_be_a_branch(self):
+        # The value string of Branch.HERMITIAN used to pass and be solved as a
+        # complex branch (lambda_eff = 0.2j).
+        for branch in ("Hermitian", None):
+            with pytest.raises(kg.ParameterError, match="branch must be a Branch") as info:
+                PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0, branch=branch)
+            assert info.value.param == "branch"
+
     def test_underflowing_hierarchy_step_rejected(self):
         with pytest.raises(kg.ParameterError, match="underflows") as info:
             PotentialParams(V0=0.0, S0=1.0, lam=1e-200, q=1e-200, m=1.0)

@@ -29,3 +29,28 @@ def test_one_spectrum_command(tmp_path):
     (fake / "cli.py").write_text(f"import sys\n\ndef main():\n    sys.stdout.write({moved!r})\n    return 0\n")
     (line,) = same_output.differing(tmp_path / "fake", spectrum, tmp_path)
     assert line.endswith(f": stdout differ (largest relative change 0.001, stdout line 3: {out[2]})")
+
+
+def test_refine_study(tmp_path):
+    # The two runs time their ladders differently; with the wall times removed
+    # this tree's study matches itself.
+    assert same_output.refine_differs(ROOT, tmp_path) is None
+    # A tree whose oracle roots move by a relative 1e-12 is reported: it runs
+    # this package with compare wrapped.
+    real = ROOT / "src" / "kg_hierarchy"
+    fake = tmp_path / "fake" / "src" / "kg_hierarchy"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text(
+        f"__path__ = [{str(real)!r}]\n"
+        f"exec(open({str(real / '__init__.py')!r}).read())\n"
+        "import dataclasses\n"
+        "_compare = compare\n\n"
+        "def compare(*args):\n"
+        "    report = _compare(*args)\n"
+        "    moved = lambda e: None if e is None else e * (1.0 + 1e-12)\n"
+        "    rows = [dataclasses.replace(r, E_oracle=moved(r.E_oracle)) for r in report.rows]\n"
+        "    return dataclasses.replace(report, rows=rows)\n"
+    )
+    line = same_output.refine_differs(tmp_path / "fake", tmp_path)
+    assert line.startswith("perfbench/refine.py --spec refine_1/refine.json: stdout differ ")
+    assert "(largest relative change 1e-12, stdout line 1: " in line

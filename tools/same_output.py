@@ -8,11 +8,15 @@ and `analytic` benchmark workloads with perfbench/inputs.py and takes every
 command they list, plus a `--format json` run of each `sweep` and
 `wavefunction` command.  Each command runs in a fresh interpreter, once with
 this tree's src/ and once with OTHER_TREE's src/, and every command whose exit
-code, stdout or stderr bytes differ is printed.  When stdout differs, the line
-also gives the largest relative change of a numeric field and the stdout line
-(this tree's, numbered from 1) where it occurs: lines are paired in order and
-the numbers of a line by position.  Inputs go to a temporary directory;
-perfbench/ is only read.  Exit code 0 when no command differs, 1 otherwise.
+code, stdout or stderr bytes differ is printed.  The `refine` workload's
+grid-refinement study, this tree's perfbench/refine.py on the spec that
+perfbench/inputs.py writes, runs the same way on both trees' src/; its JSON is
+compared with the ladders' wall times (`seconds`) removed.  When stdout
+differs, the line also gives the largest relative change of a numeric field and
+the stdout line (this tree's, numbered from 1) where it occurs: lines are
+paired in order and the numbers of a line by position.  Inputs go to a
+temporary directory; perfbench/ is only read.  Exit code 0 when no command
+differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,9 +32,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 LAUNCH = "import sys; from kg_hierarchy.cli import main; sys.exit(main())"
 WORKLOADS = ("verify", "analytic")
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def inputs(workload: str, seed: int, work: Path) -> list[dict]:
+    """The operations perfbench/inputs.py lists for a workload, with its inputs written under work."""
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "inputs.py"),
+         "--workload", workload, "--seed", str(seed), "--out", f"{workload}_{seed}"],
+        capture_output=True, text=True, cwd=work, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def commands(seeds: list[int], work: Path) -> list[list[str]]:
@@ -38,24 +53,38 @@ def commands(seeds: list[int], work: Path) -> list[list[str]]:
     argvs = []
     for seed in seeds:
         for workload in WORKLOADS:
-            proc = subprocess.run(
-                [sys.executable, "-B", str(ROOT / "perfbench" / "inputs.py"),
-                 "--workload", workload, "--seed", str(seed), "--out", f"{workload}_{seed}"],
-                capture_output=True, text=True, cwd=work, check=True,
-            )
-            for op in json.loads(proc.stdout):
+            for op in inputs(workload, seed, work):
                 argvs.append(op["argv"])
                 if op["kind"] in ("sweep", "wavefunction"):
                     argvs.append([*op["argv"], "--format", "json"])
     return argvs
 
 
+def _env(tree: Path) -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+
+
 def run(tree: Path, argv: list[str], work: Path) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of one CLI command on tree's sources."""
-    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], capture_output=True, env=env, cwd=work)
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], capture_output=True, env=_env(tree), cwd=work)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_refine(tree: Path, spec: str, work: Path) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of perfbench/refine.py on tree's sources.
+
+    On success stdout is the study's JSON without the ladders' wall times.
+    """
+    argv = [sys.executable, str(PERFBENCH / "refine.py"), "--spec", spec]
+    proc = subprocess.run(argv, capture_output=True, env=_env(tree), cwd=work)
+    out = proc.stdout
+    if proc.returncode == 0:
+        result = json.loads(out)
+        for ladder in result["sets"]:
+            del ladder["seconds"]
+        out = json.dumps(result).encode() + b"\n"
+    return proc.returncode, out, proc.stderr
 
 
 def largest_change(mine: bytes, theirs: bytes) -> tuple[float, int, str] | None:
@@ -76,19 +105,33 @@ def largest_change(mine: bytes, theirs: bytes) -> tuple[float, int, str] | None:
     return worst
 
 
+def difference(label: str, mine: tuple[int, bytes, bytes], theirs: tuple[int, bytes, bytes]) -> str | None:
+    """The line for a command whose exit code, stdout and stderr on the two trees differ; None if none does."""
+    fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), mine, theirs) if a != b]
+    if not fields:
+        return None
+    line = f"{label}: {', '.join(fields)} differ"
+    change = largest_change(mine[1], theirs[1])
+    if change is not None:
+        line += " (largest relative change %.2g, stdout line %d: %s)" % change
+    return line
+
+
 def differing(other: Path, argvs: list[list[str]], work: Path) -> list[str]:
     """One line per command whose output on this tree and on other differs."""
     lines = []
     for argv in argvs:
-        mine, theirs = run(ROOT, argv, work), run(other, argv, work)
-        fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), mine, theirs) if a != b]
-        if fields:
-            line = f"{' '.join(argv)}: {', '.join(fields)} differ"
-            change = largest_change(mine[1], theirs[1])
-            if change is not None:
-                line += " (largest relative change %.2g, stdout line %d: %s)" % change
+        line = difference(" ".join(argv), run(ROOT, argv, work), run(other, argv, work))
+        if line is not None:
             lines.append(line)
     return lines
+
+
+def refine_differs(other: Path, work: Path) -> str | None:
+    """The line for the refine study if its result on this tree and on other differs."""
+    (op,) = inputs("refine", 1, work)  # the refine spec is the same for every seed
+    label = f"perfbench/refine.py --spec {op['spec']}"
+    return difference(label, run_refine(ROOT, op["spec"], work), run_refine(other, op["spec"], work))
 
 
 def main() -> int:
@@ -103,9 +146,12 @@ def main() -> int:
         work = Path(tmp)
         argvs = commands(seeds, work)
         lines = differing(args.other.resolve(), argvs, work)
+        refine = refine_differs(args.other.resolve(), work)
+        if refine is not None:
+            lines.append(refine)
     for line in lines:
         print(line)
-    print(f"{len(lines)} of {len(argvs)} commands differ")
+    print(f"{len(lines)} of {len(argvs) + 1} commands differ")
     return 1 if lines else 0
 
 
