@@ -32,10 +32,11 @@ beyond the comparison tolerance.  For q < 0 there is no pole (the potential
 flattens to a plateau on the left) and the wall is pushed to -x_max.
 
 Wall closure: near the pole V_eff ~ A/t^2 + B/t and the bound solution starts
-as t^s, with s(s - 1) = A.  For s < 5/2 the first rows of the 5-point stencil
-get diagonal corrections from the local solution t^s (1 + beta*t)
-(_pole_wall_rows); elsewhere a ghost-point reflection closes the stencil
-(_ghost_factor).  assemble_bands gives the observed orders.
+as t^s, with s(s - 1) = A.  For s < 5/2 up to three rows next to the pole get
+diagonal corrections from the local solution t^s (1 + beta*t)
+(_pole_wall_rows); every other wall uses the odd reflection psi(-h) = -psi(h).
+The closure depends on the parameters and the grid, never on E.
+assemble_bands gives the observed orders.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
-from .hierarchy import make_superpotential, partner_potentials
+from .hierarchy import level_coefficients, make_superpotential, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
@@ -71,8 +72,8 @@ MAX_RITZ_STEPS = 8
 MAX_ROUNDS = 64
 # A cold eigensolve starts from sin(j*phi), phi the golden angle: fixed and generic.
 START_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# Pole-wall closure: the number of rows next to the wall that it corrects, and
-# the wall exponent from which the plain ghost closure is already below the
+# Pole-wall closure: the most rows next to the wall that it corrects, and the
+# wall exponent from which the plain odd reflection is already below the
 # stencil's h^4 (the wall error is of order h^(2s - 1)).
 POLE_WALL_ROWS = 3
 POLE_WALL_MAX_S = 2.5
@@ -386,27 +387,8 @@ class BandedOperator:
         return a
 
 
-def _ghost_factor(v_near: np.ndarray, h: float) -> float:
-    """Ghost-point closure coefficient for the 5-point stencil at a Dirichlet wall.
-
-    A Dirichlet eigenfunction obeys psi'' = (V - eps) psi, so at a wall where the
-    potential behaves like A/t^2 + B/t the smooth continuation satisfies
-    psi(-h) = psi(h) * (-1 + B*h/(1 + B*h/2)) + O(h^4).  B is extracted from the
-    first two potential samples (y_i = t_i V(t_i) = A/t_i + B; the A/t part
-    cancels exactly), so the closure stays potential agnostic.  For a regular
-    wall B -> V-slope terms of order h and the factor reduces to the plain odd
-    reflection -1.  The sampled B is off by O(h), which costs one order at a
-    pole wall; there, for s < 5/2, :func:`_pole_wall_rows` takes its place.
-    """
-    b_tilde = h * (4.0 * v_near[1] - v_near[0])
-    bh = b_tilde * h
-    if abs(bh) > 1.0:
-        return -1.0
-    return -1.0 + bh / (1.0 + 0.5 * bh)
-
-
 def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None:
-    """Diagonal corrections for the first POLE_WALL_ROWS rows when the left wall is the pole.
+    """Diagonal corrections for the first rows when the left wall is the pole.
 
     With t = x - ln(q)/lam, V_eff = A/t^2 + B/t + O(1) near the pole, where
     A = Gamma1/(q*lam)^2 and B = -(Gamma1/q + Gamma2(E))/(q*lam), and the
@@ -415,14 +397,16 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
     wall and on the ghost point behind it, computes L_h f instead of f''; the
     correction delta_j = (L_h f - f'')(t_j) / f(t_j) makes the row reproduce
     (-f'' + V_eff f)(t_j).  Only the diagonal changes, so the matrix stays
-    symmetric.  At s = 1 (Gamma1 = 0) delta_1 is the ghost factor
-    (-1 + beta*h)/(1 + beta*h) with the exact B, and delta_2 = delta_3 = 0.
+    symmetric.  At s = 1 (Gamma1 = 0) delta_1 is the ghost reflection
+    (-1 + beta*h)/(1 + beta*h) with the exact B, and later rows need none.
 
-    None where the ghost closure is kept: s not real, s >= POLE_WALL_MAX_S, or
-    a grid too coarse for the two-term expansion, where 1 + beta*t_3 > 0 can
-    fail for some |E| <= m.  That test bounds |Gamma2(E)| by 2m(|S0| + |V0|),
-    so it does not depend on E: a closure that switched on and off as E moves
-    would make eps_k(E) jump, and the self-consistent iteration could stall.
+    The rows corrected are the most, up to POLE_WALL_ROWS, for which
+    1 + beta*t_j > 0 holds for every |E| <= m; that test bounds |Gamma2(E)| by
+    2m(|S0| + |V0|), so the number of rows depends on the grid and not on E: a
+    closure that switched as E moves would make eps_k(E) jump, and the
+    self-consistent iteration could stall.  None where no row is corrected and
+    the plain odd reflection is kept: s not real, s >= POLE_WALL_MAX_S, or a
+    grid too coarse for even the first row.
     """
     qlam = p.q * p.lam
     g1 = p.gamma1.real
@@ -431,12 +415,15 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
         return None
     s = 0.5 + math.sqrt(0.25 + a)
     b_max = abs(g1 / p.q) + 2.0 * p.m * (abs(p.S0) + abs(p.V0))
-    if s >= POLE_WALL_MAX_S or b_max / (qlam * 2.0 * s) * POLE_WALL_ROWS * h >= 1.0:
+    rows = POLE_WALL_ROWS
+    while rows > 0 and b_max / (qlam * 2.0 * s) * rows * h >= 1.0:
+        rows -= 1
+    if s >= POLE_WALL_MAX_S or rows == 0:
         return None
     # complex(E), as in discretize, so a Gamma2 warning is not repeated.
     beta = -(g1 / p.q + gamma2(p, complex(E)).real) / (qlam * 2.0 * s)
-    # f(i*h)/h^s on the stencil points i = -1 (ghost), 0 (wall), 1, ..., ROWS + 2.
-    i = np.arange(-1.0, POLE_WALL_ROWS + 3.0)
+    # f(i*h)/h^s on the stencil points i = -1 (ghost), 0 (wall), 1, ..., rows + 2.
+    i = np.arange(-1.0, rows + 3.0)
     f = np.where(i > 0.0, np.abs(i) ** s * (1.0 + beta * i * h), 0.0)
     l_h = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / 12.0
     j = i[2:-2]
@@ -447,14 +434,14 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
 def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None) -> np.ndarray:
     """Upper-banded 5-point stencil for -d2/dx2 + diag(v) with Dirichlet boundaries.
 
-    The scheme eliminates the ghost point behind each wall with the
-    singularity-aware reflection of :func:`_ghost_factor`, or, at the left wall,
-    adds the diagonal corrections wall_rows (:func:`_pole_wall_rows`) to the
-    first rows instead.  Only diagonal entries are touched, so the matrix stays
-    symmetric.  Observed level-0 orders: 4 at a regular wall and at a pole
-    wall with a 1/t term and no 1/t^2 term (s = 1); about 2s - 1 with an A/t^2
-    term and s < 5/2.  At V0 = 0.3, S0 = 0.5, lam = 0.25, q = 3 (s = 1.23) the
-    error at 1000-8000 points is about 100 times below the ghost closure's.
+    The ghost point behind each wall is eliminated by the odd reflection
+    psi(-h) = -psi(h), or, at the left wall, the diagonal corrections wall_rows
+    (:func:`_pole_wall_rows`) are added to the first rows instead.  Only
+    diagonal entries are touched, so the matrix stays symmetric.  Observed
+    level-0 orders: 4 at a regular wall and at a pole wall with a 1/t term and
+    no 1/t^2 term (s = 1); about 2s - 1 with an A/t^2 term and s < 5/2.  At
+    V0 = 0.3, S0 = 0.5, lam = 0.25, q = 3 (s = 1.23) the error at 1000-8000
+    points is about 100 times below that of the plain reflection.
     """
     n = v.size
     inv_h2 = 1.0 / (h * h)
@@ -463,10 +450,10 @@ def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None)
     bands[1, 1:] = -16.0 * inv_h2 / 12.0
     bands[2] = 30.0 * inv_h2 / 12.0 + v
     if wall_rows is None:
-        bands[2, 0] += _ghost_factor(v[:2], h) * inv_h2 / 12.0
+        bands[2, 0] -= inv_h2 / 12.0
     else:
         bands[2, : wall_rows.size] += wall_rows
-    bands[2, -1] += _ghost_factor(v[[-1, -2]], h) * inv_h2 / 12.0
+    bands[2, -1] -= inv_h2 / 12.0
     return bands
 
 
@@ -514,7 +501,7 @@ def solve_selfconsistent(
     so the answer does not depend on the start.  Each eigenpair warm-starts
     from the previous v; only the returned v is cleaned.  V_eff is affine in E,
     so the slope diagonal is the difference of two discretizations, once per
-    solve; the E-dependent wall-closure rows perturb it, not the fixed point.
+    solve; the pole-wall rows, not affine in E, perturb it, not the fixed point.
     The Richardson estimate takes the eigenvalue on 2N points, shifted at the
     converged eps and started from v interpolated onto that grid.  With no seed
     the iteration starts from E = +m/2, then -m/2 (an iterate may leave (-m, m)
@@ -609,6 +596,20 @@ class CompareReport:
         return self.worst_rel_diff < REL_TOL
 
 
+def skip_reason(p: PotentialParams, lv: EnergyLevel) -> str:
+    """Why an analytic root has no discretized counterpart, or "" when it has one.
+
+    Such a root's closed-form solution does not decay: Re(mu) <= 0 on the
+    right, or, for q < 0, where psi ~ exp(-(rho_n/q + mu)*x) as x -> -inf,
+    Re(rho_n/q + mu) >= 0 on the left.
+    """
+    if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
+        return "non-normalizable (Re mu <= 0)"
+    if p.q < 0.0 and (level_coefficients(p, lv.n)[0] / p.q + lv.mu).real >= 0.0:
+        return "non-normalizable left tail (Re(rho/q + mu) >= 0)"
+    return ""
+
+
 def compare(
     p: PotentialParams,
     levels: list[EnergyLevel],
@@ -617,17 +618,14 @@ def compare(
     """Per-level table of analytic vs self-consistent discretized energies; ok below REL_TOL.
 
     Each analytic root seeds its own Rayleigh-functional iteration (the
-    convergence criterion is still the oracle's own); roots with Re(mu) <= 0
-    describe non-normalizable solutions with no discretized counterpart and are
-    reported as skipped.
+    convergence criterion is still the oracle's own); a root with a
+    skip_reason is reported as skipped.
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     rows: list[CompareRow] = []
     for lv in levels:
-        if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
-            rows.append(
-                CompareRow(lv.n, lv.E, None, None, None, None, skipped="non-normalizable (Re mu <= 0)")
-            )
+        if skipped := skip_reason(p, lv):
+            rows.append(CompareRow(lv.n, lv.E, None, None, None, None, skipped=skipped))
             continue
         res = solve_selfconsistent(p, lv.n, cfg, seed=float(lv.E.real))
         diff = abs(lv.E - res.E)

@@ -397,6 +397,20 @@ class TestVerifyCommand:
         assert "0,%.17g,,,,,non-normalizable (Re mu <= 0)" % root.E.real in out
         assert out[-1] == "verify: PASS"
 
+    def test_growing_left_tail_is_a_skipped_row(self, tmp_path, capsys):
+        # q < 0 has no pole: psi ~ exp(-(rho/q + mu)*x) as x -> -inf, so this
+        # root with Re(mu) > 0 still has a growing left tail.  Seeding the oracle
+        # with it gave "converged level 0 is not bound" and exit 1.
+        cfg = write_cfg(
+            tmp_path,
+            "V0 = 0.26638178622744524\nS0 = 0.2472432017163806\nlambda = 0.3322145028902941\n"
+            "q = -0.7008212909761293\nm = 1\n",
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "0,-0.990820849344757,,,,,non-normalizable left tail (Re(rho/q + mu) >= 0)" in out
+        assert out[-1] == "verify: PASS"
+
     def test_pt_branch_skips_oracle(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nbranch = PTSymmetric\nn_max = 2\n")
         assert main(["verify", "--config", cfg]) == 0

@@ -127,7 +127,7 @@ class TestPoleWallClosure:
         expected = -f2(t[:3]) + v * f(t[:3])
         # Rounding of a row is eps times its largest term, 30/(12 h^2) * f.
         assert np.all(np.abs(applied - expected) <= 1e-12 * f(t[:3]) / op.h**2)
-        # Only the diagonal of the first three rows differs from the ghost closure.
+        # Only the diagonal of the first three rows differs from the plain reflection.
         v = np.asarray(kg.effective_potential(p, complex(E), op.x)).real
         plain = assemble_bands(v, op.h)
         assert np.array_equal(op.bands[:2], plain[:2])
@@ -144,19 +144,42 @@ class TestPoleWallClosure:
         assert np.all(np.abs(rows[1:]) < 1e-12)
 
     @pytest.mark.parametrize(
-        "base,n_points,corrected",
-        [(SET_A, 1000, False), (SET_C, 1000, False), (SET_B, 1000, False), (SET_B, 4000, True), (SET_D, 1000, True)],
-        ids=["A", "C", "B-coarse", "B", "D"],
+        "base,n_points,rows",
+        [
+            (SET_A, 1000, 0),
+            (SET_C, 1000, 0),
+            (dict(SET_A, q=-0.5), 1000, 0),
+            (SET_B, 400, 0),
+            (SET_B, 1000, 2),
+            (SET_B, 4000, 3),
+            (SET_D, 400, 2),
+            (SET_D, 1000, 3),
+        ],
+        ids=["A", "C", "A-q-negative", "B-400", "B-coarse", "B", "D-400", "D"],
     )
-    def test_closure_is_chosen_for_every_energy_at_once(self, base, n_points, corrected):
-        # A (s = 5.52) and C (s = 2.56) keep the ghost closure bit for bit: their
-        # wall error h^(2s-1) is below h^4.  B at 1000 points is too coarse for
-        # the expansion.  The choice must not switch as E moves.
-        p, cfg = params(base), OracleConfig(n_points=n_points)
-        x, h = _interior_grid(p, cfg.resolve(p))
+    def test_closure_is_chosen_for_every_energy_at_once(self, base, n_points, rows):
+        # A (s = 5.52) and C (s = 2.56) keep the plain reflection: their wall
+        # error h^(2s-1) is below h^4; for q < 0 the left wall is -x_max.  B
+        # (s = 1, 1 + beta*t > 0 on t <= rows*h for every |E| <= m) gets no row
+        # at 400 points, two at 1000 and three at 4000; at s = 1 only the first
+        # carries a correction above rounding.  The choice must not switch as E
+        # moves, and every wall without rows is the odd reflection, diagonal
+        # (30 - 1)/(12 h^2) + v.
+        p = params(base)
+        cfg = OracleConfig(n_points=n_points).resolve(p)
+        x, h = _interior_grid(p, cfg)
+        stencil = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) * (1.0 / (h * h)) / 12.0
         for E in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.99):
             v = np.asarray(kg.effective_potential(p, E, x)).real
-            assert np.array_equal(discretize(p, E, cfg).bands, assemble_bands(v, h)) is not corrected, E
+            bands, plain = discretize(p, E, cfg).bands, assemble_bands(v, h)
+            wall_rows = _pole_wall_rows(p, E, h) if oracle._left_wall(p, cfg)[1] else None
+            assert (0 if wall_rows is None else wall_rows.size) == rows, E
+            assert np.array_equal(bands[:2], plain[:2])
+            assert np.array_equal(bands[2, rows:], plain[2, rows:]), E
+            assert rows == 0 or bands[2, 0] != plain[2, 0], E
+            reflected = stencil[2] + v - stencil[0]
+            assert bands[2, -1] == reflected[-1], E
+            assert rows > 0 or bands[2, 0] == reflected[0], E
 
     @pytest.mark.parametrize("base,n_points,tol", [(SET_D, 1000, 2e-4), (SET_B, 4000, 3e-5)], ids="DB")
     def test_level_zero_accuracy(self, base, n_points, tol):
@@ -196,8 +219,8 @@ class TestShiftInvertKernel:
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
     def test_norm_is_the_dense_infinity_norm(self, base):
         # Every row counts, the wall rows too: set A's largest row sum is its
-        # ghost-closed first row, and set D's first rows carry the pole-wall
-        # corrections.
+        # first row, closed by the odd reflection next to the pole, and set D's
+        # first rows carry the pole-wall corrections.
         op = self.operator(base)
         dense = np.abs(op.to_dense()).sum(1).max()
         assert abs(op.norm - dense) <= 1e-15 * dense
@@ -329,19 +352,42 @@ class TestSolveSelfConsistent:
         assert seeded.outer_iters <= 4
 
     def test_no_real_root_raises(self, monkeypatch):
-        # Strong vector coupling with no real level (Gamma1 = -0.8): the +m/2
-        # start wanders without settling, the -m/2 start meets a local model
-        # with no real root, and neither start may end in a math domain error.
-        # The wandering start has |g| near 3e-2 after 5 steps and stays there;
-        # it ends once |g| has not halved for MAX_STALLED steps, not after
-        # MAX_OUTER = 100 eigenpairs.
+        # Strong vector coupling with no real level (Gamma1 = -0.8): both the
+        # +m/2 and the -m/2 start wander past E = -m without settling, and
+        # neither may end in a math domain error.  Each stops halving |g| near
+        # 7e-2 to 9e-2 and ends once |g| has not halved for MAX_STALLED steps
+        # (13 eigenpairs for both starts), not after MAX_OUTER = 100.
         p = params(dict(V0=0.9, S0=0.1, lam=1.0, q=1.0, m=1.0))
         calls = []
         eigenpair = BandedOperator.eigenpair
         monkeypatch.setattr(BandedOperator, "eigenpair", lambda op, *a: calls.append(a) or eigenpair(op, *a))
-        with pytest.raises(OuterDivergenceError, match="no real root"):
+        with pytest.raises(OuterDivergenceError, match="has not halved"):
             kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
         assert len(calls) <= 15
+
+    def test_local_model_without_real_root(self, set_a, monkeypatch):
+        # An eigensolve whose defect g lies far below -b^2/4: the local model
+        # d^2 - b*d - g = 0 has no real root, and the start ends on its first
+        # step with a typed error, not a math domain error.
+        eigenpair = BandedOperator.eigenpair
+
+        def deep(op, k, shift, *a):
+            eps, vec = eigenpair(op, k, shift, *a)
+            return shift - 100.0, vec
+
+        monkeypatch.setattr(BandedOperator, "eigenpair", deep)
+        with pytest.raises(OuterDivergenceError, match="no real root"):
+            kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=0.5)
+
+    def test_coarse_pole_wall_grid_converges(self, set_b):
+        # 372 points: a wall closure that switches as E moves makes eps_0(E)
+        # jump next to the level at -0.12642, and the iteration stalls.  The
+        # grid is coarse (E = -0.0539), but the solve converges, with 0 nodes,
+        # and its estimate covers the error in eps.
+        E = -0.12642
+        res = kg.solve_selfconsistent(set_b, 0, OracleConfig(n_points=372), seed=E)
+        assert kg.node_count(res.eigenvector) == 0
+        assert abs(res.epsilon - (E * E - 1.0)) < res.grid_convergence_est
 
     @pytest.mark.parametrize("floors,converges", [(3.0, True), (100.0, False)])
     def test_defect_that_stops_halving(self, set_a, monkeypatch, floors, converges):
