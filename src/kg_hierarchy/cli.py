@@ -255,6 +255,9 @@ def run_verify(cfg: RunConfig) -> int:
                 ))
         all_ok &= report.ok
         out.append("worst relative diff: %.17g" % report.worst_rel_diff)
+        if any(row.coarse_wall for row in report.rows):
+            sys.stderr.write(f"warning: oracle.n_points = {cfg.oracle_cfg.n_points} is too coarse for the "
+                             "pole-wall closure; the left wall uses the plain reflection\n")
     else:
         out.append(f"Oracle comparison: skipped ({p.branch.value} branch)")
     out.append(f"verify: {'PASS' if all_ok else 'FAIL'}")

@@ -15,8 +15,6 @@ Inverse iteration from a good start vector converges in one step (Parlett,
 ch. 4), so the self-consistent solve warm-starts each eigensolve from the last
 Ritz vector, and cleans (BandedOperator.polish) only the vector it returns; a
 cold eigensolve starts from the fixed vector sin(j*phi), phi the golden angle.
-u(x) = k/(1 - q*k) is computed once per grid: only Gamma2(E) in
-V_eff = Gamma1*u^2 - Gamma2(E)*u depends on E.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
@@ -33,10 +31,11 @@ flattens to a plateau on the left) and the wall is pushed to -x_max.
 
 Wall closure: near the pole V_eff ~ A/t^2 + B/t and the bound solution starts
 as t^s, with s(s - 1) = A.  For s < 5/2 up to three rows next to the pole get
-diagonal corrections from the local solution t^s (1 + beta*t)
-(_pole_wall_rows); every other wall uses the odd reflection psi(-h) = -psi(h).
-The closure depends on the parameters and the grid, never on E.
-assemble_bands gives the observed orders.
+diagonal corrections from t^s (1 + beta*t); every other wall, and a pole wall
+too coarse for one row (coarse_wall), uses the odd reflection psi(-h) = -psi(h).
+_box chooses it once per grid, with the wall, x, h and u(x) = k/(1 - q*k); per
+energy only Gamma2(E) in V_eff = Gamma1*u^2 - Gamma2(E)*u and the rows' beta(E)
+are computed.  assemble_bands gives the observed orders.
 """
 
 from __future__ import annotations
@@ -44,11 +43,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NoBoundStateError, NonConvergenceError, OuterDivergenceError
+from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction
 from .hierarchy import level_coefficients, make_superpotential, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
@@ -104,30 +104,27 @@ class OracleConfig:
         return replace(self, x_max=x_max)
 
 
-def _left_wall(p: PotentialParams, cfg: OracleConfig) -> tuple[float, bool]:
-    """Left Dirichlet wall of the box (cfg already resolved), and whether it is the pole."""
-    pole = p.pole_position
-    if pole is not None and pole >= -cfg.x_max:
-        return pole, True
-    return -cfg.x_max, False
-
-
-def _interior_grid(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float]:
-    """Interior points and spacing of the Dirichlet box (cfg already resolved)."""
-    if p.branch is not Branch.HERMITIAN:
-        raise ValueError("the finite-difference verifier covers the Hermitian branch only")
-    x_left = _left_wall(p, cfg)[0]
-    h = (cfg.x_max - x_left) / (cfg.n_points + 1)
-    return x_left + h * np.arange(1, cfg.n_points + 1), h
+_Box = namedtuple("_Box", "x h u wall coarse_wall")
 
 
 @functools.lru_cache(maxsize=2)
-def _grid_ratio(p: PotentialParams, cfg: OracleConfig) -> tuple[np.ndarray, float, np.ndarray]:
-    """Interior points, spacing and u(x) of the box (cfg resolved); read-only, cached for the N and 2N grids."""
-    x, h = _interior_grid(p, cfg)
-    u = screened_ratio(p.q, p.lambda_eff, x)
+def _box(p: PotentialParams, cfg: OracleConfig) -> _Box:
+    """The Dirichlet box of cfg (resolved here), cached for the N and 2N grids: interior
+    points x and u(x) = k/(1 - q*k), float64 and read-only, spacing h, wall = (s, rows)
+    of _pole_wall or None (odd reflection), and coarse_wall (_pole_wall gave rows = 0)."""
+    cfg = cfg.resolve(p)
+    if p.branch is not Branch.HERMITIAN:
+        raise ValueError("the finite-difference verifier covers the Hermitian branch only")
+    pole = p.pole_position
+    at_pole = pole is not None and pole >= -cfg.x_max
+    x_left = pole if at_pole else -cfg.x_max
+    h = (cfg.x_max - x_left) / (cfg.n_points + 1)
+    x = x_left + h * np.arange(1, cfg.n_points + 1)
+    u = screened_ratio(p.q, p.lambda_eff, x).real.copy()
     x.flags.writeable = u.flags.writeable = False
-    return x, h, u
+    wall = _pole_wall(p, h) if at_pole else None
+    coarse = wall is not None and wall[1] == 0
+    return _Box(x, h, u, None if coarse else wall, coarse)
 
 
 @functools.cache
@@ -162,8 +159,8 @@ class BandedOperator:
     """Symmetric pentadiagonal form of -d2/dx2 + v(x) with Dirichlet walls.
 
     bands holds the 5-point stencil, 3 x n: bands[0, j] = A[j-2, j],
-    bands[1, j] = A[j-1, j] and bands[2, j] = A[j, j]; any other shape is a
-    ValueError.
+    bands[1, j] = A[j-1, j] and bands[2, j] = A[j, j]; any other shape, or a
+    NaN or inf entry, where eigenpair's bracket never closes, is a ValueError.
     """
 
     bands: np.ndarray = field(repr=False)  # LAPACK upper-banded storage
@@ -174,6 +171,8 @@ class BandedOperator:
         # count_below reads the pentadiagonal LDL^T recurrence; other storage would count wrong.
         if self.bands.shape != (3, self.x.size):
             raise ValueError(f"bands must be 3 x {self.x.size} (5-point stencil), got {self.bands.shape}")
+        if not np.all(np.isfinite(self.bands)):
+            raise ValueError("bands must be finite")
 
     @property
     def n(self) -> int:
@@ -387,26 +386,19 @@ class BandedOperator:
         return a
 
 
-def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None:
-    """Diagonal corrections for the first rows when the left wall is the pole.
+def _pole_wall(p: PotentialParams, h: float) -> tuple[float, int] | None:
+    """The wall exponent s and the number of rows to correct at a left wall on the pole.
 
     With t = x - ln(q)/lam, V_eff = A/t^2 + B/t + O(1) near the pole, where
     A = Gamma1/(q*lam)^2 and B = -(Gamma1/q + Gamma2(E))/(q*lam), and the
     bound solution starts as f = t^s (1 + beta*t) with s(s - 1) = A and
-    beta = B/(2s).  Row j (t_j = j*h) of the 5-point stencil, with f = 0 on the
-    wall and on the ghost point behind it, computes L_h f instead of f''; the
-    correction delta_j = (L_h f - f'')(t_j) / f(t_j) makes the row reproduce
-    (-f'' + V_eff f)(t_j).  Only the diagonal changes, so the matrix stays
-    symmetric.  At s = 1 (Gamma1 = 0) delta_1 is the ghost reflection
-    (-1 + beta*h)/(1 + beta*h) with the exact B, and later rows need none.
-
-    The rows corrected are the most, up to POLE_WALL_ROWS, for which
-    1 + beta*t_j > 0 holds for every |E| <= m; that test bounds |Gamma2(E)| by
-    2m(|S0| + |V0|), so the number of rows depends on the grid and not on E: a
-    closure that switched as E moves would make eps_k(E) jump, and the
-    self-consistent iteration could stall.  None where no row is corrected and
-    the plain odd reflection is kept: s not real, s >= POLE_WALL_MAX_S, or a
-    grid too coarse for even the first row.
+    beta = B/(2s).  The rows corrected are the most, up to POLE_WALL_ROWS, for
+    which 1 + beta*t_j > 0 holds for every |E| <= m; that test bounds
+    |Gamma2(E)| by 2m(|S0| + |V0|), so the number of rows depends on the grid
+    and not on E: a closure that switched as E moves would make eps_k(E) jump,
+    and the self-consistent iteration could stall.  rows = 0 on a grid too
+    coarse for one row: the odd reflection is then a fallback (coarse_wall).
+    None where it is the closure: s not real or s >= POLE_WALL_MAX_S.
     """
     qlam = p.q * p.lam
     g1 = p.gamma1.real
@@ -414,14 +406,27 @@ def _pole_wall_rows(p: PotentialParams, E: float, h: float) -> np.ndarray | None
     if a < -0.25:
         return None
     s = 0.5 + math.sqrt(0.25 + a)
+    if s >= POLE_WALL_MAX_S:
+        return None
     b_max = abs(g1 / p.q) + 2.0 * p.m * (abs(p.S0) + abs(p.V0))
     rows = POLE_WALL_ROWS
     while rows > 0 and b_max / (qlam * 2.0 * s) * rows * h >= 1.0:
         rows -= 1
-    if s >= POLE_WALL_MAX_S or rows == 0:
-        return None
+    return s, rows
+
+
+def _pole_wall_rows(p: PotentialParams, E: float, h: float, s: float, rows: int) -> np.ndarray:
+    """Diagonal corrections at energy E for the first rows at a pole wall (s, rows from _pole_wall).
+
+    Row j (t_j = j*h) of the 5-point stencil, with f = t^s (1 + beta*t) = 0 on
+    the wall and on the ghost point behind it, computes L_h f instead of f'';
+    the correction delta_j = (L_h f - f'')(t_j) / f(t_j) makes the row reproduce
+    (-f'' + V_eff f)(t_j).  Only the diagonal changes, so the matrix stays
+    symmetric.  At s = 1 (Gamma1 = 0) delta_1 is the ghost reflection
+    (-1 + beta*h)/(1 + beta*h) with the exact B, and later rows need none.
+    """
     # complex(E), as in discretize, so a Gamma2 warning is not repeated.
-    beta = -(g1 / p.q + gamma2(p, complex(E)).real) / (qlam * 2.0 * s)
+    beta = -(p.gamma1.real / p.q + gamma2(p, complex(E)).real) / (p.q * p.lam * 2.0 * s)
     # f(i*h)/h^s on the stencil points i = -1 (ghost), 0 (wall), 1, ..., rows + 2.
     i = np.arange(-1.0, rows + 3.0)
     f = np.where(i > 0.0, np.abs(i) ** s * (1.0 + beta * i * h), 0.0)
@@ -459,17 +464,10 @@ def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None)
 
 def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperator:
     """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box."""
-    cfg = cfg.resolve(p)
-    try:
-        x, h, u = _grid_ratio(p, cfg)
-    except DomainError as exc:
-        raise DomainError(f"deformation pole inside the oracle grid: {exc}") from exc
-    v = gamma_form(p, complex(E), u)
-    if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
-        raise ValueError("effective potential is not real on the Hermitian branch")
-    at_pole = _left_wall(p, cfg)[1]
-    wall_rows = _pole_wall_rows(p, E, h) if at_pole else None
-    return BandedOperator(bands=assemble_bands(v.real, h, wall_rows), x=x, h=h)
+    box = _box(p, cfg)
+    v = gamma_form(p, complex(E), box.u).real
+    wall_rows = _pole_wall_rows(p, E, box.h, *box.wall) if box.wall else None
+    return BandedOperator(bands=assemble_bands(v, box.h, wall_rows), x=box.x, h=box.h)
 
 
 @dataclass(frozen=True)
@@ -481,10 +479,7 @@ class OracleResult:
     eigenvector: GridFunction
     outer_iters: int
     grid_convergence_est: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon >= 0.0:
-            raise ValueError("oracle results must have eps < 0 (bound state)")
+    coarse_wall: bool  # the pole wall fell back to the odd reflection (_box)
 
 
 def solve_selfconsistent(
@@ -568,6 +563,7 @@ def _rayleigh_functional_run(
         eigenvector=psi,
         outer_iters=iters,
         grid_convergence_est=float(est),
+        coarse_wall=_box(p, cfg).coarse_wall,
     )
 
 
@@ -580,6 +576,7 @@ class CompareRow:
     rel_diff: float | None
     grid_convergence_est: float | None
     skipped: str = ""
+    coarse_wall: bool = False
 
 
 @dataclass(frozen=True)
@@ -637,6 +634,7 @@ def compare(
                 abs_diff=diff,
                 rel_diff=diff / abs(res.E),
                 grid_convergence_est=res.grid_convergence_est,
+                coarse_wall=res.coarse_wall,
             )
         )
     return CompareReport(rows=rows)
@@ -654,9 +652,7 @@ def partner_eigenvalues(
     Unbroken-factorization bookkeeping predicts eig(V2)_k = eig(V1)_{k+1} for the
     bound part of the spectra.
     """
-    cfg = (cfg or OracleConfig()).resolve(p)
-    x, h = _interior_grid(p, cfg)
-    v1, v2 = (v.values.real for v in partner_potentials(make_superpotential(p, E, 0), x))
-    op1 = BandedOperator(assemble_bands(v1, h), x, h)
-    op2 = BandedOperator(assemble_bands(v2, h), x, h)
-    return op1.eigenvalues(k_max), op2.eigenvalues(k_max)
+    box = _box(p, (cfg or OracleConfig()).resolve(p))
+    ops = [BandedOperator(assemble_bands(v.values.real, box.h), box.x, box.h)
+           for v in partner_potentials(make_superpotential(p, E, 0), box.x)]
+    return ops[0].eigenvalues(k_max), ops[1].eigenvalues(k_max)

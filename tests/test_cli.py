@@ -269,7 +269,7 @@ SHARED_LAPACK_PROBE = """
 import json, sys
 import numpy as np
 import kg_hierarchy as kg
-from kg_hierarchy.oracle import BandedOperator, _interior_grid, _lapack, assemble_bands
+from kg_hierarchy.oracle import BandedOperator, _box, _lapack, assemble_bands
 
 b = kg.PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
 assert kg.compare(b, kg.solve_level(b, 0), kg.OracleConfig(n_points=2000)).ok
@@ -281,7 +281,8 @@ a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
 cfg = kg.OracleConfig(n_points=2000).resolve(a)
 E = [lv.E for lv in kg.solve_level(a, 0) if lv.E.real > 0][0]
 eigs1, eigs2 = kg.partner_eigenvalues(a, E, cfg, k_max=3)
-x, h = _interior_grid(a, cfg)
+box = _box(a, cfg)
+x, h = box.x, box.h
 checks = []
 for v, eigs in zip(kg.partner_potentials(kg.make_superpotential(a, E, 0), x), (eigs1, eigs2)):
     # Fresh operators, the same certified eigenpairs: bit-identical.
@@ -396,6 +397,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out.splitlines()
         assert "0,%.17g,,,,,non-normalizable (Re mu <= 0)" % root.E.real in out
         assert out[-1] == "verify: PASS"
+
+    @pytest.mark.parametrize("n_points,code", [(400, 1), (4000, 0)])
+    def test_coarse_pole_wall_is_named_on_stderr(self, tmp_path, capsys, n_points, code):
+        # Set B at 400 points (h = 0.5) is too coarse for any pole-wall row, so
+        # its level 0 is far off; stderr names the grid, and stdout keeps one
+        # line per oracle row.
+        cfg = write_cfg(
+            tmp_path, f"V0 = 0.25\nS0 = 0.25\nlambda = 0.2\nq = 1\nm = 1\nn_max = 0\noracle.n_points = {n_points}\n"
+        )
+        assert main(["verify", "--config", cfg]) == code
+        out, err = capsys.readouterr()
+        warning = (
+            "warning: oracle.n_points = 400 is too coarse for the pole-wall closure; "
+            "the left wall uses the plain reflection"
+        )
+        assert [line for line in err.splitlines() if "oracle.n_points" in line] == ([warning] if code else [])
+        assert "warning" not in out
 
     def test_growing_left_tail_is_a_skipped_row(self, tmp_path, capsys):
         # q < 0 has no pole: psi ~ exp(-(rho/q + mu)*x) as x -> -inf, so this

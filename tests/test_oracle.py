@@ -7,7 +7,7 @@ import scipy.linalg
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams, oracle
 from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
-from kg_hierarchy.oracle import BandedOperator, _interior_grid, _pole_wall_rows, assemble_bands, discretize
+from kg_hierarchy.oracle import BandedOperator, _box, _pole_wall, _pole_wall_rows, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, eig_banded_reference, params
 
@@ -38,16 +38,19 @@ class TestDiscretize:
         op = box_operator(50.0, 1000)
         assert op.eigenvalues(0)[0] == pytest.approx((np.pi / 50.0) ** 2, rel=1e-8)
 
-    @pytest.mark.parametrize("E", [0.5], ids=["4"])
-    def test_matrix_symmetric_exactly(self, E, set_a):
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
+    def test_matrix_symmetric_exactly(self, base):
         # to_dense mirrors the upper bands, so dense == dense.T holds for any
-        # bands; each interior row must be the symmetric stencil itself.
-        op = discretize(set_a, E, OracleConfig(n_points=300))
+        # bands; each interior row the wall closure leaves alone must be the
+        # symmetric stencil itself, with V_eff bit-equal to effective_potential.
+        p, E, cfg = params(base), 0.5, OracleConfig(n_points=300)
+        op = discretize(p, E, cfg)
         inv_h2 = 1.0 / (op.h * op.h)
         stencil = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) * inv_h2 / 12.0
-        v = np.asarray(kg.effective_potential(set_a, complex(E), op.x)).real
+        v = np.asarray(kg.effective_potential(p, complex(E), op.x)).real
         dense = op.to_dense()
-        for j in range(2, op.n - 2):
+        wall = _box(p, cfg).wall
+        for j in range(max(2, wall[1] if wall else 0), op.n - 2):
             row = np.zeros(op.n)
             row[j - 2 : j + 3] = stencil
             row[j] += v[j]
@@ -139,7 +142,7 @@ class TestPoleWallClosure:
         # (-1 + beta h)/(1 + beta h) with beta = B/2; the next two rows need none.
         p, E, h = params(SET_B), -0.995532828318463, 0.1
         beta = -(p.m * p.S0 + E * p.V0) / (p.q * p.lam)
-        rows = _pole_wall_rows(p, E, h) * 12.0 * h * h
+        rows = _pole_wall_rows(p, E, h, *_pole_wall(p, h)) * 12.0 * h * h
         assert rows[0] == pytest.approx((-1.0 + beta * h) / (1.0 + beta * h), abs=1e-12)
         assert np.all(np.abs(rows[1:]) < 1e-12)
 
@@ -167,12 +170,13 @@ class TestPoleWallClosure:
         # (30 - 1)/(12 h^2) + v.
         p = params(base)
         cfg = OracleConfig(n_points=n_points).resolve(p)
-        x, h = _interior_grid(p, cfg)
+        box = _box(p, cfg)
+        x, h = box.x, box.h
         stencil = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) * (1.0 / (h * h)) / 12.0
         for E in (-0.99, -0.6, 0.0, 0.3, 0.9, 0.99):
             v = np.asarray(kg.effective_potential(p, E, x)).real
             bands, plain = discretize(p, E, cfg).bands, assemble_bands(v, h)
-            wall_rows = _pole_wall_rows(p, E, h) if oracle._left_wall(p, cfg)[1] else None
+            wall_rows = _pole_wall_rows(p, E, h, *box.wall) if box.wall else None
             assert (0 if wall_rows is None else wall_rows.size) == rows, E
             assert np.array_equal(bands[:2], plain[:2])
             assert np.array_equal(bands[2, rows:], plain[2, rows:]), E
@@ -180,6 +184,20 @@ class TestPoleWallClosure:
             reflected = stencil[2] + v - stencil[0]
             assert bands[2, -1] == reflected[-1], E
             assert rows > 0 or bands[2, 0] == reflected[0], E
+
+    @pytest.mark.parametrize(
+        "base,n_points,coarse",
+        [(SET_A, 400, False), (SET_B, 400, True), (SET_B, 480, True), (SET_B, 500, False), (SET_D, 400, False)],
+        ids=["A-400", "B-400", "B-480", "B-500", "D-400"],
+    )
+    def test_coarse_wall_mark(self, base, n_points, coarse):
+        # Only a pole wall with s < 5/2 whose grid is too coarse for one row
+        # (set B: h >= 0.4 up to 499 points) falls back to the odd reflection;
+        # A's s = 5.52 wants no row, and D at 400 points gets two.
+        p = params(base)
+        rows = kg.compare(p, kg.solve_level(p, 0), OracleConfig(n_points=n_points)).rows
+        solved = [row for row in rows if not row.skipped]
+        assert solved and all(row.coarse_wall == coarse for row in solved)
 
     @pytest.mark.parametrize("base,n_points,tol", [(SET_D, 1000, 2e-4), (SET_B, 4000, 3e-5)], ids="DB")
     def test_level_zero_accuracy(self, base, n_points, tol):
@@ -289,6 +307,26 @@ class TestShiftInvertKernel:
             BandedOperator(np.ones((2, 100)), x, 1.0)
         with pytest.raises(ValueError, match="3 x 100"):
             BandedOperator(np.ones((3, 99)), x, 1.0)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_operator_rejects_non_finite_bands(self, bad, k):
+        # A NaN or inf entry used to leave eigenpair's bracket open forever.
+        h = 0.1
+        v = np.zeros(200)
+        v[100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BandedOperator(assemble_bands(v, h), h * np.arange(1, 201), h).eigenpair(k, 0.0)
+
+    @pytest.mark.parametrize("k", [-1, 100])
+    def test_eigenpair_index_outside_the_matrix(self, k):
+        with pytest.raises(ValueError, match="outside 0..99"):
+            box_operator(10.0, 100).eigenpair(k, 0.0)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_eigenpair_shift_must_be_finite(self, shift):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            box_operator(10.0, 100).eigenpair(0, shift)
 
     def test_compare_never_calls_eig_banded(self, set_b, monkeypatch):
         def refuse(*args, **kwargs):

@@ -18,8 +18,8 @@ def test_small_range(capsys):
     # Set B's level 0 at 372 points stalled while the wall closure switched with E.
     assert oracle_scan.main(["--sets", "B,D", "--start", "372", "--stop", "381", "--step", "9"]) == 0
     b, d = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"B: 2 solves, errors: none, rel error > 0\.01: [0-2], worst: \S+ at N = 3(72|81)", b)
-    assert re.fullmatch(r"D: 4 solves, errors: none, rel error > 0\.01: 0, worst: \S+ at N = 3(72|81)", d)
+    assert re.fullmatch(r"B: 2 solves, errors: none, rel error > 0\.01: [0-2], coarse wall: 2, worst: \S+ at N = 3(72|81)", b)
+    assert re.fullmatch(r"D: 4 solves, errors: none, rel error > 0\.01: 0, coarse wall: 0, worst: \S+ at N = 3(72|81)", d)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ level-0 analytic root that `compare` would check seeds
 kg_hierarchy.solve_selfconsistent with OracleConfig(n_points=N), for N from
 START to STOP inclusive in steps of STEP.  A set's line gives the number of
 solves, the count of each error type raised, the number of converged solves
-whose relative error |E_oracle - E|/|E| is above 1e-2, and the worst relative
-error with its N.  perfbench/ is only read.
+whose relative error |E_oracle - E|/|E| is above 1e-2, the number of converged
+solves whose pole wall was too coarse for the closure (OracleResult.coarse_wall),
+and the worst relative error with its N.  perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ class Scan:
     solves: int = 0
     errors: Counter = field(default_factory=Counter)
     off: int = 0
+    coarse: int = 0
     worst: float = 0.0
     worst_n: int | None = None
 
     def line(self, name: str) -> str:
         errors = ", ".join(f"{kind} {count}" for kind, count in sorted(self.errors.items())) or "none"
         worst = "none converged" if self.worst_n is None else f"{self.worst:.2g} at N = {self.worst_n}"
-        return f"{name}: {self.solves} solves, errors: {errors}, rel error > {OFF:g}: {self.off}, worst: {worst}"
+        return (
+            f"{name}: {self.solves} solves, errors: {errors}, rel error > {OFF:g}: {self.off}, "
+            f"coarse wall: {self.coarse}, worst: {worst}"
+        )
 
 
 def scan(p: kg.PotentialParams, sizes: range) -> Scan:
@@ -63,6 +68,7 @@ def scan(p: kg.PotentialParams, sizes: range) -> Scan:
                 continue
             rel = abs(res.E - E) / abs(E)
             result.off += rel > OFF
+            result.coarse += res.coarse_wall
             if result.worst_n is None or rel > result.worst:
                 result.worst, result.worst_n = rel, n_points
     return result
