@@ -5,73 +5,13 @@ superpotential, iterates the partner-Hamiltonian hierarchy to enumerate levels,
 and solves the implicit energy condition eps_n(E) = E^2 - m^2 per level on the
 Hermitian, PT-symmetric and non-Hermitian deformation branches.  An independent
 finite-difference eigensolver cross-checks the Hermitian spectra.
-"""
 
-from .errors import (
-    ComplexLevelError,
-    ConfigError,
-    CrossCheckError,
-    DegenerateRootError,
-    DomainError,
-    GammaPositivityWarning,
-    KGHierarchyError,
-    NoBoundStateError,
-    NonConvergenceError,
-    NonNormalizableError,
-    NoRootError,
-    OuterDivergenceError,
-    ParameterError,
-    ZeroNuError,
-)
-from .grid import GridFunction
-from .hierarchy import (
-    HierarchyLevel,
-    Superpotential,
-    apply_ladder,
-    hierarchy_potential,
-    level,
-    make_superpotential,
-    partner_potentials,
-    riccati_check,
-    solve_nu1,
-    superpotential_derivative,
-    superpotential_eval,
-)
-from .oracle import (
-    BandedOperator,
-    CompareReport,
-    CompareRow,
-    OracleConfig,
-    OracleResult,
-    compare,
-    discretize,
-    partner_eigenvalues,
-    solve_selfconsistent,
-)
-from .potential import (
-    Branch,
-    GammaPair,
-    PotentialParams,
-    deformation_kernel,
-    effective_potential,
-    effective_potential_direct,
-    gammas,
-    scalar_potential,
-    vector_potential,
-)
-from .spectra import (
-    EnergyLevel,
-    LevelFlag,
-    PlusMinusPair,
-    closed_form_energy,
-    energy_residual,
-    nonhermitian_energy,
-    pt_energy,
-    solve_level,
-    spectrum,
-    spectrum_batch,
-)
-from .wavefunctions import WAVEFORM_NOTE, closed_form_psi, ground_state_from_W, node_count
+The namespace is lazy (PEP 562), so that ``import kg_hierarchy.cli`` loads only
+what a command needs: importing the package loads no submodule, and the first
+access of a public name (or of a submodule name) imports every submodule and
+binds all of ``__all__`` at once, leaving any name already bound as it is.
+``kg.X`` is then the namespace an eager package would have.
+"""
 
 __all__ = [
     "Branch",
@@ -135,3 +75,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("errors", "potential", "grid", "hierarchy", "spectra", "wavefunctions", "oracle")
+
+
+def __getattr__(name: str):
+    if name not in __all__ and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    modules = [importlib.import_module(f"{__name__}.{sub}") for sub in _SUBMODULES]
+    namespace = globals()
+    # Each name from the first submodule that has it; a re-export is the same object.
+    for key in __all__:
+        if key not in namespace:
+            namespace[key] = next(getattr(m, key) for m in modules if hasattr(m, key))
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

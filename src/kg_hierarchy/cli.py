@@ -8,7 +8,8 @@ column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
 header; identical configs give byte-identical files.  verify writes text only.
 Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
 KGHierarchyError, an OSError or a verify run without scipy, each one stderr
-line; 2 when level 0 is not bound.
+line; 2 when level 0 is not bound.  numpy, the oracle and the wavefunctions are
+imported by the commands that use them, so spectrum and sweep start without.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, make_superpotential, riccati_check
-from .oracle import REL_TOL, OracleConfig, compare
 from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum, spectrum_batch
-from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .oracle import OracleConfig
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
@@ -52,7 +55,8 @@ class RunConfig:
     output_path: str | None = None
     fmt: str = "csv"
     perturb_mu: float = 0.0
-    oracle_cfg: OracleConfig = OracleConfig()
+    # Built for verify and wavefunction, or when an oracle.* key is given.
+    oracle_cfg: OracleConfig | None = None
 
 
 @functools.cache
@@ -136,13 +140,16 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw = parse_config(args.config)
     oracle_kwargs = {key.removeprefix("oracle."): raw[key] for key in _ORACLE_KEYS if key in raw}
-    try:
-        oracle_cfg = OracleConfig(**oracle_kwargs)
-        # x_max against 10/lambda and the pole; spectrum and sweep never use the default box.
-        if oracle_kwargs or args.command in ("verify", "wavefunction"):
+    oracle_cfg = None
+    # x_max against 10/lambda and the pole; spectrum and sweep never use the default box.
+    if oracle_kwargs or args.command in ("verify", "wavefunction"):
+        from .oracle import OracleConfig
+
+        try:
+            oracle_cfg = OracleConfig(**oracle_kwargs)
             oracle_cfg.resolve(raw["_params"])
-    except ValueError as exc:
-        raise ConfigError(f"oracle: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"oracle: {exc}") from exc
     cfg = RunConfig(
         params=raw["_params"],
         command=args.command,
@@ -224,6 +231,8 @@ def _verify_grid(p: PotentialParams) -> np.ndarray:
     Complex branches: [0.05, 0.95] of the period 2*pi/lam of k that starts at
     p.pole_position (pi/lam for q = -1), or at 0 when |q| != 1.
     """
+    import numpy as np
+
     if p.branch is Branch.HERMITIAN:
         return np.linspace(p.domain_start(), 40.0 / p.lam, 2001)
     period = 2.0 * np.pi / p.lam
@@ -232,6 +241,8 @@ def _verify_grid(p: PotentialParams) -> np.ndarray:
 
 
 def run_verify(cfg: RunConfig) -> int:
+    from .oracle import REL_TOL, compare
+
     p = cfg.params
     if not (levels := _bound_levels(cfg)):
         return 2
@@ -266,6 +277,10 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_wavefunction(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
+
     p = cfg.params
     if not (levels := _bound_levels(cfg)):
         return 2

@@ -13,19 +13,26 @@ Gamma2 is affine in E, so mu_n is too; :func:`chain_coefficients` is the one
 place rho_n, a_n and b_n are computed, from the level-independent terms that
 :func:`level_chain` collects once per parameter point.  All quantities are
 stored complex on every branch; on the Hermitian branch they must be real,
-which is checked.
+which is checked.  The level algebra is plain Python; the functions of x import
+numpy and the grid module when they are called.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import TYPE_CHECKING
 
 from .errors import ComplexLevelError, DegenerateRootError, ZeroNuError
-from .grid import GridFunction, uniform_grid
 from .potential import Branch, PotentialParams, _collapse, effective_potential, screened_ratio
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
+
+    from .grid import GridFunction
 
 _IMAG_TOL = 1e-13
 _MIN_LADDER_POINTS = 20
@@ -73,7 +80,7 @@ def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1)
     if q == 0:
         raise ValueError("q must be nonzero")
     qle = q * lambda_eff
-    disc = np.sqrt(np.complex128(qle * qle + 4.0 * gamma1))
+    disc = _csqrt(qle * qle + 4.0 * gamma1)
     nu1 = 0.5 * (qle + root * disc)
     scale = max(abs(qle), abs(disc), 1.0)
     if abs(nu1) < 1e-14 * scale:
@@ -82,6 +89,29 @@ def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1)
             "(gamma1 = 0 with the vanishing root)"
         )
     return complex(nu1)
+
+
+def _csqrt(z: complex) -> complex:
+    """C99 csqrt(z), numpy's complex square root, without numpy.
+
+    On the axes csqrt takes one real square root, where cmath.sqrt rounds
+    differently: on the imaginary axis it rounds the imaginary part again as
+    |y|/(2*re), and next to the smallest normal double it scales the argument
+    into the subnormal range.  Off the axes the two agree unless a part of the
+    result is subnormal.  The Hermitian and PT-symmetric branches stay on the
+    real axis; a non-Hermitian run reaches the imaginary axis whenever
+    (q*lam)^2 = 4*Re(Gamma1), for example at V0 = S0 = lam = q = 1, VI = 0.5.
+    """
+    x, y = z.real, z.imag
+    if math.isfinite(x) and math.isfinite(y):
+        if y == 0.0:
+            r = math.sqrt(abs(x))
+            return complex(0.0, math.copysign(r, y)) if x < 0.0 else complex(r, y)
+        if x == 0.0:
+            ay = abs(y)
+            r = math.sqrt(0.5 * ay) if ay >= 2.0 * sys.float_info.min else 0.5 * math.sqrt(2.0 * ay)
+            return complex(r, math.copysign(r, y))
+    return cmath.sqrt(z)
 
 
 def _nu1_for(p: PotentialParams) -> complex:
@@ -165,6 +195,10 @@ def superpotential_derivative(w: Superpotential, x: ArrayLike) -> np.ndarray | c
 
 def partner_potentials(w: Superpotential, x: ArrayLike) -> tuple[GridFunction, GridFunction]:
     """Partner pair (V1, V2) = (W^2 - W', W^2 + W') sampled on a uniform grid."""
+    import numpy as np
+
+    from .grid import GridFunction, uniform_grid
+
     xa = uniform_grid(x)
     wv = np.asarray(superpotential_eval(w, xa))
     wd = np.asarray(superpotential_derivative(w, xa))
@@ -182,6 +216,8 @@ def hierarchy_potential(p: PotentialParams, E: complex, n: int, x: ArrayLike) ->
     V(0) is the effective potential itself; V(n) = W_{n-1}^2 + W_{n-1}' + eps_{n-1}
     is the partner of the previous member, whose ground level sits at eps_n.
     """
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     if n == 0:
         return np.asarray(effective_potential(p, E, xa))
@@ -212,6 +248,8 @@ def riccati_check(
     cancel down to a much smaller potential.  Away from poles, and whenever
     Gamma1 != 0, this agrees with 1 + sup|V_eff| up to an O(1) factor.
     """
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     lvl = level(p, E, n)
     mu = lvl.mu + mu_perturbation
@@ -231,6 +269,10 @@ def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunctio
     sign=+1 gives the operator annihilating exp(-integral W); sign=-1 gives its
     formal adjoint.  Two points are trimmed from each end for the stencil.
     """
+    import numpy as np
+
+    from .grid import GridFunction
+
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if psi.n < _MIN_LADDER_POINTS:

@@ -17,9 +17,9 @@ Ritz vector, and cleans (BandedOperator.polish) only the vector it returns; a
 cold eigensolve starts from the fixed vector sin(j*phi), phi the golden angle.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
-the first eigensolve, so the closed-form commands (spectrum, sweep, wavefunction)
-never pay for it.  scipy.linalg itself, with its much larger import, is never
-loaded.
+the first eigensolve, so the closed-form commands never pay for it: spectrum and
+sweep never import this module (nor numpy), and wavefunction imports it for its
+box alone.  scipy.linalg itself, with its much larger import, is never loaded.
 
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the

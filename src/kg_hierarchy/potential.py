@@ -4,6 +4,9 @@ Covers the Lorentz vector/scalar split, the three deformation branches
 (Hermitian, PT-symmetric, non-Hermitian), and the energy-dependent effective
 potential that turns the Klein-Gordon problem into a Schrodinger-form
 eigenproblem (-d2/dx2 + V_eff(x; E)) psi = (E^2 - m^2) psi.
+
+The parameters and the Gamma terms are plain Python; the functions of x import
+numpy when they are called, so the spectrum solver never loads it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, GammaPositivityWarning, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 # Absolute floor on |1 - q*k(x)| before an evaluation counts as sitting on the pole.
 POLE_TOL = 1e-12
@@ -172,6 +176,8 @@ def gamma2(p: PotentialParams, E: complex) -> complex:
 
 def deformation_kernel(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:
     """k(x) = exp(-lambda_eff * x): real decay (Hermitian) or pure phase (complex branches)."""
+    import numpy as np
+
     k = np.exp(-p.lambda_eff * np.asarray(x, dtype=np.complex128))
     return _collapse(k)
 
@@ -181,6 +187,8 @@ def kernel_and_base(q: float, lambda_eff: complex, x: ArrayLike) -> tuple[np.nda
 
     The one pole check: DomainError where |1 - q*k| < POLE_TOL.
     """
+    import numpy as np
+
     k = np.exp(-lambda_eff * np.asarray(x, dtype=np.complex128))
     base = 1.0 - q * k
     if np.any(np.abs(base) < POLE_TOL):
@@ -236,5 +244,7 @@ def effective_potential_direct(
 
 def _collapse(a: np.ndarray) -> np.ndarray | complex:
     # 0-d results come back as plain python complex for scalar inputs.
+    import numpy as np
+
     arr = np.asarray(a)
     return complex(arr) if arr.ndim == 0 else arr

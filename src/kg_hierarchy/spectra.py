@@ -20,11 +20,13 @@ Newton-polished on f_n and certified by |f_n(E)| < 1e-12.  The closed form
 E = +/- sqrt(m^2 - mu_n^2) is exact whenever V0_eff = 0 and is used as an
 internal cross-check there.
 
-spectrum_batch solves many parameter points level by level: level n for every
-point still bound, the Hermitian scan, bisection and Newton polish as float64
-array operations over all their roots at once (every imaginary part is exactly
-0 there, and real arithmetic gives the digits of the complex one), the complex
-branches root by root.  spectrum and solve_level are that solver on one point.
+The solver is scalar Python, point by point and root by root, with no arrays:
+a level has at most two roots, and the Hermitian scan evaluates a few nodes
+around each.  On the Hermitian branch every imaginary part is exactly 0, so the
+scan, bisection and Newton polish run in float arithmetic, which gives the
+digits of the complex one.  The module imports no numpy, so the spectrum and
+sweep commands start without it.  spectrum_batch is spectrum on each point,
+and solve_level is one level of it.
 """
 
 from __future__ import annotations
@@ -36,12 +38,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import numpy as np
-
-from .errors import CrossCheckError, KGHierarchyError, NoRootError, NonConvergenceError
+from .errors import CrossCheckError, NoRootError, NonConvergenceError
 from .hierarchy import (
     Coefficients,
-    LevelChain,
     chain_coefficients,
     level,
     level_chain,
@@ -119,8 +118,8 @@ def _explicit_energy(p: PotentialParams, a: complex) -> complex:
     return complex(1j * math.copysign(1.0, p.q) * cmath.sqrt(a * a - p.m * p.m))
 
 
-def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E0: complex) -> tuple[complex, float]:
-    E = complex(E0)
+def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: complex) -> tuple[complex, float]:
+    # Newton on f_n from E, in complex or, on the Hermitian branch, float arithmetic.
     for _ in range(MAX_NEWTON_ITER):
         mu = a + b * E
         f = E * E - p.m * p.m + mu * mu
@@ -135,7 +134,7 @@ def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E0: compl
     f = E * E - p.m * p.m + mu * mu
     if abs(f) < RESIDUAL_TOL:
         return E, abs(f)
-    raise _stalled(n, E, abs(f))
+    raise _stalled(n, complex(E), abs(f))
 
 
 def _stalled(n: int, E: complex, abs_f: float) -> NonConvergenceError:
@@ -187,231 +186,157 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     Every returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
     NonConvergenceError.
     """
-    found = _solve_levels([p], [level_coefficients(p, n)], n)[0]
-    if isinstance(found, KGHierarchyError):
-        raise found
-    return found
+    return _solve_level(p, n, level_coefficients(p, n))
 
 
 def spectrum_batch(points: Sequence[PotentialParams], n_max: int) -> list[list[EnergyLevel]]:
-    """spectrum(p, n_max) for every point, solved level by level for all points at once.
-
-    Level n is solved for every point whose levels 0..n-1 were all bound and
-    normalizable.  If any point raises, the error of the first such point in
-    the order of ``points`` is raised, as a loop over spectrum() would.
-    """
+    """spectrum(p, n_max) for every point, in order; the first point that raises stops the batch."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out: list[list[EnergyLevel]] = [[] for _ in points]
-    chains: list[LevelChain] = []
-    error: KGHierarchyError | None = None
-    active = list(range(len(points)))
-    for n in range(n_max + 1):
-        todo, coeffs = [], []
-        for i in active:
-            try:
-                if n == 0:
-                    chains.append(level_chain(points[i]))
-                coeffs.append(chain_coefficients(chains[i], n))
-            except KGHierarchyError as exc:
-                error = exc  # later points no longer matter
-                break
-            todo.append(i)
-        active = []
-        for i, found in zip(todo, _solve_levels([points[i] for i in todo], coeffs, n)):
-            if isinstance(found, NoRootError):
-                continue
-            if isinstance(found, KGHierarchyError):
-                error = found
-                break
-            if max(lv.mu.real for lv in found) > 0.0:
-                out[i].extend(found)
-                active.append(i)
-        if not active:
-            break
-    if error is not None:
-        raise error
-    return out
+    return [spectrum(p, n_max) for p in points]
 
 
 def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
     """Bound levels for n = 0, 1, ... until NoRoot, loss of normalizability, or n_max."""
-    return spectrum_batch([p], n_max)[0]
-
-
-def _solve_levels(
-    points: Sequence[PotentialParams], coeffs: Sequence[Coefficients], n: int
-) -> list[list[EnergyLevel] | KGHierarchyError]:
-    # Level n of each point: its roots, or the typed error that solving it raised
-    # (NoRootError when it has none).  Hermitian points are solved together.
-    out: list = [None] * len(points)
-    herm = [i for i, p in enumerate(points) if p.branch is Branch.HERMITIAN]
-    if herm:
-        solved = _solve_hermitian([points[i] for i in herm], [coeffs[i] for i in herm], n)
-        for i, found in zip(herm, solved):
-            out[i] = found
-    for i, p in enumerate(points):
-        if out[i] is None:
-            try:
-                out[i] = _solve_level_complex(p, n, coeffs[i])
-            except KGHierarchyError as exc:
-                out[i] = exc
-    for i, (p, found) in enumerate(zip(points, out)):
-        if isinstance(found, KGHierarchyError):
-            continue
-        if not found:
-            out[i] = NoRootError(f"level {n} supports no self-consistent bound energy")
-        elif p.v0_eff == 0:
-            try:
-                _crosscheck_closed_form(p, n, coeffs[i][1], found)
-            except CrossCheckError as exc:
-                out[i] = exc
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    chain = level_chain(p)
+    out: list[EnergyLevel] = []
+    for n in range(n_max + 1):
+        try:
+            found = _solve_level(p, n, chain_coefficients(chain, n))
+        except NoRootError:
+            break
+        if max(lv.mu.real for lv in found) <= 0.0:
+            break
+        out.extend(found)
     return out
 
 
-def _f(E: np.ndarray, a0: np.ndarray, b0: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
+    # Level n from its coefficients; NoRootError when it has no root.
+    if p.branch is Branch.HERMITIAN:
+        found = _solve_level_hermitian(p, n, coeffs)
+    else:
+        found = _solve_level_complex(p, n, coeffs)
+    if not found:
+        raise NoRootError(f"level {n} supports no self-consistent bound energy")
+    if p.v0_eff == 0:
+        _crosscheck_closed_form(p, n, coeffs[1], found)
+    return found
+
+
+def _f(E: float, a0: float, b0: float, m: float) -> float:
     # f_n in the order of operations of the complex residual, so that on the
     # Hermitian branch, where every imaginary part is 0, the digits are the same.
     mu = a0 + b0 * E
     return E * E - m * m + mu * mu
 
 
-def _scan(m: np.ndarray, a0: np.ndarray, b0: np.ndarray):
-    """The sign scan of f at the SCAN_POINTS + 2 nodes of np.linspace(-m, m), per point.
+def _scan(m: float, a0: float, b0: float) -> tuple[list[tuple[float, float, float]], list[float]]:
+    """The sign scan of f at the SCAN_POINTS + 2 nodes of np.linspace(-m, m).
 
-    Returns the brackets (point, lo, hi, f(lo)) between neighbouring nodes of
-    opposite sign and the nodes (point, E) where f is exactly 0, in point and
-    grid order, as a scan of every node gives them.  Only the nodes near the
-    closed-form roots r = v +/- s (v the vertex) are evaluated.  Elsewhere
-    the sign of the computed f is that of the exact quadratic
-    F(E) = A*(E - r1)*(E - r2), A = 1 + b^2: for |E| <= m the rounding error
-    of f is at most about 6u*(m^2 + (|a| + |b|*m)^2), below
-    B = 16u*(m^2 + (|a| + |b|*m)^2), and |F| >= A*d^2 > B at distance
-    d = 2*sqrt(B/A) from both roots (from v when they are complex).  The
-    window adds the rounding error of the roots themselves, absolute floors
-    for underflow, and two nodes on each side; a window that is not finite,
-    or covers the grid, is the full scan.  The end nodes +/-m, where
-    f = mu^2 >= 0, can be bracket ends; the threshold filter of the caller
-    keeps +/-m itself out of the root list.
+    Returns the brackets (lo, hi, f(lo)) between neighbouring nodes of opposite
+    sign and the nodes E where f is exactly 0, in grid order, as a scan of
+    every node gives them.  Only the nodes near the closed-form roots
+    r = v +/- s (v the vertex) are evaluated.  Elsewhere the sign of the
+    computed f is that of the exact quadratic F(E) = A*(E - r1)*(E - r2),
+    A = 1 + b^2: for |E| <= m the rounding error of f is at most about
+    6u*(m^2 + (|a| + |b|*m)^2), below B = 16u*(m^2 + (|a| + |b|*m)^2), and
+    |F| >= A*d^2 > B at distance d = 2*sqrt(B/A) from both roots (from v when
+    they are complex).  The window adds the rounding error of the roots
+    themselves, absolute floors for underflow, and two nodes on each side; a
+    window with an end that is not finite is the full scan.  The end
+    nodes +/-m, where f = mu^2 >= 0, can be bracket ends; the threshold filter
+    of the caller keeps +/-m itself out of the root list.  The nodes are those
+    of np.linspace, which spaces them as k/(SCAN_POINTS + 1) * 2m when the step
+    2m/(SCAN_POINTS + 1) underflows to 0.
     """
     last = SCAN_POINTS + 1
-    step = (m - (-m)) / last
-    with np.errstate(all="ignore"):
-        lead = 1.0 + b0 * b0
-        v = -a0 * b0 / lead
-        s = np.sqrt(np.maximum(m * m * lead - a0 * a0, 0.0)) / lead
-        big = np.abs(a0) + np.abs(b0) * m
-        bound = 16.0 * _U * (m * m + big * big) + 1e-300
-        half = (
-            2.0 * np.sqrt(bound / lead)
-            + np.sqrt(8.0 * _U * (m * m * lead + a0 * a0)) / lead
-            + 8.0 * _U * (np.abs(v) + s + m)
-            + 1e-150
-        )
-        ends = []
-        for c in (v - s, v + s):
-            lo = np.floor((c - half + m) / step) - 2.0
-            hi = np.ceil((c + half + m) / step) + 2.0
-            lo = np.clip(np.where(np.isnan(lo), 0.0, lo), 0.0, last + 1.0).astype(np.int64)
-            hi = np.clip(np.where(np.isnan(hi), last, hi), -1.0, last).astype(np.int64)
-            ends.append((lo, hi))
-    (lo1, hi1), (lo2, hi2) = ends
+    delta = m - (-m)
+    step = delta / last
+    lead = 1.0 + b0 * b0
+    v = -a0 * b0 / lead
+    s = math.sqrt(max(m * m * lead - a0 * a0, 0.0)) / lead
+    big = abs(a0) + abs(b0) * m
+    bound = 16.0 * _U * (m * m + big * big) + 1e-300
+    half = (
+        2.0 * math.sqrt(bound / lead)
+        + math.sqrt(8.0 * _U * (m * m * lead + a0 * a0)) / lead
+        + 8.0 * _U * (abs(v) + s + m)
+        + 1e-150
+    )
+    lo1, hi1 = _window(v - s, half, m, step, last)
+    lo2, hi2 = _window(v + s, half, m, step, last)
     # Overlapping or touching windows are merged, so that no node is scanned twice.
-    merge = lo2 <= hi1 + 1
-    hi1 = np.where(merge, np.maximum(hi1, hi2), hi1)
-    hi2 = np.where(merge, lo2 - 1, hi2)
-    seg_lo = np.stack([lo1, lo2], axis=1).ravel()
-    lens = np.maximum(np.stack([hi1, hi2], axis=1).ravel() - seg_lo + 1, 0)
-    seg = np.repeat(np.arange(len(lens)), lens)  # point i owns segments 2i and 2i + 1
-    node = np.arange(len(seg)) - np.repeat(np.cumsum(lens) - lens - seg_lo, lens)
-    pt = seg // 2
-    E = np.where(node == last, m[pt], node.astype(float) * step[pt] + (-m[pt]))
-    fg = _f(E, a0[pt], b0[pt], m[pt])
-    sg = np.sign(fg)
-    k = np.nonzero((seg[:-1] == seg[1:]) & (sg[:-1] * sg[1:] < 0))[0]
-    z = np.nonzero(fg == 0.0)[0]
-    return (pt[k], E[k], E[k + 1], fg[k]), (pt[z], E[z])
+    if lo2 <= hi1 + 1:
+        hi1, hi2 = max(hi1, hi2), lo2 - 1
+    brackets: list[tuple[float, float, float]] = []
+    zeros: list[float] = []
+    mm = m * m
+    for lo, hi in ((lo1, hi1), (lo2, hi2)):
+        for k in range(lo, hi + 1):
+            E = m if k == last else (k * step if step else k / last * delta) + (-m)
+            mu = a0 + b0 * E
+            f = E * E - mm + mu * mu
+            if f == 0.0:
+                zeros.append(E)
+            if k > lo and (f_prev < 0.0 < f or f < 0.0 < f_prev):
+                brackets.append((E_prev, E, f_prev))
+            E_prev, f_prev = E, f
+    return brackets, zeros
 
 
-def _bisect(a0, b0, m, lo, hi, flo) -> np.ndarray:
-    # Every bracket at once, each stopping as the scalar loop did: at an exact
-    # zero or once the bracket is narrower than 1e-13.
-    live = np.ones(len(lo), dtype=bool)
+def _window(c: float, half: float, m: float, step: float, last: int) -> tuple[int, int]:
+    # The nodes floor((c - half + m)/step) - 2 to ceil((c + half + m)/step) + 2,
+    # clipped to the grid; every node when an end is not finite (the step can be 0).
+    if step > 0.0:
+        lo, hi = (c - half + m) / step, (c + half + m) / step
+        if math.isfinite(lo) and math.isfinite(hi):
+            return min(max(math.floor(lo) - 2, 0), last + 1), min(max(math.ceil(hi) + 2, -1), last)
+    return 0, last
+
+
+def _bisect(a0: float, b0: float, m: float, lo: float, hi: float, flo: float) -> float:
+    # Halve the bracket until an exact zero or until it is narrower than 1e-13.
+    # _f is written out here and in _scan: the call costs more than the arithmetic.
+    mm = m * m
     for _ in range(200):
-        if not live.any():
-            break
         mid = 0.5 * (lo + hi)
-        fm = _f(mid, a0, b0, m)
-        live &= ~((fm == 0.0) | ((hi - lo) < 1e-13))
-        left = flo * fm < 0
-        hi = np.where(live & left, mid, hi)
-        lo = np.where(live & ~left, mid, lo)
-        flo = np.where(live & ~left, fm, flo)
+        mu = a0 + b0 * mid
+        fm = mid * mid - mm + mu * mu
+        if fm == 0.0 or (hi - lo) < 1e-13:
+            break
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
     return 0.5 * (lo + hi)
 
 
-def _polish(a0, b0, m, E):
-    # _newton_polish on every root at once: (E, |f|, stalled).
-    res = np.zeros(len(E))
-    live = np.ones(len(E), dtype=bool)
-    for it in range(MAX_NEWTON_ITER + 1):
-        mu = a0 + b0 * E
-        f = E * E - m * m + mu * mu
-        done = live & (np.abs(f) < RESIDUAL_TOL)
-        res[done] = np.abs(f[done])
-        live &= ~done
-        if not live.any() or it == MAX_NEWTON_ITER:
-            break
-        df = 2.0 * E + 2.0 * mu * b0
-        with np.errstate(all="ignore"):
-            step = np.where(df == 0, E + RESIDUAL_TOL + 1e-9, E - f / df)
-        E = np.where(live, step, E)
-    res[live] = np.abs(f[live])
-    return E, res, live
-
-
-def _solve_hermitian(
-    points: Sequence[PotentialParams], coeffs: Sequence[Coefficients], n: int
-) -> list[list[EnergyLevel] | KGHierarchyError]:
-    # On this branch every imaginary part is exactly 0, and real float64
-    # arithmetic gives the same digits as the complex one.
-    m = np.array([p.m for p in points])
-    a0 = np.array([c[1].real for c in coeffs])
-    b0 = np.array([c[2].real for c in coeffs])
-    (pt, lo, hi, flo), (zpt, zE) = _scan(m, a0, b0)
-    E, res, stalled = _polish(a0[pt], b0[pt], m[pt], _bisect(a0[pt], b0[pt], m[pt], lo, hi, flo))
-
-    roots: list[list[tuple[float, float, str]]] = [[] for _ in points]
-    stalls: dict[int, NonConvergenceError] = {}
-    for i, e, r, bad in zip(pt.tolist(), E.tolist(), res.tolist(), stalled.tolist()):
-        if bad:
-            stalls.setdefault(i, _stalled(n, complex(e), r))
-        roots[i].append((e, r, ""))
-    for i, e in zip(zpt.tolist(), zE.tolist()):
-        roots[i].append((e, 0.0, ""))
+def _solve_level_hermitian(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
+    # On this branch every imaginary part is exactly 0, and float arithmetic
+    # gives the same digits as the complex one.
+    m, a0, b0 = p.m, coeffs[1].real, coeffs[2].real
+    brackets, zeros = _scan(m, a0, b0)
+    roots = [(*_newton_polish(p, n, a0, b0, _bisect(a0, b0, m, *bracket)), "") for bracket in brackets]
+    roots += [(e, 0.0, "") for e in zeros]
     # Tangency: f is an upward parabola in E, so a degenerate double root can only
     # sit at the vertex, where f' = 2E + 2*mu*mu' vanishes (f' is linear in E).
     vertex = -a0 * b0 / (1.0 + b0 * b0)
-    f_v = np.abs(_f(vertex, a0, b0, m))
-    for i in np.nonzero((-m < vertex) & (vertex < m) & (f_v < RESIDUAL_TOL))[0].tolist():
-        roots[i].append((float(vertex[i]), float(f_v[i]), "double_root"))
-
-    out: list = []
-    for i, (p, found) in enumerate(zip(points, roots)):
-        if i in stalls:
-            out.append(stalls[i])
-            continue
-        # A root within the certificate of +/-m is the threshold itself: there mu = 0
-        # and f' = +/-2m, so |f| < RESIDUAL_TOL places it within RESIDUAL_TOL/(2m) of
-        # +/-m; the band excluded here is twice that wide.
-        edge = p.m - RESIDUAL_TOL / p.m
-        kept: list[tuple[float, float, str]] = []
-        for root in sorted(found, key=lambda r: r[0]):
-            e = root[0]
-            if -edge < e < edge and not any(abs(e - k[0]) < 1e-10 * (1.0 + abs(e)) for k in kept):
-                kept.append(root)
-        out.append([_make_level(p, n, coeffs[i], complex(e), r, note) for e, r, note in kept])
-    return out
+    f_v = abs(_f(vertex, a0, b0, m))
+    if -m < vertex < m and f_v < RESIDUAL_TOL:
+        roots.append((vertex, f_v, "double_root"))
+    # A root within the certificate of +/-m is the threshold itself: there mu = 0
+    # and f' = +/-2m, so |f| < RESIDUAL_TOL places it within RESIDUAL_TOL/(2m) of
+    # +/-m; the band excluded here is twice that wide.
+    edge = m - RESIDUAL_TOL / m
+    kept: list[tuple[float, float, str]] = []
+    for root in sorted(roots, key=lambda r: r[0]):
+        e = root[0]
+        if -edge < e < edge and not any(abs(e - k[0]) < 1e-10 * (1.0 + abs(e)) for k in kept):
+            kept.append(root)
+    return [_make_level(p, n, coeffs, complex(e), r, note) for e, r, note in kept]
 
 
 def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:

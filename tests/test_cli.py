@@ -152,6 +152,9 @@ class TestConfigErrorExit:
         "command,overrides,extra,fragment",
         [
             ("verify", {"oracle.n_points": "32"}, (), "n_points"),
+            # spectrum and sweep load the oracle only to check a key that is given.
+            ("spectrum", {"oracle.n_points": "32"}, (), "oracle: n_points"),
+            ("sweep", {"sweep_key": "q", "sweep_values": "1", "oracle.x_max": "1"}, (), "oracle: x_max"),
             # The stencil is fixed; its old key is unknown.
             ("verify", {"oracle.fd_order": "4"}, (), "unknown key 'oracle.fd_order'"),
             ("verify", {"oracle.x_max": "1"}, (), "x_max"),
@@ -169,7 +172,7 @@ class TestConfigErrorExit:
             ("spectrum", {}, ("--jobs", "-1"), "--jobs"),
             ("verify", {}, ("--format", "json"), "verify writes text"),
         ],
-        ids=["n_points", "fd_order", "x_max", "x_max-pole-verify", "x_max-pole-wavefunction", "n_max", "V0", "S0",
+        ids=["n_points", "n_points-spectrum", "x_max-sweep", "fd_order", "x_max", "x_max-pole-verify", "x_max-pole-wavefunction", "n_max", "V0", "S0",
              "VI", "lambda", "q", "m", "jobs0", "jobs-1", "verify-json"],
     )
     def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
@@ -221,13 +224,41 @@ class TestConfigErrorLine:
 
 # Runs main() on each argv of a JSON list and reports, after the import and after
 # each command, its exit code and whether scipy is loaded.
+# The modules that only verify and wavefunction need, as loaded after each step.
 SCIPY_PROBE = """
 import json, sys
 from kg_hierarchy.cli import main
-seen = [["import", None, "scipy" in sys.modules]]
+watch = ("numpy", "scipy", "kg_hierarchy.oracle", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid")
+loaded = lambda: [name for name in watch if name in sys.modules]
+seen = [["import", None, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([argv[0], main(argv), "scipy" in sys.modules])
+    seen.append([argv[0], main(argv), loaded()])
 print(json.dumps(seen))
+"""
+
+# The package namespace before and after its first public name.
+LAZY_PROBE = """
+import json, sys
+import kg_hierarchy as kg
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("kg_hierarchy."))
+seen = {"import": loaded(), "dir_covers_all": set(kg.__all__) <= set(dir(kg))}
+try:
+    kg.no_such_name
+except AttributeError:
+    seen["unknown_name"] = loaded()
+kg.compare = "bound before"
+kg.GammaPositivityWarning
+seen["first_name"] = loaded()
+seen["all_bound"] = all(name in vars(kg) for name in kg.__all__)
+seen["kept"] = kg.compare
+print(json.dumps(seen))
+"""
+
+STAR_PROBE = """
+import json
+import kg_hierarchy
+from kg_hierarchy import *
+print(json.dumps(sorted(set(kg_hierarchy.__all__) - set(globals()))))
 """
 
 
@@ -321,9 +352,28 @@ class TestScipyOnlyForVerify:
         ]
         proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
+        # spectrum and sweep load no numpy and no oracle; wavefunction loads no scipy.
+        wavefunction = ["numpy", "kg_hierarchy.oracle", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid"]
         assert json.loads(proc.stdout) == [
-            ["import", None, False], ["spectrum", 0, False], ["sweep", 0, False], ["wavefunction", 0, False]
+            ["import", None, []], ["spectrum", 0, []], ["sweep", 0, []], ["wavefunction", 0, wavefunction]
         ]
+
+    def test_package_namespace_is_lazy(self):
+        # No submodule at import; the first public name binds all of __all__ and
+        # keeps a name that was bound before it.
+        proc = run_python_fresh("-c", LAZY_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        submodules = ["errors", "grid", "hierarchy", "oracle", "potential", "spectra", "wavefunctions"]
+        assert json.loads(proc.stdout) == {
+            "import": [], "dir_covers_all": True, "unknown_name": [],
+            "first_name": [f"kg_hierarchy.{name}" for name in submodules],
+            "all_bound": True, "kept": "bound before",
+        }
+
+    def test_star_import_binds_all(self):
+        proc = run_python_fresh("-c", STAR_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_verify_loads_only_lapack(self, tmp_path):
         # The oracle needs scipy's f2py LAPACK extension, not the scipy.linalg

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kg_hierarchy as kg
+import kg_hierarchy.hierarchy as hierarchy
 from kg_hierarchy import Branch, PotentialParams, Superpotential
 from kg_hierarchy.errors import DegenerateRootError
 
@@ -30,6 +31,22 @@ class TestSolveNu1:
         # Negative q with gamma1 = 0: the +sqrt branch lands exactly on zero.
         with pytest.raises(DegenerateRootError):
             kg.solve_nu1(0.0, -1.0, 0.5)
+
+    moderate = st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100)
+    zero = st.sampled_from([0.0, -0.0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.floats(allow_nan=False), zero)
+        | st.tuples(zero, st.floats(allow_nan=False))
+        | st.tuples(moderate, moderate)
+    )
+    def test_square_root_is_numpys(self, parts):
+        # solve_nu1 took its square root from numpy.  cmath.sqrt alone differs on
+        # the imaginary axis, which V0 = S0 = lam = q = 1, VI = 0.5 reaches, and
+        # on the real axis just above the smallest normal double.
+        z = complex(*parts)
+        assert repr(hierarchy._csqrt(z)) == repr(complex(np.sqrt(np.complex128(z))))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -44,7 +44,7 @@ def test_refine_study(tmp_path):
         f"__path__ = [{str(real)!r}]\n"
         f"exec(open({str(real / '__init__.py')!r}).read())\n"
         "import dataclasses\n"
-        "_compare = compare\n\n"
+        "_compare = __getattr__('compare')  # the lazy namespace binds the API on first access\n\n"
         "def compare(*args):\n"
         "    report = _compare(*args)\n"
         "    moved = lambda e: None if e is None else e * (1.0 + 1e-12)\n"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kg_hierarchy as kg
@@ -369,8 +369,9 @@ def dense_scan(m: float, a0: float, b0: float) -> tuple[list, list, list, list]:
     Returns the brackets (lo, hi, f(lo)) and the nodes where f is exactly 0.
     """
     grid = np.linspace(-m, m, spectra.SCAN_POINTS + 2)
-    mu = a0 + b0 * grid
-    fg = grid * grid - m * m + mu * mu
+    with np.errstate(all="ignore"):  # |a|, |b| near 1e300 overflow to inf and nan
+        mu = a0 + b0 * grid
+        fg = grid * grid - m * m + mu * mu
     signs = np.sign(fg)
     k = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     return grid[k].tolist(), grid[k + 1].tolist(), fg[k].tolist(), grid[fg == 0.0].tolist()
@@ -397,14 +398,24 @@ def level_quadratics(draw) -> tuple[float, float, float]:
     return m, math.sqrt(max(m * m - E0 * E0, 0.0)), 0.0
 
 
+@st.composite
+def extreme_quadratics(draw) -> tuple[float, float, float]:
+    """(m, a, b) where Python float arithmetic raises and numpy does not: m = 5e-324,
+    whose scan step 2m/(SCAN_POINTS + 1) is 0, or |a|, |b| near 1e300, where f overflows."""
+    huge = st.one_of(st.just(0.0), finite(-1.0, 1.0), finite(1e299, 1.7e308), finite(-1.7e308, -1e299))
+    if draw(st.booleans()):
+        return 5e-324, draw(st.one_of(huge, finite(-1e-160, 1e-160))), draw(huge)
+    return draw(st.one_of(st.just(1.0), finite(1e-3, 1e3))), draw(huge), draw(huge)
+
+
 class TestBatchSolver:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(level_quadratics(), min_size=1, max_size=6))
+    @given(st.lists(st.one_of(level_quadratics(), extreme_quadratics()), min_size=1, max_size=6))
+    @example([(5e-324, 0.0, 0.0), (5e-324, 1e-170, 3.0), (1.0, 1e300, -1e300), (1.0, -1e300, 0.0)])
     def test_window_scan_matches_dense_scan(self, cases):
-        m, a0, b0 = (np.array(column) for column in zip(*cases))
-        (pt, lo, hi, flo), (zpt, zE) = spectra._scan(m, a0, b0)
-        for i, case in enumerate(cases):
-            got = lo[pt == i].tolist(), hi[pt == i].tolist(), flo[pt == i].tolist(), zE[zpt == i].tolist()
+        for case in cases:
+            brackets, zeros = spectra._scan(*case)
+            got = tuple([bracket[i] for bracket in brackets] for i in range(3)) + (zeros,)
             assert got == dense_scan(*case), case
 
     @pytest.mark.parametrize(
@@ -463,7 +474,7 @@ class TestBatchSolver:
 
     # Set A with V0, S0, lam and m all times 30: E/m is unchanged, but f_n grows
     # with m^2, so the bisected roots miss the 1e-12 certificate and take
-    # Newton steps in the batch _polish.
+    # Newton steps in _newton_polish.
     SCALED_A = dict(V0=0.0, S0=30.0, lam=6.0, q=1.0, m=30.0)
 
     def test_scaled_set_certifies_through_newton(self):
