@@ -54,7 +54,6 @@ __all__ = [
     "solve_nu1",
     "solve_selfconsistent",
     "spectrum",
-    "spectrum_batch",
     "superpotential_derivative",
     "superpotential_eval",
     "vector_potential",

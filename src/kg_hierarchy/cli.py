@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, make_superpotential, riccati_check
 from .potential import Branch, PotentialParams
-from .spectra import EnergyLevel, LevelFlag, spectrum, spectrum_batch
+from .spectra import EnergyLevel, LevelFlag, spectrum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,8 +168,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if cfg.command == "sweep":
         if cfg.sweep_key is None or not cfg.sweep_values:
             raise ConfigError("sweep command needs sweep_key and sweep_values")
-    elif cfg.sweep_key is not None:
-        raise ConfigError(f"sweep_key is only valid with the sweep command, not {cfg.command!r}")
+    elif cfg.sweep_key is not None or cfg.sweep_values:
+        key = "sweep_key" if cfg.sweep_key is not None else "sweep_values"
+        raise ConfigError(f"{key} is only valid with the sweep command, not {cfg.command!r}")
     return cfg
 
 
@@ -310,7 +311,7 @@ def run_sweep(cfg: RunConfig) -> int:
             swept.append(replace(p, **{field: v}))
         except ParameterError as exc:
             raise ConfigError(f"sweep value {key} = {v:g} rejected: {exc}") from exc
-    solved = spectrum_batch(swept, cfg.n_max)
+    solved = [spectrum(point, cfg.n_max) for point in swept]
     rows = ((key, v, *_level_values(lv)) for v, levels in zip(cfg.sweep_values, solved) for lv in levels)
     _write_table(cfg, "rows", ("sweep_key", "sweep_value", *_LEVEL_COLUMNS), "%s,%.17g," + _LEVEL_ROW, rows)
     return 0

@@ -25,8 +25,9 @@ a level has at most two roots, and the Hermitian scan evaluates a few nodes
 around each.  On the Hermitian branch every imaginary part is exactly 0, so the
 scan, bisection and Newton polish run in float arithmetic, which gives the
 digits of the complex one.  The module imports no numpy, so the spectrum and
-sweep commands start without it.  spectrum_batch is spectrum on each point,
-and solve_level is one level of it.
+sweep commands start without it.  spectrum stops at n_max or at the first
+level with no root flagged NormalizableMuPositive, a level with no root
+included; solve_level is one level, and only it raises NoRootError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -134,12 +134,8 @@ def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: comple
     f = E * E - p.m * p.m + mu * mu
     if abs(f) < RESIDUAL_TOL:
         return E, abs(f)
-    raise _stalled(n, complex(E), abs(f))
-
-
-def _stalled(n: int, E: complex, abs_f: float) -> NonConvergenceError:
-    return NonConvergenceError(
-        f"level {n}: Newton polishing of E = {E:.6g} stalled at |f| = {abs_f:.3e} "
+    raise NonConvergenceError(
+        f"level {n}: Newton polishing of E = {complex(E):.6g} stalled at |f| = {abs(f):.3e} "
         f"after {MAX_NEWTON_ITER} iterations"
     )
 
@@ -184,53 +180,38 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     roots of the level quadratic in closed form, each Newton-polished; a root
     listed once with note "double_root" is one the two polished roots share.
     Every returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
-    NonConvergenceError.
+    NonConvergenceError.  A level with no root raises NoRootError.
     """
-    return _solve_level(p, n, level_coefficients(p, n))
-
-
-def spectrum_batch(points: Sequence[PotentialParams], n_max: int) -> list[list[EnergyLevel]]:
-    """spectrum(p, n_max) for every point, in order; the first point that raises stops the batch."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return [spectrum(p, n_max) for p in points]
+    found = _solve_level(p, n, level_coefficients(p, n))
+    if not found:
+        raise NoRootError(f"level {n} supports no self-consistent bound energy")
+    return found
 
 
 def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
-    """Bound levels for n = 0, 1, ... until NoRoot, loss of normalizability, or n_max."""
+    """Bound levels for n = 0, 1, ..., n_max, up to the first level with no root
+    flagged NormalizableMuPositive (a level with no root is one); never NoRootError."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     chain = level_chain(p)
     out: list[EnergyLevel] = []
     for n in range(n_max + 1):
-        try:
-            found = _solve_level(p, n, chain_coefficients(chain, n))
-        except NoRootError:
-            break
-        if max(lv.mu.real for lv in found) <= 0.0:
+        found = _solve_level(p, n, chain_coefficients(chain, n))
+        if not any(LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags for lv in found):
             break
         out.extend(found)
     return out
 
 
 def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
-    # Level n from its coefficients; NoRootError when it has no root.
+    # Level n from its coefficients; [] when it has no root.
     if p.branch is Branch.HERMITIAN:
         found = _solve_level_hermitian(p, n, coeffs)
     else:
         found = _solve_level_complex(p, n, coeffs)
-    if not found:
-        raise NoRootError(f"level {n} supports no self-consistent bound energy")
-    if p.v0_eff == 0:
+    if found and p.v0_eff == 0:
         _crosscheck_closed_form(p, n, coeffs[1], found)
     return found
-
-
-def _f(E: float, a0: float, b0: float, m: float) -> float:
-    # f_n in the order of operations of the complex residual, so that on the
-    # Hermitian branch, where every imaginary part is 0, the digits are the same.
-    mu = a0 + b0 * E
-    return E * E - m * m + mu * mu
 
 
 def _scan(m: float, a0: float, b0: float) -> tuple[list[tuple[float, float, float]], list[float]]:
@@ -299,7 +280,6 @@ def _window(c: float, half: float, m: float, step: float, last: int) -> tuple[in
 
 def _bisect(a0: float, b0: float, m: float, lo: float, hi: float, flo: float) -> float:
     # Halve the bracket until an exact zero or until it is narrower than 1e-13.
-    # _f is written out here and in _scan: the call costs more than the arithmetic.
     mm = m * m
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -323,8 +303,10 @@ def _solve_level_hermitian(p: PotentialParams, n: int, coeffs: Coefficients) -> 
     roots += [(e, 0.0, "") for e in zeros]
     # Tangency: f is an upward parabola in E, so a degenerate double root can only
     # sit at the vertex, where f' = 2E + 2*mu*mu' vanishes (f' is linear in E).
+    # f at the vertex in the order of operations of the complex residual.
     vertex = -a0 * b0 / (1.0 + b0 * b0)
-    f_v = abs(_f(vertex, a0, b0, m))
+    mu_v = a0 + b0 * vertex
+    f_v = abs(vertex * vertex - m * m + mu_v * mu_v)
     if -m < vertex < m and f_v < RESIDUAL_TOL:
         roots.append((vertex, f_v, "double_root"))
     # A root within the certificate of +/-m is the threshold itself: there mu = 0

@@ -171,9 +171,12 @@ class TestConfigErrorExit:
             ("spectrum", {}, ("--jobs", "0"), "--jobs"),
             ("spectrum", {}, ("--jobs", "-1"), "--jobs"),
             ("verify", {}, ("--format", "json"), "verify writes text"),
+            # sweep_values on another command is an error, not ignored.
+            ("spectrum", {"sweep_values": "1,2"}, (), "sweep_values is only valid with the sweep command, not 'spectrum'"),
+            ("verify", {"sweep_values": "1,2"}, (), "sweep_values is only valid with the sweep command, not 'verify'"),
         ],
         ids=["n_points", "n_points-spectrum", "x_max-sweep", "fd_order", "x_max", "x_max-pole-verify", "x_max-pole-wavefunction", "n_max", "V0", "S0",
-             "VI", "lambda", "q", "m", "jobs0", "jobs-1", "verify-json"],
+             "VI", "lambda", "q", "m", "jobs0", "jobs-1", "verify-json", "sweep_values-spectrum", "sweep_values-verify"],
     )
     def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
         # Each input used to pass validation or escape as a raw ValueError.

@@ -4,7 +4,8 @@ The library and the CLI are driven with the same hypothesis draws over the
 whole valid parameter space (q != 0, lambda > 0, m > 0, VI only on the
 NonHermitian branch).  The library must return levels whose residual meets the
 1e-12 certificate or raise KGHierarchyError; ``cli.main`` must map every
-outcome to an exit code and never let another exception escape.
+outcome of each of its four commands to an exit code and never let another
+exception escape.
 """
 
 import warnings
@@ -84,8 +85,10 @@ def test_library_certifies_or_raises_typed(run):
 @with_escapes
 def test_cli_never_lets_an_untyped_exception_escape(tmp_path_factory, run):
     work = tmp_path_factory.mktemp("contract")
-    cfg = work / "run.cfg"
-    cfg.write_text(config_text(*run))
-    for command in ("spectrum", "wavefunction"):
+    text, q = config_text(*run), run[0]["q"]
+    extra = {"verify": "oracle.n_points = 64\n", "sweep": f"sweep_key = q\nsweep_values = {q!r}, {-q!r}\n"}
+    for command in ("spectrum", "wavefunction", "verify", "sweep"):
+        cfg = work / f"{command}.cfg"
+        cfg.write_text(text + extra.get(command, ""))
         code = main([command, "--config", str(cfg), "--output", str(work / f"{command}.out")])
         assert code in (0, 1, 2)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kg_hierarchy as kg
+import kg_hierarchy.cli as cli
 import kg_hierarchy.spectra as spectra
 from kg_hierarchy import Branch, LevelFlag, PotentialParams
 from kg_hierarchy.errors import (
@@ -169,6 +170,8 @@ class TestSpectrum:
     def test_n_max_cutoff(self, set_a):
         spec = kg.spectrum(set_a, 1)
         assert [lv.n for lv in spec] == [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="n_max"):
+            kg.spectrum(set_a, -1)
 
 
 class TestComplexBranches:
@@ -418,29 +421,9 @@ class TestBatchSolver:
             got = tuple([bracket[i] for bracket in brackets] for i in range(3)) + (zeros,)
             assert got == dense_scan(*case), case
 
-    @pytest.mark.parametrize(
-        "base,branch,VI,key,values",
-        [
-            (SET_A, Branch.HERMITIAN, 0.0, "q", np.linspace(-3.0, 5.0, 41)),
-            (SET_B, Branch.HERMITIAN, 0.0, "q", np.linspace(0.05, 5.0, 41)),
-            (SET_C, Branch.HERMITIAN, 0.0, "m", np.linspace(0.2, 3.0, 41)),
-            (SET_A, Branch.PT_SYMMETRIC, 0.0, "q", np.linspace(-3.0, 5.0, 41)),
-            (SET_C, Branch.PT_SYMMETRIC, 0.0, "m", np.linspace(0.2, 3.0, 41)),
-            (SET_B, Branch.NON_HERMITIAN, 0.1, "q", np.linspace(-3.0, 5.0, 41)),
-            (SET_C, Branch.NON_HERMITIAN, 0.1, "m", np.linspace(0.2, 3.0, 41)),
-        ],
-    )
-    def test_batch_equals_batches_of_one(self, base, branch, VI, key, values):
-        points = [params(dict(base, **{key: float(v)}), branch, VI) for v in values if v != 0.0]
-        batch = kg.spectrum_batch(points, 8)
-        assert sum(map(len, batch)) > len(points)
-        assert batch == [kg.spectrum_batch([p], 8)[0] for p in points]
-        assert batch == [kg.spectrum(p, 8) for p in points]
-
     def test_first_failing_point_is_reported(self):
-        # On this base q = -0.79 fails at level 6 and q = 1.05 at level 0.  Level
-        # by level the second failure comes first; the sweep must still report
-        # the first failing value, as a loop over spectrum() does.
+        # On this base q = -0.79 fails at level 6 and q = 1.05 at level 0; the
+        # sweep's order is checked in test_cli.py.
         base = dict(V0=1.01, S0=-0.63, lam=0.35, m=2.88)
         points = [params(dict(base, q=q), Branch.PT_SYMMETRIC) for q in (-0.5, -0.79, -1.0, 1.05)]
         assert kg.spectrum(points[0], 8) and kg.spectrum(points[2], 8)
@@ -450,27 +433,28 @@ class TestBatchSolver:
                 kg.spectrum(p, 8)
             errors.append(str(info.value))
         assert errors[0].startswith("level 6") and errors[1].startswith("level 0")
-        with pytest.raises(NonConvergenceError) as info:
-            kg.spectrum_batch(points, 8)
-        assert str(info.value) == errors[0]
 
-    def test_hermitian_error_order_across_levels(self, monkeypatch):
-        # A Hermitian sweep: the second point's level-2 error beats the fourth
-        # point's level-0 discriminant error.
+    def test_hermitian_error_order_across_levels(self, tmp_path, monkeypatch, capsys):
+        # A Hermitian sweep: the second value's level-2 error beats the fourth
+        # value's level-0 discriminant error.
         orig = spectra.chain_coefficients
 
         def fail_at_level_2(chain, n):
-            if n == 2 and chain[3] == 0.75:  # chain[3] is q
-                raise kg.ZeroNuError("marker: second point, level 2")
+            if n == 2 and chain[4] == 0.1:  # chain[4] is V0_eff
+                raise kg.ZeroNuError("marker: second value, level 2")
             return orig(chain, n)
 
+        with pytest.raises(ComplexLevelError, match="discriminant"):
+            kg.spectrum(params(dict(SET_A, V0=1.5)), 8)
         monkeypatch.setattr(spectra, "chain_coefficients", fail_at_level_2)
-        points = [params(dict(SET_A, q=q)) for q in (0.5, 0.75, 1.0)]
-        points.append(params(dict(V0=0.5, S0=0.3, lam=0.2, q=1.0, m=1.0)))
-        with pytest.raises(ComplexLevelError):
-            kg.spectrum(points[3], 8)
-        with pytest.raises(kg.ZeroNuError, match="marker"):
-            kg.spectrum_batch(points, 8)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 8\n"
+                       "sweep_key = V0\nsweep_values = 0.0, 0.1, 0.2, 1.5\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "marker: second value, level 2" in captured.err
+        assert "discriminant" not in captured.err
 
     # Set A with V0, S0, lam and m all times 30: E/m is unchanged, but f_n grows
     # with m^2, so the bisected roots miss the 1e-12 certificate and take
@@ -486,16 +470,7 @@ class TestBatchSolver:
             assert lv.residual < 1e-12
 
     def test_newton_stall_names_the_level(self, monkeypatch):
-        # With no Newton step allowed the scaled set stalls and set A does not;
-        # the batch raises the stall of its failing point.
+        # With no Newton step allowed the scaled set stalls.
         monkeypatch.setattr(spectra, "MAX_NEWTON_ITER", 0)
-        with pytest.raises(NonConvergenceError, match="^level 3: Newton polishing") as single:
+        with pytest.raises(NonConvergenceError, match="^level 3: Newton polishing"):
             kg.spectrum(params(self.SCALED_A), 7)
-        with pytest.raises(NonConvergenceError) as batch:
-            kg.spectrum_batch([params(SET_A), params(self.SCALED_A)], 7)
-        assert str(batch.value) == str(single.value)
-
-    def test_empty_batch(self):
-        assert kg.spectrum_batch([], 4) == []
-        with pytest.raises(ValueError):
-            kg.spectrum_batch([], -1)
