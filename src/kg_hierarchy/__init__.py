@@ -59,7 +59,6 @@ __all__ = [
     "vector_potential",
     "ComplexLevelError",
     "ConfigError",
-    "CrossCheckError",
     "DegenerateRootError",
     "DomainError",
     "GammaPositivityWarning",

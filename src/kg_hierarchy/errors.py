@@ -29,10 +29,6 @@ class ComplexLevelError(KGHierarchyError):
     """Hermitian-branch level data would be complex (Gamma1 < -(q*lam)^2/4, or complex E)."""
 
 
-class CrossCheckError(KGHierarchyError):
-    """A solved root disagrees with the explicit formula that must reproduce it."""
-
-
 class NoRootError(KGHierarchyError):
     """No self-consistent bound energy exists at the requested level."""
 

@@ -28,19 +28,22 @@ if TYPE_CHECKING:
 POLE_TOL = 1e-12
 
 
-_PACKAGE = __name__.partition(".")[0]
+# The top-level modules whose frames a warning skips to name its caller.
+_INTERNAL = (__name__.partition(".")[0], "dataclasses")
 
 
 def _caller_stacklevel() -> int:
-    """warnings.warn stacklevel of the first frame outside this package.
+    """warnings.warn stacklevel of the first frame outside this package and ``dataclasses``.
 
     Counted from the function that calls this helper (stacklevel 1), so a
     warning names the caller's line however deep in the package it is raised,
     including from the dataclass-generated ``__init__``, whose globals are this
-    module's.
+    module's, and through ``dataclasses.replace``.  The "once" action keys on
+    the registry of the module it names, so a replace() must not name
+    dataclasses.py: the same text would be shown again there.
     """
     level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] in _INTERNAL:
         level, frame = level + 1, frame.f_back
     return level
 

@@ -9,25 +9,21 @@ Since mu_n = a + b*E is affine in E, f_n is the quadratic
 
     (1 + b^2) E^2 + 2*a*b*E + (a^2 - m^2).
 
-On the Hermitian branch its real roots in (-m, m) are found by a sign scan of
-f_n on the SCAN_POINTS + 2 nodes of np.linspace(-m, m) plus bisection.  Only the
-nodes next to the closed-form roots (or the vertex) are evaluated: everywhere
-else the sign of the computed f_n provably equals that of the exact quadratic,
-so the brackets are those of a scan of every node.  On the complex branches both
-roots come from the cancellation-safe quadratic formula (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 1.8).  Either way every root is
-Newton-polished on f_n and certified by |f_n(E)| < 1e-12.  The closed form
-E = +/- sqrt(m^2 - mu_n^2) is exact whenever V0_eff = 0 and is used as an
-internal cross-check there.
+On every branch both roots come from the cancellation-safe quadratic formula
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 1.8).  On the
+Hermitian branch the real roots in (-m, m) are kept when the discriminant is
+positive, and the vertex is checked for a double root.  Every root is
+Newton-polished on f_n and certified by |f_n(E)| < 1e-12.  With V0_eff = 0
+the formula is the explicit E = +/- sqrt(m^2 - mu_n^2).
 
 The solver is scalar Python, point by point and root by root, with no arrays:
-a level has at most two roots, and the Hermitian scan evaluates a few nodes
-around each.  On the Hermitian branch every imaginary part is exactly 0, so the
-scan, bisection and Newton polish run in float arithmetic, which gives the
-digits of the complex one.  The module imports no numpy, so the spectrum and
-sweep commands start without it.  spectrum stops at n_max or at the first
-level with no root flagged NormalizableMuPositive, a level with no root
-included; solve_level is one level, and only it raises NoRootError.
+a level has at most two roots.  On the Hermitian branch every imaginary part
+is exactly 0, so the roots and the Newton polish are computed in float
+arithmetic, which gives the digits of the complex one.  The module imports no
+numpy, so the spectrum and sweep commands start without it.  spectrum stops at
+n_max or at the first level with no root flagged NormalizableMuPositive, a
+level with no root included; solve_level is one level, and only it raises
+NoRootError.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import CrossCheckError, NoRootError, NonConvergenceError
+from .errors import NoRootError, NonConvergenceError
 from .hierarchy import (
     Coefficients,
     chain_coefficients,
@@ -49,8 +45,7 @@ from .hierarchy import (
 )
 from .potential import Branch, PotentialParams
 
-# Hermitian sign-scan resolution, residual certificate and Newton budget.
-SCAN_POINTS = 2048
+# Residual certificate and Newton budget.
 RESIDUAL_TOL = 1e-12
 MAX_NEWTON_ITER = 200
 _U = 2.0**-53  # unit roundoff of float64
@@ -173,13 +168,13 @@ def _make_level(
 def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     """All self-consistent bound energies at level n (at most two).
 
-    Hermitian branch: sign scan of f_n at SCAN_POINTS interior points of (-m, m),
-    bisection of each bracket to 1e-13 in E, then a short Newton polish; the
-    parabola vertex is checked separately so that a degenerate double root is
-    still found (returned once, note "double_root").  Complex branches: both
-    roots of the level quadratic in closed form, each Newton-polished; a root
-    listed once with note "double_root" is one the two polished roots share.
-    Every returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
+    Both roots of the level quadratic come from the cancellation-safe formula,
+    each Newton-polished.  Hermitian branch: the real roots in (-m, m), none
+    within 8 rounding units of the threshold +/-m; the parabola vertex is
+    checked separately so that a degenerate double root is still found
+    (returned once, note "double_root").  Complex branches: a root listed once
+    with note "double_root" is one the two polished roots share.  Every
+    returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
     NonConvergenceError.  A level with no root raises NoRootError.
     """
     found = _solve_level(p, n, level_coefficients(p, n))
@@ -206,113 +201,34 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
 def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
     # Level n from its coefficients; [] when it has no root.
     if p.branch is Branch.HERMITIAN:
-        found = _solve_level_hermitian(p, n, coeffs)
-    else:
-        found = _solve_level_complex(p, n, coeffs)
-    if found and p.v0_eff == 0:
-        _crosscheck_closed_form(p, n, coeffs[1], found)
-    return found
-
-
-def _scan(m: float, a0: float, b0: float) -> tuple[list[tuple[float, float, float]], list[float]]:
-    """The sign scan of f at the SCAN_POINTS + 2 nodes of np.linspace(-m, m).
-
-    Returns the brackets (lo, hi, f(lo)) between neighbouring nodes of opposite
-    sign and the nodes E where f is exactly 0, in grid order, as a scan of
-    every node gives them.  Only the nodes near the closed-form roots
-    r = v +/- s (v the vertex) are evaluated.  Elsewhere the sign of the
-    computed f is that of the exact quadratic F(E) = A*(E - r1)*(E - r2),
-    A = 1 + b^2: for |E| <= m the rounding error of f is at most about
-    6u*(m^2 + (|a| + |b|*m)^2), below B = 16u*(m^2 + (|a| + |b|*m)^2), and
-    |F| >= A*d^2 > B at distance d = 2*sqrt(B/A) from both roots (from v when
-    they are complex).  The window adds the rounding error of the roots
-    themselves, absolute floors for underflow, and two nodes on each side; a
-    window with an end that is not finite is the full scan.  The end
-    nodes +/-m, where f = mu^2 >= 0, can be bracket ends; the threshold filter
-    of the caller keeps +/-m itself out of the root list.  The nodes are those
-    of np.linspace, which spaces them as k/(SCAN_POINTS + 1) * 2m when the step
-    2m/(SCAN_POINTS + 1) underflows to 0.
-    """
-    last = SCAN_POINTS + 1
-    delta = m - (-m)
-    step = delta / last
-    lead = 1.0 + b0 * b0
-    v = -a0 * b0 / lead
-    s = math.sqrt(max(m * m * lead - a0 * a0, 0.0)) / lead
-    big = abs(a0) + abs(b0) * m
-    bound = 16.0 * _U * (m * m + big * big) + 1e-300
-    half = (
-        2.0 * math.sqrt(bound / lead)
-        + math.sqrt(8.0 * _U * (m * m * lead + a0 * a0)) / lead
-        + 8.0 * _U * (abs(v) + s + m)
-        + 1e-150
-    )
-    lo1, hi1 = _window(v - s, half, m, step, last)
-    lo2, hi2 = _window(v + s, half, m, step, last)
-    # Overlapping or touching windows are merged, so that no node is scanned twice.
-    if lo2 <= hi1 + 1:
-        hi1, hi2 = max(hi1, hi2), lo2 - 1
-    brackets: list[tuple[float, float, float]] = []
-    zeros: list[float] = []
-    mm = m * m
-    for lo, hi in ((lo1, hi1), (lo2, hi2)):
-        for k in range(lo, hi + 1):
-            E = m if k == last else (k * step if step else k / last * delta) + (-m)
-            mu = a0 + b0 * E
-            f = E * E - mm + mu * mu
-            if f == 0.0:
-                zeros.append(E)
-            if k > lo and (f_prev < 0.0 < f or f < 0.0 < f_prev):
-                brackets.append((E_prev, E, f_prev))
-            E_prev, f_prev = E, f
-    return brackets, zeros
-
-
-def _window(c: float, half: float, m: float, step: float, last: int) -> tuple[int, int]:
-    # The nodes floor((c - half + m)/step) - 2 to ceil((c + half + m)/step) + 2,
-    # clipped to the grid; every node when an end is not finite (the step can be 0).
-    if step > 0.0:
-        lo, hi = (c - half + m) / step, (c + half + m) / step
-        if math.isfinite(lo) and math.isfinite(hi):
-            return min(max(math.floor(lo) - 2, 0), last + 1), min(max(math.ceil(hi) + 2, -1), last)
-    return 0, last
-
-
-def _bisect(a0: float, b0: float, m: float, lo: float, hi: float, flo: float) -> float:
-    # Halve the bracket until an exact zero or until it is narrower than 1e-13.
-    mm = m * m
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mu = a0 + b0 * mid
-        fm = mid * mid - mm + mu * mu
-        if fm == 0.0 or (hi - lo) < 1e-13:
-            break
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        return _solve_level_hermitian(p, n, coeffs)
+    return _solve_level_complex(p, n, coeffs)
 
 
 def _solve_level_hermitian(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
     # On this branch every imaginary part is exactly 0, and float arithmetic
     # gives the same digits as the complex one.
     m, a0, b0 = p.m, coeffs[1].real, coeffs[2].real
-    brackets, zeros = _scan(m, a0, b0)
-    roots = [(*_newton_polish(p, n, a0, b0, _bisect(a0, b0, m, *bracket)), "") for bracket in brackets]
-    roots += [(e, 0.0, "") for e in zeros]
+    # Both real roots of A*E^2 + 2*h*E + C without cancellation, as in
+    # _quadratic_roots; each one in (-m, m) is polished.
+    A, h, C = 1.0 + b0 * b0, a0 * b0, a0 * a0 - m * m
+    disc = h * h - A * C
+    roots: list[tuple[float, float, str]] = []
+    if disc > 0.0:
+        t = -(h + math.copysign(math.sqrt(disc), h))
+        roots = [(*_newton_polish(p, n, a0, b0, E0), "") for E0 in (t / A, C / t) if -m < E0 < m]
     # Tangency: f is an upward parabola in E, so a degenerate double root can only
     # sit at the vertex, where f' = 2E + 2*mu*mu' vanishes (f' is linear in E).
     # f at the vertex in the order of operations of the complex residual.
-    vertex = -a0 * b0 / (1.0 + b0 * b0)
+    vertex = -h / A
     mu_v = a0 + b0 * vertex
     f_v = abs(vertex * vertex - m * m + mu_v * mu_v)
     if -m < vertex < m and f_v < RESIDUAL_TOL:
         roots.append((vertex, f_v, "double_root"))
-    # A root within the certificate of +/-m is the threshold itself: there mu = 0
-    # and f' = +/-2m, so |f| < RESIDUAL_TOL places it within RESIDUAL_TOL/(2m) of
-    # +/-m; the band excluded here is twice that wide.
-    edge = m - RESIDUAL_TOL / m
+    # A root within 8 rounding units of +/-m is the threshold itself, where mu = 0:
+    # no bound state.  The closed form places a threshold root within a few units
+    # of +/-m, and a bound root next to it (mu > 0) stays.
+    edge = m * (1.0 - 8.0 * _U)
     kept: list[tuple[float, float, str]] = []
     for root in sorted(roots, key=lambda r: r[0]):
         e = root[0]
@@ -348,17 +264,6 @@ def _solve_level_complex(p: PotentialParams, n: int, coeffs: Coefficients) -> li
         out.append(_make_level(p, n, coeffs, E, res))
     out.sort(key=lambda lv: (lv.E.real, lv.E.imag))
     return out
-
-
-def _crosscheck_closed_form(p: PotentialParams, n: int, a: complex, found: list[EnergyLevel]) -> None:
-    # With V0_eff = 0 the condition is explicit: E = +/- sqrt(m^2 - mu_n^2).
-    ref = _explicit_energy(p, a)
-    for lv in found:
-        if min(abs(lv.E - ref), abs(lv.E + ref)) > 1e-9 * (1.0 + abs(ref)):
-            raise CrossCheckError(
-                f"level {n}: iterative root {lv.E} disagrees with the explicit "
-                f"V0_eff = 0 form +/-{ref}"
-            )
 
 
 def _pm_pair(p: PotentialParams, n: int) -> PlusMinusPair:

@@ -144,6 +144,16 @@ class TestErrorExit:
         assert len(lines) == 1
         assert "GammaPositivityWarning" in lines[0] and "V0 = 0.25, S0 = 0.25" in lines[0]
 
+    def test_gamma_warning_is_one_line_per_sweep(self, tmp_path):
+        # The base parameters and each sweep point (built by dataclasses.replace)
+        # raise the same Gamma1 warning; it is shown once.
+        cfg = write_cfg(tmp_path, "V0 = 0.25\nS0 = 0.25\nlambda = 0.2\nq = 1\nm = 1\nn_max = 8\n"
+                        "sweep_key = q\nsweep_values = 0.9, 1.1\n")
+        proc = run_cli_fresh("sweep", "--config", cfg)
+        assert proc.returncode == 0
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("warning: GammaPositivityWarning: Gamma1 ") and "V0 = 0.25, S0 = 0.25" in line
+
 
 class TestConfigErrorExit:
     BASE = {"V0": "0", "S0": "1", "lambda": "0.2", "q": "1", "m": "1"}
@@ -471,7 +481,8 @@ class TestVerifyCommand:
     def test_growing_left_tail_is_a_skipped_row(self, tmp_path, capsys):
         # q < 0 has no pole: psi ~ exp(-(rho/q + mu)*x) as x -> -inf, so this
         # root with Re(mu) > 0 still has a growing left tail.  Seeding the oracle
-        # with it gave "converged level 0 is not bound" and exit 1.
+        # with it gave "converged level 0 is not bound" and exit 1.  The root is
+        # 9 ulps (1e-15 relative) from the 50-digit root of the exact parameters.
         cfg = write_cfg(
             tmp_path,
             "V0 = 0.26638178622744524\nS0 = 0.2472432017163806\nlambda = 0.3322145028902941\n"
@@ -479,7 +490,7 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert "0,-0.990820849344757,,,,,non-normalizable left tail (Re(rho/q + mu) >= 0)" in out
+        assert "0,-0.99082084934477377,,,,,non-normalizable left tail (Re(rho/q + mu) >= 0)" in out
         assert out[-1] == "verify: PASS"
 
     def test_pt_branch_skips_oracle(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Potential family: construction invariants, pointwise identities, branch behavior."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -48,6 +49,12 @@ class TestConstruction:
     def test_gamma1_warning_names_the_caller(self):
         with pytest.warns(GammaPositivityWarning, match="V0 = 0.25, S0 = 0.25") as record:
             PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
+        assert record[0].filename == __file__
+
+    def test_gamma1_warning_through_replace_names_the_caller(self):
+        base = PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+        with pytest.warns(GammaPositivityWarning, match="V0 = 1.5, S0 = 1") as record:
+            dataclasses.replace(base, V0=1.5)
         assert record[0].filename == __file__
 
     def test_gamma2_warning_names_the_caller(self, tmp_path):

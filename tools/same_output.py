@@ -12,11 +12,14 @@ code, stdout or stderr bytes differ is printed.  The `refine` workload's
 grid-refinement study, this tree's perfbench/refine.py on the spec that
 perfbench/inputs.py writes, runs the same way on both trees' src/; its JSON is
 compared with the ladders' wall times (`seconds`) removed.  When stdout
-differs, the line also gives the largest relative change of a numeric field and
-the stdout line (this tree's, numbered from 1) where it occurs: lines are
-paired in order and the numbers of a line by position.  Inputs go to a
-temporary directory; perfbench/ is only read.  Exit code 0 when no command
-differs, 1 otherwise.
+differs, the line also gives the largest relative change of each numeric field
+that changed, largest first, named by its JSON key or CSV column.  A JSON
+document is compared leaf by leaf.  Other output is paired line by line; in a
+table the fields of a line are named by the last header row above it (a row of
+names only), and a number outside a table by its position ("line 3 field 2").
+For text the stdout line (this tree's, numbered from 1) of each largest change
+is given too.  Inputs go to a temporary directory; perfbench/ is only read.
+Exit code 0 when no command differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -87,22 +90,69 @@ def run_refine(tree: Path, spec: str, work: Path) -> tuple[int, bytes, bytes]:
     return proc.returncode, out, proc.stderr
 
 
-def largest_change(mine: bytes, theirs: bytes) -> tuple[float, int, str] | None:
-    """Largest relative change of a numeric field, its line number and this tree's line.
+def _relative(x: float, y: float) -> float | None:
+    # Relative change from y to x; None when there is none.
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
 
-    None when no paired numeric field differs.
-    """
-    worst = None
+
+def _json_pairs(mine, theirs, name: str):
+    # (name, mine, theirs) of the numeric leaves, paired by key and position
+    # and named by their nearest key.
+    if isinstance(mine, dict) and isinstance(theirs, dict):
+        for key in mine:
+            if key in theirs:
+                yield from _json_pairs(mine[key], theirs[key], key)
+    elif isinstance(mine, list) and isinstance(theirs, list):
+        for a, b in zip(mine, theirs):
+            yield from _json_pairs(a, b, name)
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (mine, theirs)):
+        yield name, float(mine), float(theirs)
+
+
+def _fields(line: bytes) -> list[float | None]:
+    # The comma-separated fields of a line, each a number or None.
+    return [float(field) if NUMBER.fullmatch(field.strip()) else None for field in line.split(b",")]
+
+
+def _text_pairs(mine: bytes, theirs: bytes):
+    # (name, mine, theirs, line number) of the numbers of lines paired in order.
+    header: list[str] | None = None
     for number, (line, other) in enumerate(zip(mine.splitlines(), theirs.splitlines()), 1):
-        for a, b in zip(NUMBER.findall(line), NUMBER.findall(other)):
-            x, y = float(a), float(b)
-            if x == y or (math.isnan(x) and math.isnan(y)):
-                continue
-            finite = math.isfinite(x) and math.isfinite(y)
-            rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
-            if worst is None or rel > worst[0]:
-                worst = (rel, number, line.decode(errors="replace"))
-    return worst
+        names = [field.strip().decode(errors="replace") for field in line.split(b",")]
+        if len(names) == 1:  # not a table row
+            header = None
+        elif all(name.isidentifier() for name in names):
+            header = names
+            continue
+        if header is None:
+            for i, (x, y) in enumerate(zip(NUMBER.findall(line), NUMBER.findall(other)), 1):
+                yield f"line {number} field {i}", float(x), float(y), number
+            continue
+        for i, (x, y) in enumerate(zip(_fields(line), _fields(other))):
+            if x is not None and y is not None:
+                yield (header[i] if i < len(header) else f"field {i + 1}"), x, y, number
+
+
+def largest_changes(mine: bytes, theirs: bytes) -> dict[str, tuple[float, int | None]]:
+    """The largest relative change of each numeric field that changed, by name.
+
+    Each value is (change, this tree's line number), the line None for JSON.
+    """
+    try:
+        documents = json.loads(mine), json.loads(theirs)
+        pairs = ((name, x, y, None) for name, x, y in _json_pairs(*documents, "value"))
+    except ValueError:
+        pairs = _text_pairs(mine, theirs)
+    out: dict[str, tuple[float, int | None]] = {}
+    for name, x, y, number in pairs:
+        rel = _relative(x, y)
+        if rel is not None and rel > out.get(name, (0.0, None))[0]:
+            out[name] = (rel, number)
+    return out
 
 
 def difference(label: str, mine: tuple[int, bytes, bytes], theirs: tuple[int, bytes, bytes]) -> str | None:
@@ -111,9 +161,10 @@ def difference(label: str, mine: tuple[int, bytes, bytes], theirs: tuple[int, by
     if not fields:
         return None
     line = f"{label}: {', '.join(fields)} differ"
-    change = largest_change(mine[1], theirs[1])
-    if change is not None:
-        line += " (largest relative change %.2g, stdout line %d: %s)" % change
+    changes = sorted(largest_changes(mine[1], theirs[1]).items(), key=lambda item: (-item[1][0], item[0]))
+    if changes:
+        parts = [f"{name} {rel:.2g}" + ("" if at is None else f" at line {at}") for name, (rel, at) in changes]
+        line += f" (largest relative change: {', '.join(parts)})"
     return line
 
 
