@@ -9,21 +9,22 @@ Since mu_n = a + b*E is affine in E, f_n is the quadratic
 
     (1 + b^2) E^2 + 2*a*b*E + (a^2 - m^2).
 
-On every branch both roots come from the cancellation-safe quadratic formula
-(Higham, Accuracy and Stability of Numerical Algorithms, sec. 1.8).  On the
-Hermitian branch the real roots in (-m, m) are kept when the discriminant is
-positive, and the vertex is checked for a double root.  Every root is
-Newton-polished on f_n and certified by |f_n(E)| < 1e-12.  With V0_eff = 0
+One solver serves every branch: both roots come from the cancellation-safe
+quadratic formula (Higham, Accuracy and Stability of Numerical Algorithms,
+sec. 1.8), each is Newton-polished on f_n and certified by |f_n(E)| < 1e-12,
+and two polished roots that coincide are listed once.  On the Hermitian branch
+only real roots in (-m, m) are kept, and when rounding turns a double root
+into a complex pair, the parabola's vertex stands in for it.  With V0_eff = 0
 the formula is the explicit E = +/- sqrt(m^2 - mu_n^2).
 
 The solver is scalar Python, point by point and root by root, with no arrays:
 a level has at most two roots.  On the Hermitian branch every imaginary part
-is exactly 0, so the roots and the Newton polish are computed in float
-arithmetic, which gives the digits of the complex one.  The module imports no
-numpy, so the spectrum and sweep commands start without it.  spectrum stops at
-n_max or at the first level with no root flagged NormalizableMuPositive, a
-level with no root included; solve_level is one level, and only it raises
-NoRootError.
+is exactly 0, so the coefficients are taken as floats and the roots and the
+Newton polish run in float arithmetic, which gives the digits of the complex
+one without -0 imaginary parts.  The module imports no numpy, so the spectrum
+and sweep commands start without it.  spectrum stops at n_max or at the first
+level with no root flagged NormalizableMuPositive, a level with no root
+included; solve_level is one level, and only it raises NoRootError.
 """
 
 from __future__ import annotations
@@ -114,21 +115,20 @@ def _explicit_energy(p: PotentialParams, a: complex) -> complex:
 
 
 def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: complex) -> tuple[complex, float]:
-    # Newton on f_n from E, in complex or, on the Hermitian branch, float arithmetic.
-    for _ in range(MAX_NEWTON_ITER):
+    # Newton on f_n from E, in complex or, on the Hermitian branch, float arithmetic:
+    # f at the start and after each of up to MAX_NEWTON_ITER steps.
+    for step in range(MAX_NEWTON_ITER + 1):
         mu = a + b * E
         f = E * E - p.m * p.m + mu * mu
         if abs(f) < RESIDUAL_TOL:
             return E, abs(f)
+        if step == MAX_NEWTON_ITER:
+            break
         df = 2.0 * E + 2.0 * mu * b
         if df == 0:
             E = E + RESIDUAL_TOL + 1e-9
             continue
         E = E - f / df
-    mu = a + b * E
-    f = E * E - p.m * p.m + mu * mu
-    if abs(f) < RESIDUAL_TOL:
-        return E, abs(f)
     raise NonConvergenceError(
         f"level {n}: Newton polishing of E = {complex(E):.6g} stalled at |f| = {abs(f):.3e} "
         f"after {MAX_NEWTON_ITER} iterations"
@@ -170,12 +170,13 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
 
     Both roots of the level quadratic come from the cancellation-safe formula,
     each Newton-polished.  Hermitian branch: the real roots in (-m, m), none
-    within 8 rounding units of the threshold +/-m; the parabola vertex is
-    checked separately so that a degenerate double root is still found
-    (returned once, note "double_root").  Complex branches: a root listed once
-    with note "double_root" is one the two polished roots share.  Every
-    returned root has |f_n(E)| < 1e-12; a root that cannot reach it raises
-    NonConvergenceError.  A level with no root raises NoRootError.
+    within 8 rounding units of the threshold +/-m.  When the formula gives a
+    complex pair whose vertex has |f_n| < 1e-12, the pair is a double root
+    split by rounding, and the vertex is polished in its place.  On every
+    branch a root the two polished roots share is listed once, with note
+    "double_root".  Every returned root has |f_n(E)| < 1e-12; a root that
+    cannot reach it raises NonConvergenceError.  A level with no root raises
+    NoRootError.
     """
     found = _solve_level(p, n, level_coefficients(p, n))
     if not found:
@@ -200,41 +201,41 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
 
 def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
     # Level n from its coefficients; [] when it has no root.
-    if p.branch is Branch.HERMITIAN:
-        return _solve_level_hermitian(p, n, coeffs)
-    return _solve_level_complex(p, n, coeffs)
-
-
-def _solve_level_hermitian(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
-    # On this branch every imaginary part is exactly 0, and float arithmetic
-    # gives the same digits as the complex one.
-    m, a0, b0 = p.m, coeffs[1].real, coeffs[2].real
-    # Both real roots of A*E^2 + 2*h*E + C without cancellation, as in
-    # _quadratic_roots; each one in (-m, m) is polished.
-    A, h, C = 1.0 + b0 * b0, a0 * b0, a0 * a0 - m * m
-    disc = h * h - A * C
-    roots: list[tuple[float, float, str]] = []
-    if disc > 0.0:
-        t = -(h + math.copysign(math.sqrt(disc), h))
-        roots = [(*_newton_polish(p, n, a0, b0, E0), "") for E0 in (t / A, C / t) if -m < E0 < m]
-    # Tangency: f is an upward parabola in E, so a degenerate double root can only
-    # sit at the vertex, where f' = 2E + 2*mu*mu' vanishes (f' is linear in E).
-    # f at the vertex in the order of operations of the complex residual.
-    vertex = -h / A
-    mu_v = a0 + b0 * vertex
-    f_v = abs(vertex * vertex - m * m + mu_v * mu_v)
-    if -m < vertex < m and f_v < RESIDUAL_TOL:
-        roots.append((vertex, f_v, "double_root"))
-    # A root within 8 rounding units of +/-m is the threshold itself, where mu = 0:
-    # no bound state.  The closed form places a threshold root within a few units
-    # of +/-m, and a bound root next to it (mu > 0) stays.
-    edge = m * (1.0 - 8.0 * _U)
-    kept: list[tuple[float, float, str]] = []
-    for root in sorted(roots, key=lambda r: r[0]):
-        e = root[0]
-        if -edge < e < edge and not any(abs(e - k[0]) < 1e-10 * (1.0 + abs(e)) for k in kept):
-            kept.append(root)
-    return [_make_level(p, n, coeffs, complex(e), r, note) for e, r, note in kept]
+    _, a, b = coeffs
+    m = p.m
+    hermitian = p.branch is Branch.HERMITIAN
+    if hermitian:
+        # Every imaginary part here is exactly 0, and float arithmetic gives the
+        # same digits as the complex one without writing -0 into them.
+        a, b = a.real, b.real
+    A, h = 1.0 + b * b, a * b
+    starts = _quadratic_roots(A, h, a * a - m * m)
+    if hermitian:
+        if starts[0].imag == 0.0:
+            starts = [E0.real for E0 in starts if -m < E0.real < m]
+        else:
+            # A complex pair.  f is an upward parabola in E, so a double root that
+            # rounding split into this pair can only sit at the vertex, where
+            # f' = 2E + 2*mu*mu' vanishes (f' is linear in E).
+            vertex = -h / A
+            mu_v = a + b * vertex
+            tangent = abs(vertex * vertex - m * m + mu_v * mu_v) < RESIDUAL_TOL
+            starts = [vertex, vertex] if tangent else []
+        # A root within 8 rounding units of +/-m is the threshold itself, where
+        # mu = 0: no bound state.  The closed form places a threshold root within
+        # a few units of +/-m, and a bound root next to it (mu > 0) stays.
+        edge = m * (1.0 - 8.0 * _U)
+    out: list[EnergyLevel] = []
+    for E0 in starts:
+        E, res = _newton_polish(p, n, a, b, E0)
+        if hermitian and not -edge < E < edge:
+            continue
+        if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
+            out[0] = replace(out[0], note="double_root")
+            continue
+        out.append(_make_level(p, n, coeffs, E, res))
+    out.sort(key=lambda lv: (lv.E.real, lv.E.imag))
+    return out
 
 
 def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:
@@ -251,19 +252,6 @@ def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:
     if t == 0:  # h = 0 and A*C = 0: E = 0 is a double root
         return [0j, 0j]
     return [C / t] if A == 0 else [t / A, C / t]
-
-
-def _solve_level_complex(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
-    _, a, b = coeffs
-    out: list[EnergyLevel] = []
-    for E0 in _quadratic_roots(1.0 + b * b, a * b, a * a - p.m * p.m):
-        E, res = _newton_polish(p, n, a, b, E0)
-        if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
-            out[0] = replace(out[0], note="double_root")
-            continue
-        out.append(_make_level(p, n, coeffs, E, res))
-    out.sort(key=lambda lv: (lv.E.real, lv.E.imag))
-    return out
 
 
 def _pm_pair(p: PotentialParams, n: int) -> PlusMinusPair:

@@ -622,8 +622,10 @@ class TestSweepCommand:
         assert captured.err.splitlines()[-1].startswith("error: level 6: Newton polishing of E = 142.207")
 
     def test_sweep_memory_stays_small(self, tmp_path):
-        # 2000 q-values are solved level by level with no (points x scan nodes)
-        # array: one float64 array of that shape alone would take 33 MB.
+        # 2000 q-values, about 12,000 rows: the sweep keeps the solved levels
+        # and streams the rows, which peaks near 8 MB.  The 20 MB bound catches
+        # any array over all points, such as one float64 value per point and
+        # per sample of a 2000-node grid (32 MB).
         rng = np.random.default_rng(7)
         values = ", ".join(repr(v) for v in np.round(rng.uniform(0.5, 4.0, 2000), 9).tolist())
         cfg = write_cfg(tmp_path, self.BASE.replace("n_max = 2", "n_max = 8")

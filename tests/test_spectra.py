@@ -132,10 +132,31 @@ class TestSolveLevelHermitian:
         assert lvls[0].note == "double_root"
         assert lvls[0].E.real == pytest.approx(-99.0 / 101.0, abs=1e-9)
 
+    def test_near_double_root_lists_two_roots(self):
+        # S0 just above V0 = -0.99 splits the double root into two real roots
+        # 3e-7 apart, and f at the vertex between them is below 1e-12: the
+        # vertex is no third root of the quadratic.
+        p = params(dict(V0=-0.99, S0=-0.98999999999, lam=0.2, q=1.0, m=1.0))
+        lvls = kg.solve_level(p, 0)
+        assert [lv.note for lv in lvls] == ["", ""]
+        assert all(lv.residual < 1e-12 for lv in lvls)
+        assert lvls[0].E.real == pytest.approx(-0.9801981722955481, abs=1e-12)
+        assert lvls[1].E.real == pytest.approx(-0.9801978673458888, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "branch,VI",
+        [(Branch.HERMITIAN, 0.0), (Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1)],
+    )
+    def test_double_root_rule_is_shared(self, branch, VI):
+        # a = m, b = 0 make the level quadratic E^2 = 0 on every branch.
+        p = params(SET_B, branch, VI)
+        lvls = spectra._solve_level(p, 0, (1 + 0j, complex(p.m), 0j))
+        assert [(lv.E, lv.note) for lv in lvls] == [(0j, "double_root")]
+
     def test_threshold_root_excluded(self):
         # Set C at q = 6: mu_0(-m) = 0, so f_0 vanishes at the threshold E = -m and
-        # the scan lands within rounding of it.  The threshold is no bound state;
-        # the real near-threshold root of level 1 is one and stays.
+        # the closed form places a root within rounding of it.  The threshold is
+        # no bound state; the real near-threshold root of level 1 is one and stays.
         p = params(dict(SET_C, q=6.0))
         level0 = [lv.E.real for lv in kg.solve_level(p, 0)]
         assert level0 == [pytest.approx(0.93207547169811, abs=1e-12)]
