@@ -8,8 +8,8 @@ column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
 header; identical configs give byte-identical files.  verify writes text only.
 Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
 KGHierarchyError, an OSError or a verify run without scipy, each one stderr
-line; 2 when level 0 is not bound.  numpy, the oracle and the wavefunctions are
-imported by the commands that use them, so spectrum and sweep start without.
+line; 2 when level 0 is not bound.  numpy, json, the oracle and wavefunctions
+are imported where used: spectrum and sweep start without numpy, CSV without json.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import sys
 import warnings
 from collections.abc import Iterable
@@ -34,7 +33,7 @@ from .spectra import EnergyLevel, LevelFlag, spectrum
 if TYPE_CHECKING:
     import numpy as np
 
-    from .oracle import OracleConfig
+    from .grid import OracleConfig
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
@@ -143,7 +142,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     oracle_cfg = None
     # x_max against 10/lambda and the pole; spectrum and sweep never use the default box.
     if oracle_kwargs or args.command in ("verify", "wavefunction"):
-        from .oracle import OracleConfig
+        from .grid import OracleConfig
 
         try:
             oracle_cfg = OracleConfig(**oracle_kwargs)
@@ -189,6 +188,8 @@ def _write_table(cfg: RunConfig, key: str, columns: tuple[str, ...], row_format:
 
     The JSON text is streamed chunk by chunk; json.dumps would join the same chunks."""
     if cfg.fmt == "json":
+        import json
+
         p = cfg.params
         params = {"V0": p.V0, "S0": p.S0, "VI": p.VI, "lambda": p.lam, "q": p.q, "m": p.m, "branch": p.branch.value}
         records = [dict(zip(columns, values)) for values in rows]

@@ -1,11 +1,18 @@
-"""Uniform-grid sampled functions on the half line."""
+"""Uniform-grid sampled functions on the half line, and OracleConfig, the box and
+grid size that the verifier and the wavefunction command sample on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+    from .potential import PotentialParams
 
 MIN_SAMPLES = 16
 
@@ -59,3 +66,27 @@ class GridFunction:
     def scaled(self, factor: complex) -> "GridFunction":
         return GridFunction(self.x0, self.dx, self.values * factor)
 
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Discretization controls.
+
+    x_max defaults to 40/lam at resolution time and must lie right of the
+    deformation pole; n_points is the number of interior grid points of the
+    5-point stencil.
+    """
+
+    x_max: float | None = None
+    n_points: int = 4000
+
+    def __post_init__(self) -> None:
+        if self.n_points < 64:
+            raise ValueError("n_points must be >= 64")
+
+    def resolve(self, p: PotentialParams) -> "OracleConfig":
+        x_max = self.x_max if self.x_max is not None else 40.0 / p.lam
+        if not 10.0 / p.lam <= x_max < math.inf:
+            raise ValueError(f"x_max must be finite and extend beyond 10/lam = {10.0 / p.lam:g}")
+        if not x_max > p.domain_start():
+            raise ValueError(f"x_max = {x_max:g} must lie right of the deformation pole at {p.domain_start():g}")
+        return replace(self, x_max=x_max)

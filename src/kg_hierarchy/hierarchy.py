@@ -10,11 +10,13 @@ construction shifts nu by q*lambda_eff per level, so
     eps_n = -mu_n^2.
 
 Gamma2 is affine in E, so mu_n is too; :func:`chain_coefficients` is the one
-place rho_n, a_n and b_n are computed, from the level-independent terms that
-:func:`level_chain` collects once per parameter point.  All quantities are
-stored complex on every branch; on the Hermitian branch they must be real,
-which is checked.  The level algebra is plain Python; the functions of x import
-numpy and the grid module when they are called.
+place rho_n, a_n and b_n are computed, from nu1 and the other level-independent
+terms that :func:`level_chain` collects once per parameter point.  The solver in
+spectra takes mu_n = a_n + b_n*E from these coefficients; :func:`level` gives
+(rho_n, mu_n) at one trial energy.  All quantities are stored complex on every
+branch; on the Hermitian branch they must be real, which level_chain checks for
+nu1 and level for mu_n.  The level algebra is plain Python; the functions of x
+import numpy and the grid module when they are called.
 """
 
 from __future__ import annotations
@@ -114,23 +116,21 @@ def _csqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def _nu1_for(p: PotentialParams) -> complex:
+def level_chain(p: PotentialParams) -> LevelChain:
+    """Solve for nu1 and collect the terms of the chain that do not depend on n."""
+    gamma1, lambda_eff = p.gamma1, p.lambda_eff
+    if p.branch is Branch.HERMITIAN:
+        qlam = p.q * p.lam
+        if qlam * qlam + 4.0 * gamma1.real < 0.0:
+            raise ComplexLevelError(
+                f"Gamma1 = {gamma1.real:g} is below the Hermitian discriminant bound "
+                f"-(q*lam)^2/4 = {-0.25 * qlam * qlam:g}; nu1 would be complex"
+            )
     # For VI < 0 the problem is the antilinear mirror of the VI > 0 one; taking the
     # mirror root makes the two runs exact complex conjugates of each other.
     root = -1 if (p.branch is Branch.NON_HERMITIAN and p.VI < 0) else +1
-    return solve_nu1(p.gamma1, p.q, p.lambda_eff, root=root)
-
-
-def level_chain(p: PotentialParams) -> LevelChain:
-    """Solve for nu1 and collect the terms of the chain that do not depend on n."""
-    if p.branch is Branch.HERMITIAN:
-        qlam = p.q * p.lam
-        if qlam * qlam + 4.0 * p.gamma1.real < 0.0:
-            raise ComplexLevelError(
-                f"Gamma1 = {p.gamma1.real:g} is below the Hermitian discriminant bound "
-                f"-(q*lam)^2/4 = {-0.25 * qlam * qlam:g}; nu1 would be complex"
-            )
-    return _nu1_for(p), p.q * p.lambda_eff, p.gamma1 + 2.0 * p.q * p.m * p.S0, p.q, p.v0_eff
+    nu1 = solve_nu1(gamma1, p.q, lambda_eff, root=root)
+    return nu1, p.q * lambda_eff, gamma1 + 2.0 * p.q * p.m * p.S0, p.q, p.v0_eff
 
 
 def chain_coefficients(chain: LevelChain, n: int) -> Coefficients:
@@ -159,21 +159,19 @@ def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
     return chain_coefficients(level_chain(p), n)
 
 
-def level_mu(p: PotentialParams, n: int, coeffs: Coefficients, E: complex) -> complex:
-    """mu_n(E) = a + b*E from coeffs = level_coefficients(p, n); real on the Hermitian branch."""
-    rho, a, b = coeffs
+def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
+    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E.
+
+    mu_n(E) = a + b*E must be real on the Hermitian branch; a complex one raises
+    ComplexLevelError.
+    """
+    rho, a, b = level_coefficients(p, n)
     mu = a + b * E
     if p.branch is Branch.HERMITIAN and abs(mu.imag) > _IMAG_TOL * (1.0 + abs(rho) + abs(mu)):
         raise ComplexLevelError(
             f"trial energy E = {E} makes mu_{n} complex on the Hermitian branch"
         )
-    return complex(mu)
-
-
-def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
-    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E."""
-    coeffs = level_coefficients(p, n)
-    return HierarchyLevel(n=n, nu=coeffs[0], mu=level_mu(p, n, coeffs, E))
+    return HierarchyLevel(n=n, nu=rho, mu=complex(mu))
 
 
 def make_superpotential(p: PotentialParams, E: complex, n: int) -> Superpotential:

@@ -17,9 +17,9 @@ Ritz vector, and cleans (BandedOperator.polish) only the vector it returns; a
 cold eigensolve starts from the fixed vector sin(j*phi), phi the golden angle.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
-the first eigensolve, so the closed-form commands never pay for it: spectrum and
-sweep never import this module (nor numpy), and wavefunction imports it for its
-box alone.  scipy.linalg itself, with its much larger import, is never loaded.
+the first eigensolve, so the closed-form commands never pay for it: spectrum,
+sweep and wavefunction never import this module, and spectrum and sweep load no
+numpy either.  scipy.linalg itself, with its much larger import, is never loaded.
 
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError
-from .grid import GridFunction
+from .grid import GridFunction, OracleConfig
 from .hierarchy import level_coefficients, make_superpotential, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
@@ -77,31 +77,6 @@ START_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # stencil's h^4 (the wall error is of order h^(2s - 1)).
 POLE_WALL_ROWS = 3
 POLE_WALL_MAX_S = 2.5
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Discretization controls.
-
-    x_max defaults to 40/lam at resolution time and must lie right of the
-    deformation pole; n_points is the number of interior grid points of the
-    5-point stencil.
-    """
-
-    x_max: float | None = None
-    n_points: int = 4000
-
-    def __post_init__(self) -> None:
-        if self.n_points < 64:
-            raise ValueError("n_points must be >= 64")
-
-    def resolve(self, p: PotentialParams) -> "OracleConfig":
-        x_max = self.x_max if self.x_max is not None else 40.0 / p.lam
-        if not 10.0 / p.lam <= x_max < math.inf:
-            raise ValueError(f"x_max must be finite and extend beyond 10/lam = {10.0 / p.lam:g}")
-        if not x_max > p.domain_start():
-            raise ValueError(f"x_max = {x_max:g} must lie right of the deformation pole at {p.domain_start():g}")
-        return replace(self, x_max=x_max)
 
 
 _Box = namedtuple("_Box", "x h u wall coarse_wall")

@@ -22,34 +22,33 @@ a level has at most two roots.  On the Hermitian branch every imaginary part
 is exactly 0, so the coefficients are taken as floats and the roots and the
 Newton polish run in float arithmetic, which gives the digits of the complex
 one without -0 imaginary parts.  The module imports no numpy, so the spectrum
-and sweep commands start without it.  spectrum stops at n_max or at the first
-level with no root flagged NormalizableMuPositive, a level with no root
-included; solve_level is one level, and only it raises NoRootError.
+and sweep commands start without it.  spectrum and solve_level share one root
+pass, giving each root of a level as (E, mu, residual, note), and one
+EnergyLevel constructor.  spectrum stops at n_max or at the first level with no
+root of Re(mu) > 0 (none flagged NormalizableMuPositive, a level with no root
+included) and wraps only the roots it returns; solve_level is one level, and
+only it raises NoRootError.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NoRootError, NonConvergenceError
-from .hierarchy import (
-    Coefficients,
-    chain_coefficients,
-    level,
-    level_chain,
-    level_coefficients,
-    level_mu,
-)
+from .hierarchy import Coefficients, chain_coefficients, level, level_chain, level_coefficients
 from .potential import Branch, PotentialParams
 
 # Residual certificate and Newton budget.
 RESIDUAL_TOL = 1e-12
 MAX_NEWTON_ITER = 200
 _U = 2.0**-53  # unit roundoff of float64
+
+# (E, mu, residual, note) of one polished root of a level.
+Root = tuple[complex, complex, float, str]
 
 
 class LevelFlag(Enum):
@@ -135,33 +134,21 @@ def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: comple
     )
 
 
-def _flags_for(p: PotentialParams, E: complex, mu: complex) -> frozenset:
-    return _flag_set(
+# One shared frozenset per combination of the three LevelFlag conditions, in their order.
+_FLAG_SETS = {
+    on: frozenset(flag for flag, is_on in zip(LevelFlag, on) if is_on)
+    for on in itertools.product((False, True), repeat=len(LevelFlag))
+}
+
+
+def _make_level(p: PotentialParams, n: int, E: complex, mu: complex, residual: float, note: str) -> EnergyLevel:
+    on = (
         mu.real > 0.0,
         abs(E.imag) <= 1e-12 * (1.0 + abs(E)) and abs(E.real) < p.m,
         p.branch is not Branch.HERMITIAN,
     )
-
-
-@functools.cache
-def _flag_set(*on: bool) -> frozenset:
-    # One shared frozenset per combination of the LevelFlag conditions, in their order.
-    return frozenset(flag for flag, is_on in zip(LevelFlag, on) if is_on)
-
-
-def _make_level(
-    p: PotentialParams, n: int, coeffs: Coefficients, E: complex, res: float, note: str = ""
-) -> EnergyLevel:
-    mu = level_mu(p, n, coeffs, E)
     return EnergyLevel(
-        n=n,
-        E=complex(E),
-        mu=mu,
-        residual=res,
-        branch=p.branch,
-        mass=p.m,
-        flags=_flags_for(p, E, mu),
-        note=note,
+        n=n, E=complex(E), mu=mu, residual=residual, branch=p.branch, mass=p.m, flags=_FLAG_SETS[on], note=note
     )
 
 
@@ -178,10 +165,10 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     cannot reach it raises NonConvergenceError.  A level with no root raises
     NoRootError.
     """
-    found = _solve_level(p, n, level_coefficients(p, n))
-    if not found:
+    roots = _level_roots(p, n, level_coefficients(p, n))
+    if not roots:
         raise NoRootError(f"level {n} supports no self-consistent bound energy")
-    return found
+    return [_make_level(p, n, *root) for root in roots]
 
 
 def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
@@ -192,22 +179,21 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
     chain = level_chain(p)
     out: list[EnergyLevel] = []
     for n in range(n_max + 1):
-        found = _solve_level(p, n, chain_coefficients(chain, n))
-        if not any(LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags for lv in found):
+        roots = _level_roots(p, n, chain_coefficients(chain, n))
+        if not any(mu.real > 0.0 for _, mu, _, _ in roots):
             break
-        out.extend(found)
+        out.extend(_make_level(p, n, *root) for root in roots)
     return out
 
 
-def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[EnergyLevel]:
-    # Level n from its coefficients; [] when it has no root.
-    _, a, b = coeffs
+def _level_roots(p: PotentialParams, n: int, coeffs: Coefficients) -> list[Root]:
+    # Level n's polished, deduplicated roots from its coefficients, sorted; [] when it has none.
+    _, ca, cb = coeffs
     m = p.m
     hermitian = p.branch is Branch.HERMITIAN
-    if hermitian:
-        # Every imaginary part here is exactly 0, and float arithmetic gives the
-        # same digits as the complex one without writing -0 into them.
-        a, b = a.real, b.real
+    # On the Hermitian branch every imaginary part here is exactly 0, and float
+    # arithmetic gives the same digits as the complex one without writing -0 into them.
+    a, b = (ca.real, cb.real) if hermitian else (ca, cb)
     A, h = 1.0 + b * b, a * b
     starts = _quadratic_roots(A, h, a * a - m * m)
     if hermitian:
@@ -225,16 +211,17 @@ def _solve_level(p: PotentialParams, n: int, coeffs: Coefficients) -> list[Energ
         # mu = 0: no bound state.  The closed form places a threshold root within
         # a few units of +/-m, and a bound root next to it (mu > 0) stays.
         edge = m * (1.0 - 8.0 * _U)
-    out: list[EnergyLevel] = []
+    out: list[Root] = []
     for E0 in starts:
         E, res = _newton_polish(p, n, a, b, E0)
         if hermitian and not -edge < E < edge:
             continue
-        if any(abs(E - lv.E) < 1e-10 * (1.0 + abs(E)) for lv in out):
-            out[0] = replace(out[0], note="double_root")
+        if any(abs(E - kept[0]) < 1e-10 * (1.0 + abs(E)) for kept in out):
+            out[0] = (*out[0][:3], "double_root")
             continue
-        out.append(_make_level(p, n, coeffs, E, res))
-    out.sort(key=lambda lv: (lv.E.real, lv.E.imag))
+        # mu from the complex coefficients, as level() gives it.
+        out.append((E, complex(ca + cb * E), res, ""))
+    out.sort(key=lambda root: (root[0].real, root[0].imag))
     return out
 
 

@@ -12,13 +12,17 @@ constant, so exp(-mu*x) is the expected oscillatory phase factor there.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import NonNormalizableError
 from .grid import GridFunction, uniform_grid
 from .hierarchy import HierarchyLevel, Superpotential
 from .potential import PotentialParams, kernel_and_base
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 # Serialized next to wavefunction output: records the normalization rule and the
 # generative form actually evaluated.

@@ -249,6 +249,15 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
+# Exit codes of CLI runs (one tab-separated argv each) and whether json got loaded;
+# the probe itself imports no json.
+JSON_PROBE = """
+import sys
+from kg_hierarchy.cli import main
+codes = [main(argv.split("\\t")) for argv in sys.argv[1:]]
+sys.stdout.write(repr([codes, "json" in sys.modules]))
+"""
+
 # The package namespace before and after its first public name.
 LAZY_PROBE = """
 import json, sys
@@ -365,11 +374,21 @@ class TestScipyOnlyForVerify:
         ]
         proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
-        # spectrum and sweep load no numpy and no oracle; wavefunction loads no scipy.
-        wavefunction = ["numpy", "kg_hierarchy.oracle", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid"]
+        # spectrum and sweep load no numpy and no oracle; wavefunction loads neither the oracle nor scipy.
+        wavefunction = ["numpy", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid"]
         assert json.loads(proc.stdout) == [
             ["import", None, []], ["spectrum", 0, []], ["sweep", 0, []], ["wavefunction", 0, wavefunction]
         ]
+
+    def test_csv_tables_never_load_json(self, tmp_path):
+        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.5, 1.0, 1.5\n")
+        runs = [
+            ["spectrum", "--config", str(SET_A_CFG), "--output", str(tmp_path / "s.csv")],
+            ["sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv")],
+        ]
+        proc = run_python_fresh("-c", JSON_PROBE, *("\t".join(argv) for argv in runs))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[[0, 0], False]"
 
     def test_package_namespace_is_lazy(self):
         # No submodule at import; the first public name binds all of __all__ and

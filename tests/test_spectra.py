@@ -1,9 +1,12 @@
 """Energy solvers: residual contract, closed-form regressions, branch properties."""
 
 import cmath
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kg_hierarchy as kg
 import kg_hierarchy.cli as cli
@@ -150,8 +153,8 @@ class TestSolveLevelHermitian:
     def test_double_root_rule_is_shared(self, branch, VI):
         # a = m, b = 0 make the level quadratic E^2 = 0 on every branch.
         p = params(SET_B, branch, VI)
-        lvls = spectra._solve_level(p, 0, (1 + 0j, complex(p.m), 0j))
-        assert [(lv.E, lv.note) for lv in lvls] == [(0j, "double_root")]
+        roots = spectra._level_roots(p, 0, (1 + 0j, complex(p.m), 0j))
+        assert [(E, note) for E, _, _, note in roots] == [(0j, "double_root")]
 
     def test_threshold_root_excluded(self):
         # Set C at q = 6: mu_0(-m) = 0, so f_0 vanishes at the threshold E = -m and
@@ -201,6 +204,67 @@ class TestSpectrum:
         assert [lv.n for lv in spec] == [0, 0, 1, 1]
         with pytest.raises(ValueError, match="n_max"):
             kg.spectrum(set_a, -1)
+
+    def test_wraps_only_the_levels_it_returns(self, monkeypatch):
+        # Set A at q = 2 stops at level 3, whose two roots have mu < 0: they are
+        # solved for the stop rule but never built into EnergyLevels.
+        built = []
+        init = spectra.EnergyLevel.__init__
+
+        def counted(self, **fields):
+            built.append(fields["n"])
+            init(self, **fields)
+
+        monkeypatch.setattr(spectra.EnergyLevel, "__init__", counted)
+        spec = kg.spectrum(params(dict(SET_A, q=2.0)), 8)
+        assert [lv.n for lv in spec] == [0, 0, 1, 1, 2, 2]
+        assert built == [0, 0, 1, 1, 2, 2]
+
+
+@st.composite
+def any_branch_points(draw) -> PotentialParams:
+    branch = draw(st.sampled_from(list(Branch)))
+    finite = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+    return params(
+        dict(
+            V0=draw(finite(-2.0, 2.0)),
+            S0=draw(finite(-2.0, 2.0)),
+            lam=draw(finite(0.01, 5.0)),
+            q=draw(finite(-5.0, 5.0).filter(lambda v: abs(v) > 1e-3)),
+            m=draw(finite(0.1, 5.0)),
+        ),
+        branch,
+        draw(finite(-1.0, 1.0)) if branch is Branch.NON_HERMITIAN else 0.0,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_branch_points())
+@example(params(SET_A))
+@example(params(dict(SET_A, q=2.0)))
+@example(params(SET_B, Branch.NON_HERMITIAN, 0.1))
+def test_spectrum_is_solve_level_up_to_the_stop_level(p):
+    # spectrum(p, 8) shares the root pass of solve_level: the same levels, up to the
+    # first level with no NormalizableMuPositive root, or the same error.
+    def outcome(solve) -> list | tuple[type, str]:
+        try:
+            return solve()
+        except kg.KGHierarchyError as exc:
+            return type(exc), str(exc)
+
+    def by_level():
+        out = []
+        for k in range(9):
+            try:
+                found = kg.solve_level(p, k)
+            except NoRootError:
+                break
+            if not any(LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags for lv in found):
+                break
+            out.extend(found)
+        return out
+
+    assert outcome(lambda: kg.spectrum(p, 8)) == outcome(by_level)
 
 
 class TestComplexBranches:
