@@ -22,7 +22,6 @@ __all__ = [
     "Superpotential",
     "EnergyLevel",
     "LevelFlag",
-    "PlusMinusPair",
     "OracleConfig",
     "OracleResult",
     "BandedOperator",
@@ -30,7 +29,6 @@ __all__ = [
     "CompareRow",
     "WAVEFORM_NOTE",
     "apply_ladder",
-    "closed_form_energy",
     "closed_form_psi",
     "compare",
     "deformation_kernel",
@@ -44,10 +42,8 @@ __all__ = [
     "level",
     "make_superpotential",
     "node_count",
-    "nonhermitian_energy",
     "partner_eigenvalues",
     "partner_potentials",
-    "pt_energy",
     "riccati_check",
     "scalar_potential",
     "solve_level",

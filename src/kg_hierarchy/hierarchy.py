@@ -37,7 +37,6 @@ if TYPE_CHECKING:
     from .grid import GridFunction
 
 _IMAG_TOL = 1e-13
-_MIN_LADDER_POINTS = 20
 RICCATI_TOL = 1e-10  # scaled tolerance of riccati_check, and so of the verify command
 
 # (rho_n, a, b) of level_coefficients; a level solve computes it once and reuses it.
@@ -269,12 +268,13 @@ def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunctio
     """
     import numpy as np
 
-    from .grid import GridFunction
+    from .grid import MIN_SAMPLES, GridFunction
 
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if psi.n < _MIN_LADDER_POINTS:
-        raise ValueError("grid too coarse for the ladder stencil (fewer than 16 interior points)")
+    min_points = MIN_SAMPLES + 4  # the trimmed result is a GridFunction too
+    if psi.n < min_points:
+        raise ValueError(f"grid too coarse for the ladder stencil (fewer than {min_points} points)")
     v = psi.values
     h = psi.dx
     dpsi = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,41 +75,10 @@ class EnergyLevel:
         return self.E * self.E - self.mass * self.mass
 
 
-@dataclass(frozen=True)
-class PlusMinusPair:
-    """The +/- energy pair of the explicit formula; minus is the exact negation."""
-
-    plus: complex
-    minus: complex
-    epsilon: complex
-    re_epsilon_negative: bool
-
-    def __iter__(self):
-        return iter((self.plus, self.minus))
-
-    def __len__(self) -> int:
-        return 2
-
-
 def energy_residual(p: PotentialParams, n: int, E: complex) -> complex:
     """f_n(E) = (E^2 - m^2) + mu_n(E)^2; a root is a self-consistent bound energy."""
     lvl = level(p, E, n)
     return E * E - p.m * p.m + lvl.mu * lvl.mu
-
-
-def closed_form_energy(p: PotentialParams, n: int) -> complex:
-    """Explicit energy expression with Gamma2 frozen at E = 0.
-
-    With mu_n frozen at mu_n(0) = a, eps_n = E^2 - m^2 gives
-    E = (i/2q) * sqrt(4 q^2 (a^2 - m^2)) = i*sign(q)*sqrt(a^2 - m^2).  Exact when
-    V0_eff = 0 (Gamma2 is then energy independent).
-    """
-    return _explicit_energy(p, level_coefficients(p, n)[1])
-
-
-def _explicit_energy(p: PotentialParams, a: complex) -> complex:
-    # closed_form_energy from mu_n(0) = a.
-    return complex(1j * math.copysign(1.0, p.q) * cmath.sqrt(a * a - p.m * p.m))
 
 
 def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: complex) -> tuple[complex, float]:
@@ -161,7 +129,9 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
     complex pair whose vertex has |f_n| < 1e-12, the pair is a double root
     split by rounding, and the vertex is polished in its place.  On every
     branch a root the two polished roots share is listed once, with note
-    "double_root".  Every returned root has |f_n(E)| < 1e-12; a root that
+    "double_root".  On the PT-symmetric and non-Hermitian branches both roots
+    are returned, flagged ComplexPair; they are a +/- pair only when
+    V0_eff = 0.  Every returned root has |f_n(E)| < 1e-12; a root that
     cannot reach it raises NonConvergenceError.  A level with no root raises
     NoRootError.
     """
@@ -239,24 +209,3 @@ def _quadratic_roots(A: complex, h: complex, C: complex) -> list[complex]:
     if t == 0:  # h = 0 and A*C = 0: E = 0 is a double root
         return [0j, 0j]
     return [C / t] if A == 0 else [t / A, C / t]
-
-
-def _pm_pair(p: PotentialParams, n: int) -> PlusMinusPair:
-    _, a, b = level_coefficients(p, n)
-    E, _ = _newton_polish(p, n, a, b, _explicit_energy(p, a))
-    eps = E * E - p.m * p.m
-    return PlusMinusPair(plus=E, minus=-E, epsilon=eps, re_epsilon_negative=eps.real < 0.0)
-
-
-def pt_energy(p: PotentialParams, n: int) -> PlusMinusPair:
-    """The +/- energy pair on the PT-symmetric branch (minus is the exact negation)."""
-    if p.branch is not Branch.PT_SYMMETRIC:
-        raise ValueError("pt_energy requires branch = PTSymmetric")
-    return _pm_pair(p, n)
-
-
-def nonhermitian_energy(p: PotentialParams, n: int) -> PlusMinusPair:
-    """The +/- pair with V0_eff = V0 + i*VI; reports eps and whether Re(eps) < 0."""
-    if p.branch is not Branch.NON_HERMITIAN:
-        raise ValueError("nonhermitian_energy requires branch = NonHermitian")
-    return _pm_pair(p, n)

@@ -14,7 +14,7 @@ from kg_hierarchy.cli import main
 from pathlib import Path
 
 from conftest import SET_A, SET_B, SET_C, complex_branch_grid, hermitian_grid, params
-from test_spectra import quadratic_oracle_roots
+from test_spectra import quadratic_oracle_roots, solved_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -121,14 +121,7 @@ def test_closed_form_regression():
 
 
 def test_pair_and_conjugation_properties():
-    """The +/- pair sums to zero exactly; flipping the sign of VI conjugates the
-    solved root sets to 1e-12."""
-    for base in (SET_A, SET_B, SET_C):
-        p_pt = params(base, branch=Branch.PT_SYMMETRIC)
-        p_nh = params(base, branch=Branch.NON_HERMITIAN, VI=0.1)
-        for n in range(3):
-            for pair in (kg.pt_energy(p_pt, n), kg.nonhermitian_energy(p_nh, n)):
-                assert pair.plus + pair.minus == 0.0
+    """Flipping the sign of VI conjugates the solved root sets to 1e-12."""
     worst = 0.0
     for base in (SET_A, SET_B, SET_C):
         p_plus = params(base, branch=Branch.NON_HERMITIAN, VI=+0.1)
@@ -139,8 +132,8 @@ def test_pair_and_conjugation_properties():
             r_conj = sorted((lv.E.conjugate() for lv in kg.solve_level(p_plus, n)), key=key)
             assert len(r_minus) == len(r_conj)
             worst = max(worst, max(abs(a - b) for a, b in zip(r_minus, r_conj)))
-    _report("Pair symmetry and VI-conjugation of complex-branch solutions",
-            worst < PAIR_CONJ_TOL, f"pair sums exact; worst conjugation defect {worst:.2e}")
+    _report("VI-conjugation of complex-branch solutions",
+            worst < PAIR_CONJ_TOL, f"worst conjugation defect {worst:.2e}")
 
 
 def test_limit_behavior():
@@ -159,10 +152,11 @@ def test_limit_behavior():
     p1 = params(SET_A)
     direct = [lv.E.real for lv in kg.solve_level(p1, 0) if lv.E.real > 0][0]
     hits_q1 = abs(e0[10] - direct) == 0.0
-    p_pt = params(SET_C, branch=Branch.PT_SYMMETRIC)
-    p_nh0 = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.0)
     degenerate = all(
-        kg.pt_energy(p_pt, n).plus == kg.nonhermitian_energy(p_nh0, n).plus for n in range(3)
+        solved_levels(params(base, branch=Branch.PT_SYMMETRIC), n)
+        == solved_levels(params(base, branch=Branch.NON_HERMITIAN, VI=0.0), n)
+        for base in (SET_A, SET_B, SET_C)
+        for n in range(3)
     )
     _report("Limit behavior (q=0 rejection, q-sweep continuity, degeneracies)",
             smooth and hits_q1 and degenerate,

@@ -252,6 +252,9 @@ class TestApplyLadder:
         psi = kg.GridFunction(1.0, 0.5, np.ones(16, dtype=complex))
         with pytest.raises(ValueError, match="coarse"):
             kg.apply_ladder(w, psi, +1)
+        psi = kg.GridFunction(1.0, 0.5, np.ones(18, dtype=complex))
+        with pytest.raises(ValueError, match="fewer than 20"):
+            kg.apply_ladder(w, psi, +1)
 
 
 class TestIsospectrality:

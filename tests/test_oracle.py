@@ -76,7 +76,7 @@ class TestDiscretize:
         # means nothing.
         p = params(dict(SET_A, q=2.0), branch=kg.Branch.PT_SYMMETRIC)
         with pytest.raises(ValueError, match="Hermitian branch only"):
-            kg.partner_eigenvalues(p, kg.pt_energy(p, 0).plus, OracleConfig(n_points=500), k_max=2)
+            kg.partner_eigenvalues(p, kg.solve_level(p, 0)[0].E, OracleConfig(n_points=500), k_max=2)
 
     def test_wall_at_pole_for_strong_deformation(self):
         # q > 1: the box starts at the pole ln(q)/lam, keeping the grid clean.

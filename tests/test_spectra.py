@@ -59,6 +59,11 @@ def complex_quadratic_oracle_roots(base: dict, n: int, VI: float = 0.0) -> list[
     return [(alpha * beta - root) / lead, (alpha * beta + root) / lead]
 
 
+def solved_levels(p: PotentialParams, n: int) -> list[tuple]:
+    """Every field of the roots solve_level gives at level n, for exact comparison."""
+    return [(lv.E, lv.mu, lv.residual, lv.flags, lv.note) for lv in kg.solve_level(p, n)]
+
+
 def assert_roots_match(got: list[complex], expected: list[complex], tol: float = 1e-12) -> None:
     assert len(got) == len(expected)
     for e in expected:
@@ -268,31 +273,6 @@ def test_spectrum_is_solve_level_up_to_the_stop_level(p):
 
 
 class TestComplexBranches:
-    def test_pt_pair_sums_to_zero_exactly(self):
-        p = params(SET_A, branch=Branch.PT_SYMMETRIC)
-        for n in range(3):
-            pair = kg.pt_energy(p, n)
-            assert pair.plus + pair.minus == 0.0
-
-    def test_pair_unpacks_to_plus_and_minus(self):
-        pair = kg.pt_energy(params(SET_A, branch=Branch.PT_SYMMETRIC), 1)
-        plus, minus = pair
-        assert len(pair) == 2
-        assert (plus, minus) == (pair.plus, pair.minus) and minus == -plus
-
-    def test_pt_requires_branch(self, set_a):
-        with pytest.raises(ValueError):
-            kg.pt_energy(set_a, 0)
-
-    def test_pt_vector_free_closed_form_no_iteration(self):
-        # Gamma2 is constant, so the seed formula is already the root.
-        p = params(SET_A, branch=Branch.PT_SYMMETRIC)
-        for n in range(3):
-            seed = kg.closed_form_energy(p, n)
-            pair = kg.pt_energy(p, n)
-            assert pair.plus == pytest.approx(seed, abs=1e-12)
-            assert abs(kg.energy_residual(p, n, pair.plus)) < 1e-12
-
     def test_pt_solve_level_residuals(self):
         p = params(SET_C, branch=Branch.PT_SYMMETRIC)
         for n in range(3):
@@ -315,19 +295,22 @@ class TestComplexBranches:
         for r in (diffs[0] / diffs[1], diffs[1] / diffs[2]):
             assert 2.2 < r < 4.5
 
-    def test_nonhermitian_pair_and_epsilon_report(self):
-        p = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.1)
-        pair = kg.nonhermitian_energy(p, 0)
-        assert pair.plus + pair.minus == 0.0
-        assert pair.epsilon == pytest.approx(pair.plus ** 2 - 1.0, abs=1e-14)
-        assert pair.re_epsilon_negative == (pair.epsilon.real < 0)
-
     def test_vi_zero_reduces_to_pt_exactly(self):
-        p_pt = params(SET_C, branch=Branch.PT_SYMMETRIC)
-        p_nh = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.0)
-        for n in range(3):
-            a, b = kg.pt_energy(p_pt, n), kg.nonhermitian_energy(p_nh, n)
-            assert a.plus == b.plus and a.minus == b.minus
+        for base in (SET_A, SET_B, SET_C):
+            p_pt = params(base, branch=Branch.PT_SYMMETRIC)
+            p_nh = params(base, branch=Branch.NON_HERMITIAN, VI=0.0)
+            for n in range(3):
+                assert solved_levels(p_pt, n) == solved_levels(p_nh, n)
+
+    @pytest.mark.parametrize("n", range(3))
+    @pytest.mark.parametrize("branch,VI", [(Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1)])
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C])
+    def test_solve_level_lists_both_roots(self, base, branch, VI, n):
+        # Both roots of the level quadratic, checked against a formula that
+        # shares no solver code; they are a +/- pair only when V0_eff = 0.
+        lvls = kg.solve_level(params(base, branch, VI), n)
+        assert all(LevelFlag.COMPLEX_PAIR in lv.flags for lv in lvls)
+        assert_roots_match([lv.E for lv in lvls], complex_quadratic_oracle_roots(base, n, VI))
 
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C])
     def test_vi_conjugation_of_root_sets(self, base):
