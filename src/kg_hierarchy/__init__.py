@@ -28,31 +28,23 @@ __all__ = [
     "CompareReport",
     "CompareRow",
     "WAVEFORM_NOTE",
-    "apply_ladder",
-    "closed_form_psi",
     "compare",
-    "deformation_kernel",
     "discretize",
     "effective_potential",
-    "effective_potential_direct",
-    "energy_residual",
     "gammas",
     "ground_state_from_W",
-    "hierarchy_potential",
     "level",
     "make_superpotential",
     "node_count",
     "partner_eigenvalues",
     "partner_potentials",
     "riccati_check",
-    "scalar_potential",
     "solve_level",
     "solve_nu1",
     "solve_selfconsistent",
     "spectrum",
     "superpotential_derivative",
     "superpotential_eval",
-    "vector_potential",
     "ComplexLevelError",
     "ConfigError",
     "DegenerateRootError",

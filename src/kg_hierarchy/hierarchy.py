@@ -1,4 +1,4 @@
-"""Factorization machinery: superpotential ansatz, level recurrence, Riccati checks.
+"""Factorization machinery: superpotential ansatz, level recurrence, Riccati check.
 
 The ansatz superpotential W(x) = -nu * k/(1 - q*k) + mu (k = exp(-lambda_eff*x))
 factorizes the effective Hamiltonian. Matching the k^2/(1-qk)^2 coefficient gives
@@ -16,19 +16,20 @@ spectra takes mu_n = a_n + b_n*E from these coefficients; :func:`level` gives
 (rho_n, mu_n) at one trial energy.  All quantities are stored complex on every
 branch; on the Hermitian branch they must be real, which level_chain checks for
 nu1 and level for mu_n.  The level algebra is plain Python; the functions of x
-import numpy and the grid module when they are called.
+import numpy and the grid module when they are called and return numpy arrays.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ComplexLevelError, DegenerateRootError, ZeroNuError
-from .potential import Branch, PotentialParams, _collapse, effective_potential, screened_ratio
+from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
+from .potential import Branch, PotentialParams, effective_potential, screened_ratio
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,7 +80,7 @@ def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1)
     antilinearly paired on the non-Hermitian branch).
     """
     if q == 0:
-        raise ValueError("q must be nonzero")
+        raise ParameterError("q", "q must be nonzero")
     qle = q * lambda_eff
     disc = _csqrt(qle * qle + 4.0 * gamma1)
     nu1 = 0.5 * (qle + root * disc)
@@ -153,9 +154,18 @@ def level_coefficients(p: PotentialParams, n: int) -> Coefficients:
     A solve over many levels computes :func:`level_chain` once and calls
     :func:`chain_coefficients` per level, which is the same arithmetic.
     """
-    if n < 0:
-        raise ValueError("level index n must be >= 0")
-    return chain_coefficients(level_chain(p), n)
+    return chain_coefficients(level_chain(p), level_index(n))
+
+
+def level_index(n: int, name: str = "n") -> int:
+    """n as a Python int; ParameterError(name) unless it is an integer >= 0."""
+    try:
+        index = operator.index(n)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ParameterError(name, f"{name} must be an integer >= 0, got {n!r}")
+    return index
 
 
 def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
@@ -178,50 +188,31 @@ def make_superpotential(p: PotentialParams, E: complex, n: int) -> Superpotentia
     return Superpotential(nu=lvl.nu, mu=lvl.mu, lambda_eff=p.lambda_eff, q=p.q)
 
 
-def superpotential_eval(w: Superpotential, x: ArrayLike) -> np.ndarray | complex:
-    """W(x) = -nu*k/(1 - q*k) + mu."""
+def superpotential_eval(w: Superpotential, x: ArrayLike) -> np.ndarray:
+    """W(x) = -nu*k/(1 - q*k) + mu as a complex128 array shaped like x (0-d for scalar x)."""
     u = screened_ratio(w.q, w.lambda_eff, x)
-    return _collapse(-w.nu * u + w.mu)
+    return -w.nu * u + w.mu
 
 
-def superpotential_derivative(w: Superpotential, x: ArrayLike) -> np.ndarray | complex:
-    """Closed-form W'(x) = nu*lambda_eff*k/(1 - q*k)^2 = nu*lambda_eff*(u + q*u^2)."""
+def superpotential_derivative(w: Superpotential, x: ArrayLike) -> np.ndarray:
+    """W'(x) = nu*lambda_eff*k/(1 - q*k)^2 = nu*lambda_eff*(u + q*u^2), an array like W's."""
     u = screened_ratio(w.q, w.lambda_eff, x)
-    return _collapse(w.nu * w.lambda_eff * (u + w.q * u * u))
+    return w.nu * w.lambda_eff * (u + w.q * u * u)
 
 
 def partner_potentials(w: Superpotential, x: ArrayLike) -> tuple[GridFunction, GridFunction]:
     """Partner pair (V1, V2) = (W^2 - W', W^2 + W') sampled on a uniform grid."""
-    import numpy as np
-
     from .grid import GridFunction, uniform_grid
 
     xa = uniform_grid(x)
-    wv = np.asarray(superpotential_eval(w, xa))
-    wd = np.asarray(superpotential_derivative(w, xa))
+    wv = superpotential_eval(w, xa)
+    wd = superpotential_derivative(w, xa)
     w2 = wv * wv
     dx = float(xa[1] - xa[0])
     return (
         GridFunction(float(xa[0]), dx, w2 - wd),
         GridFunction(float(xa[0]), dx, w2 + wd),
     )
-
-
-def hierarchy_potential(p: PotentialParams, E: complex, n: int, x: ArrayLike) -> np.ndarray:
-    """n-th member of the partner chain.
-
-    V(0) is the effective potential itself; V(n) = W_{n-1}^2 + W_{n-1}' + eps_{n-1}
-    is the partner of the previous member, whose ground level sits at eps_n.
-    """
-    import numpy as np
-
-    xa = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.asarray(effective_potential(p, E, xa))
-    w_prev = make_superpotential(p, E, n - 1)
-    wv = np.asarray(superpotential_eval(w_prev, xa))
-    wd = np.asarray(superpotential_derivative(w_prev, xa))
-    return wv * wv + wd - w_prev.mu * w_prev.mu  # eps_{n-1} = -mu_{n-1}^2
 
 
 def riccati_check(
@@ -235,9 +226,10 @@ def riccati_check(
     """(residual, scale, ok) with ok meaning residual < RICCATI_TOL * scale.
 
     The residual is the sup-norm defect of W_n^2 - W_n' = V(n) - eps_n over the
-    grid: level n's (W^2 - W') against the chain potential built from level
-    n-1's (W^2 + W').  mu_perturbation offsets mu_n first (the sensitivity hook
-    of verify --perturb-mu).
+    grid: level n's (W^2 - W') against the chain potential V(n): V_eff for
+    n = 0, else W_{n-1}^2 + W_{n-1}' + eps_{n-1}, the partner of the previous
+    member, whose ground level sits at eps_n.  mu_perturbation offsets mu_n
+    first (the sensitivity hook of verify --perturb-mu).
 
     The scale is 1 + the sup of the magnitudes actually entering the identity
     (|W_n|^2, |W_n'| and the chain potential), so the check stays meaningful
@@ -251,34 +243,15 @@ def riccati_check(
     lvl = level(p, E, n)
     mu = lvl.mu + mu_perturbation
     w = Superpotential(lvl.nu, mu, p.lambda_eff, p.q)
-    wv = np.asarray(superpotential_eval(w, xa))
-    wd = np.asarray(superpotential_derivative(w, xa))
-    chain = hierarchy_potential(p, E, n, xa)
+    wv = superpotential_eval(w, xa)
+    wd = superpotential_derivative(w, xa)
+    if n == 0:
+        chain = effective_potential(p, E, xa)
+    else:
+        w_prev = make_superpotential(p, E, n - 1)
+        wp = superpotential_eval(w_prev, xa)
+        chain = wp * wp + superpotential_derivative(w_prev, xa) - w_prev.mu * w_prev.mu
     res = float(np.max(np.abs((wv * wv - wd) - (chain + mu * mu))))
     aw = np.abs(wv)
     scale = 1.0 + float(np.max(aw * aw + np.abs(wd) + np.abs(chain)))
     return res, scale, res < RICCATI_TOL * scale
-
-
-def apply_ladder(w: Superpotential, psi: GridFunction, sign: int) -> GridFunction:
-    """(sign * d/dx + W) psi on the interior grid, 4th-order central differences.
-
-    sign=+1 gives the operator annihilating exp(-integral W); sign=-1 gives its
-    formal adjoint.  Two points are trimmed from each end for the stencil.
-    """
-    import numpy as np
-
-    from .grid import MIN_SAMPLES, GridFunction
-
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    min_points = MIN_SAMPLES + 4  # the trimmed result is a GridFunction too
-    if psi.n < min_points:
-        raise ValueError(f"grid too coarse for the ladder stencil (fewer than {min_points} points)")
-    v = psi.values
-    h = psi.dx
-    dpsi = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    x_in = psi.x[2:-2]
-    w_in = np.asarray(superpotential_eval(w, x_in))
-    return GridFunction(float(x_in[0]), h, sign * dpsi + w_in * v[2:-2])
-

@@ -350,16 +350,6 @@ class BandedOperator:
         y[1:] += upper1 * v[:-1]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        """A as a dense n x n array."""
-        upper2, upper1 = self.bands[0, 2:], self.bands[1, 1:]
-        a = np.diag(self.bands[2])
-        a += np.diag(upper1, 1)
-        a += np.diag(upper1, -1)
-        a += np.diag(upper2, 2)
-        a += np.diag(upper2, -2)
-        return a
-
 
 def _pole_wall(p: PotentialParams, h: float) -> tuple[float, int] | None:
     """The wall exponent s and the number of rows to correct at a left wall on the pole.

@@ -1,12 +1,14 @@
 """q-deformed Hulthen potential family.
 
-Covers the Lorentz vector/scalar split, the three deformation branches
-(Hermitian, PT-symmetric, non-Hermitian), and the energy-dependent effective
-potential that turns the Klein-Gordon problem into a Schrodinger-form
-eigenproblem (-d2/dx2 + V_eff(x; E)) psi = (E^2 - m^2) psi.
+Covers the three deformation branches (Hermitian, PT-symmetric,
+non-Hermitian) and the energy-dependent effective potential that turns the
+Klein-Gordon problem into a Schrodinger-form eigenproblem
+(-d2/dx2 + V_eff(x; E)) psi = (E^2 - m^2) psi.  The couplings V0 and S0 enter
+V_eff only through Gamma1 and Gamma2(E).
 
 The parameters and the Gamma terms are plain Python; the functions of x import
-numpy when they are called, so the spectrum solver never loads it.
+numpy when they are called, so the spectrum solver never loads it, and return
+complex128 numpy values shaped like x.
 """
 
 from __future__ import annotations
@@ -177,14 +179,6 @@ def gamma2(p: PotentialParams, E: complex) -> complex:
     return g2
 
 
-def deformation_kernel(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:
-    """k(x) = exp(-lambda_eff * x): real decay (Hermitian) or pure phase (complex branches)."""
-    import numpy as np
-
-    k = np.exp(-p.lambda_eff * np.asarray(x, dtype=np.complex128))
-    return _collapse(k)
-
-
 def kernel_and_base(q: float, lambda_eff: complex, x: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """k = exp(-lambda_eff*x) and the deformation base 1 - q*k, as complex arrays.
 
@@ -207,19 +201,9 @@ def screened_ratio(q: float, lambda_eff: complex, x: ArrayLike) -> np.ndarray:
     return k / base
 
 
-def vector_potential(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:
-    """Lorentz vector part -V0_eff * k/(1 - q*k)."""
-    return _collapse(-p.v0_eff * screened_ratio(p.q, p.lambda_eff, x))
-
-
-def scalar_potential(p: PotentialParams, x: ArrayLike) -> np.ndarray | complex:
-    """Lorentz scalar part -S0 * k/(1 - q*k)."""
-    return _collapse(-p.S0 * screened_ratio(p.q, p.lambda_eff, x))
-
-
-def effective_potential(p: PotentialParams, E: complex, x: ArrayLike) -> np.ndarray | complex:
-    """Gamma-form effective potential Gamma1*u^2 - Gamma2(E)*u."""
-    return _collapse(gamma_form(p, E, screened_ratio(p.q, p.lambda_eff, x)))
+def effective_potential(p: PotentialParams, E: complex, x: ArrayLike) -> np.ndarray:
+    """V_eff = Gamma1*u^2 - Gamma2(E)*u as a complex128 array shaped like x (0-d for scalar x)."""
+    return gamma_form(p, E, screened_ratio(p.q, p.lambda_eff, x))
 
 
 def gamma_form(p: PotentialParams, E: complex, u: np.ndarray) -> np.ndarray:
@@ -230,24 +214,3 @@ def gamma_form(p: PotentialParams, E: complex, u: np.ndarray) -> np.ndarray:
     """
     g1, g2_ = gammas(p, E)
     return g1 * u * u - g2_ * u
-
-
-def effective_potential_direct(
-    p: PotentialParams, E: complex, x: ArrayLike
-) -> np.ndarray | complex:
-    """Coupling-form effective potential [S^2 - V^2] + 2[m*S + E*V].
-
-    Algebraically identical to :func:`effective_potential`; kept as the second
-    route of the pointwise-identity check.
-    """
-    u = screened_ratio(p.q, p.lambda_eff, x)
-    v, s = -p.v0_eff * u, -p.S0 * u
-    return _collapse((s * s - v * v) + 2.0 * (p.m * s + E * v))
-
-
-def _collapse(a: np.ndarray) -> np.ndarray | complex:
-    # 0-d results come back as plain python complex for scalar inputs.
-    import numpy as np
-
-    arr = np.asarray(a)
-    return complex(arr) if arr.ndim == 0 else arr

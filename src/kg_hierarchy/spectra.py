@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NoRootError, NonConvergenceError
-from .hierarchy import Coefficients, chain_coefficients, level, level_chain, level_coefficients
+from .hierarchy import Coefficients, chain_coefficients, level_chain, level_coefficients, level_index
 from .potential import Branch, PotentialParams
 
 # Residual certificate and Newton budget.
@@ -73,12 +73,6 @@ class EnergyLevel:
     def epsilon(self) -> complex:
         # Recomputed, never stored: eps = E^2 - m^2.
         return self.E * self.E - self.mass * self.mass
-
-
-def energy_residual(p: PotentialParams, n: int, E: complex) -> complex:
-    """f_n(E) = (E^2 - m^2) + mu_n(E)^2; a root is a self-consistent bound energy."""
-    lvl = level(p, E, n)
-    return E * E - p.m * p.m + lvl.mu * lvl.mu
 
 
 def _newton_polish(p: PotentialParams, n: int, a: complex, b: complex, E: complex) -> tuple[complex, float]:
@@ -144,8 +138,7 @@ def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:
 def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
     """Bound levels for n = 0, 1, ..., n_max, up to the first level with no root
     flagged NormalizableMuPositive (a level with no root is one); never NoRootError."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = level_index(n_max, "n_max")
     chain = level_chain(p)
     out: list[EnergyLevel] = []
     for n in range(n_max + 1):

@@ -8,6 +8,7 @@ with k = exp(-lambda_eff*x).  The deformation parameter appears in the exponent
 denominator, which is why q = 0 is excluded at construction.  On the
 non-Hermitian branch mu is (up to the stored convention) i times a real decay
 constant, so exp(-mu*x) is the expected oscillatory phase factor there.
+:func:`ground_state_from_W` is the one evaluation of psi.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import NonNormalizableError
 from .grid import GridFunction, uniform_grid
-from .hierarchy import HierarchyLevel, Superpotential
-from .potential import PotentialParams, kernel_and_base
+from .hierarchy import Superpotential
+from .potential import kernel_and_base
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -32,11 +33,6 @@ WAVEFORM_NOTE = (
 )
 # node_count ignores samples below this fraction of the largest modulus.
 NODE_FLOOR = 1e-12
-
-
-def _log_psi(nu: complex, mu: complex, lambda_eff: complex, q: float, x: np.ndarray) -> np.ndarray:
-    base = kernel_and_base(q, lambda_eff, x)[1]
-    return (nu / (q * lambda_eff)) * np.log(base) - mu * x
 
 
 def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
@@ -56,7 +52,8 @@ def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
         raise NonNormalizableError(
             f"Re(mu) = {w.mu.real:g} <= 0: exp(-mu*x) does not decay; no bound ground state"
         )
-    log_psi = _log_psi(w.nu, w.mu, w.lambda_eff, w.q, xa)
+    base = kernel_and_base(w.q, w.lambda_eff, xa)[1]
+    log_psi = (w.nu / (w.q * w.lambda_eff)) * np.log(base) - w.mu * xa
     # A constant factor, which the normalization divides out again.
     peak = float(np.max(log_psi.real))
     if np.isfinite(peak):
@@ -68,21 +65,6 @@ def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
             f"grid norm of psi is {norm:g}: the ground state under- or overflows on this grid"
         )
     return psi.scaled(1.0 / norm)
-
-
-def closed_form_psi(
-    p: PotentialParams, lvl: HierarchyLevel, x: ArrayLike
-) -> np.ndarray | complex:
-    """Unnormalized closed form (1 - q*k)^(nu/(q*lambda_eff)) * exp(-mu*x).
-
-    Evaluated as a complex power of the deformation base times a separate
-    exponential, a different floating-point route than the fused antiderivative
-    used by :func:`ground_state_from_W`; the two must agree pointwise.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float)).astype(np.complex128)
-    base = kernel_and_base(p.q, p.lambda_eff, xa)[1]
-    vals = np.power(base, lvl.nu / (p.q * p.lambda_eff)) * np.exp(-lvl.mu * xa)
-    return complex(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
 def node_count(f: GridFunction) -> int:

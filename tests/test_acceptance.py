@@ -163,25 +163,6 @@ def test_limit_behavior():
             f"max/median sweep step {steps.max() / np.median(steps):.2f}")
 
 
-def test_ladder_annihilation_order():
-    """The annihilation defect of the generated ground state drops ~16x when the
-    grid spacing halves (4th-order stencil), sets A and B."""
-    ratios = []
-    for base in (SET_A, SET_B):
-        p = params(base)
-        lv = [l for l in kg.solve_level(p, 0) if l.mu.real > 0][0]
-        w = kg.make_superpotential(p, lv.E, 0)
-        rels = []
-        for npts in (801, 1601):
-            x = np.linspace(0.5, 60.5, npts)
-            psi = kg.ground_state_from_W(w, x)
-            rels.append(kg.apply_ladder(w, psi, +1).l2_norm() / psi.l2_norm())
-        ratios.append(rels[0] / rels[1])
-    ok = all(11.0 < r < 21.0 for r in ratios)
-    _report("Ladder annihilation order check (sets A, B)", ok,
-            "h -> h/2 defect ratios " + ", ".join(f"{r:.1f}" for r in ratios))
-
-
 def test_cli_determinism_and_exit_codes(tmp_path):
     """Golden-file spectrum CSV for set A; corrupted-mu verify exits nonzero."""
     golden = (DATA / "golden_spectrum_set_a.csv").read_bytes()

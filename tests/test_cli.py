@@ -401,6 +401,12 @@ class TestScipyOnlyForVerify:
             "first_name": [f"kg_hierarchy.{name}" for name in submodules],
             "all_bound": True, "kept": "bound before",
         }
+        # Names that only tests used are gone from the package.
+        for name in ("apply_ladder", "closed_form_psi", "deformation_kernel", "effective_potential_direct",
+                     "energy_residual", "hierarchy_potential", "scalar_potential", "vector_potential"):
+            with pytest.raises(AttributeError):
+                getattr(kg_hierarchy, name)
+            assert name not in dir(kg_hierarchy)
 
     def test_star_import_binds_all(self):
         proc = run_python_fresh("-c", STAR_PROBE)

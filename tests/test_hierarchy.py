@@ -15,6 +15,18 @@ from kg_hierarchy.errors import DegenerateRootError
 from conftest import SET_A, SET_B, SET_C, complex_branch_grid, hermitian_grid, params
 
 
+def ladder(w: Superpotential, psi: kg.GridFunction, sign: int) -> kg.GridFunction:
+    """(sign * d/dx + W) psi on the interior grid by 4th-order central differences.
+
+    sign=+1 gives the operator annihilating exp(-integral W), sign=-1 its formal
+    adjoint.  The stencil trims two points from each end.
+    """
+    v, h = psi.values, psi.dx
+    dpsi = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    x_in = psi.x[2:-2]
+    return kg.GridFunction(float(x_in[0]), h, sign * dpsi + kg.superpotential_eval(w, x_in) * v[2:-2])
+
+
 class TestSolveNu1:
     def test_gamma1_zero_picks_nonzero_root(self):
         assert kg.solve_nu1(0.0, 1.0, 0.2) == pytest.approx(0.2)
@@ -26,6 +38,11 @@ class TestSolveNu1:
     def test_zero_discriminant_double_root(self):
         qlam = 0.7
         assert kg.solve_nu1(-qlam * qlam / 4.0, 1.0, qlam) == pytest.approx(qlam / 2.0)
+
+    def test_q_zero_is_a_parameter_error(self):
+        with pytest.raises(kg.ParameterError, match="q must be nonzero") as info:
+            kg.solve_nu1(1.0, 0.0, 0.2)
+        assert info.value.param == "q"
 
     def test_degenerate_root_raises(self):
         # Negative q with gamma1 = 0: the +sqrt branch lands exactly on zero.
@@ -111,6 +128,18 @@ class TestLevel:
             lvl = kg.level(p, 0.37, n)
             assert lvl.epsilon + lvl.mu * lvl.mu == 0.0  # bitwise: epsilon is -mu*mu
 
+    @pytest.mark.parametrize("n", [1.5, -1, "1", None])
+    def test_level_index_must_be_a_nonnegative_integer(self, set_a, n):
+        # n = 1.5 gave HierarchyLevel(n=1.5) and two certified roots labelled 1.5.
+        for solve in (lambda: kg.level(set_a, 0.5, n), lambda: kg.solve_level(set_a, n)):
+            with pytest.raises(kg.ParameterError, match="n must be an integer >= 0") as info:
+                solve()
+            assert info.value.param == "n"
+
+    def test_numpy_integer_level_index_accepted(self, set_a):
+        assert kg.level(set_a, 0.5, np.int64(2)) == kg.level(set_a, 0.5, 2)
+        assert kg.solve_level(set_a, np.int64(2)) == kg.solve_level(set_a, 2)
+
 
 class TestSuperpotential:
     def test_limit_at_infinity_is_mu(self):
@@ -142,7 +171,7 @@ class TestPartnerPotentials:
         w = kg.make_superpotential(p, 0.2, 0)
         x = np.linspace(0.5, 20.0, 256)
         v1, v2 = kg.partner_potentials(w, x)
-        np.testing.assert_allclose(v2.values - v1.values, 2.0 * np.asarray(kg.superpotential_derivative(w, x)), rtol=1e-12)
+        np.testing.assert_allclose(v2.values - v1.values, 2.0 * kg.superpotential_derivative(w, x), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [8000, 16000])
     def test_long_linspace_grid_accepted(self, set_a, n):
@@ -198,23 +227,25 @@ class TestRiccatiResidual:
         assert kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)[0] > 1e-4
 
 
-class TestApplyLadder:
+class TestLadder:
     def test_annihilation_of_ground_state(self, set_a):
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
         w = kg.make_superpotential(set_a, E, 0)
         x = np.linspace(0.5, 60.5, 1201)
         psi = kg.ground_state_from_W(w, x)
-        ann = kg.apply_ladder(w, psi, +1)
+        ann = ladder(w, psi, +1)
         assert ann.l2_norm() / psi.l2_norm() < 1e-5
 
-    def test_annihilation_fourth_order(self, set_a):
-        E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        w = kg.make_superpotential(set_a, E, 0)
+    @pytest.mark.parametrize("base", [SET_A, SET_B], ids=["A", "B"])
+    def test_annihilation_fourth_order(self, base):
+        p = params(base)
+        E = [lv.E for lv in kg.solve_level(p, 0) if lv.mu.real > 0][0]
+        w = kg.make_superpotential(p, E, 0)
         rels = []
         for npts in (801, 1601):
             x = np.linspace(0.5, 60.5, npts)
             psi = kg.ground_state_from_W(w, x)
-            rels.append(kg.apply_ladder(w, psi, +1).l2_norm() / psi.l2_norm())
+            rels.append(ladder(w, psi, +1).l2_norm() / psi.l2_norm())
         ratio = rels[0] / rels[1]
         assert 11.0 < ratio < 21.0  # halving h cuts the defect ~2^4
 
@@ -227,10 +258,10 @@ class TestApplyLadder:
         f = np.exp(-((x - 8.0) ** 2) / 4.0).astype(complex)
         fg = kg.GridFunction(x[0], h, f)
         for first, second, pm in [(-1, +1, +1.0), (+1, -1, -1.0)]:
-            twice = kg.apply_ladder(w, kg.apply_ladder(w, fg, first), second)
+            twice = ladder(w, ladder(w, fg, first), second)
             xi = twice.x
-            wv = np.asarray(kg.superpotential_eval(w, xi))
-            wd = np.asarray(kg.superpotential_derivative(w, xi))
+            wv = kg.superpotential_eval(w, xi)
+            wd = kg.superpotential_derivative(w, xi)
             fi = np.exp(-((xi - 8.0) ** 2) / 4.0)
             fpp = fi * (((xi - 8.0) ** 2) / 4.0 - 0.5)
             expected = -fpp + (wv * wv + pm * wd) * fi
@@ -242,19 +273,10 @@ class TestApplyLadder:
         w = kg.make_superpotential(set_a, E, 0)
         x = np.linspace(1.0, 30.0, 4001)
         h = x[1] - x[0]
-        psi = np.asarray(kg.closed_form_psi(set_a, kg.level(set_a, E, 0), x))
+        psi = kg.ground_state_from_W(w, x).values
         dpsi = (psi[:-4] - 8 * psi[1:-3] + 8 * psi[3:-1] - psi[4:]) / (12 * h)
         w_rec = -dpsi / psi[2:-2]
-        np.testing.assert_allclose(w_rec, np.asarray(kg.superpotential_eval(w, x[2:-2])), atol=1e-9)
-
-    def test_too_coarse_grid_rejected(self, set_a):
-        w = kg.make_superpotential(set_a, 0.5, 0)
-        psi = kg.GridFunction(1.0, 0.5, np.ones(16, dtype=complex))
-        with pytest.raises(ValueError, match="coarse"):
-            kg.apply_ladder(w, psi, +1)
-        psi = kg.GridFunction(1.0, 0.5, np.ones(18, dtype=complex))
-        with pytest.raises(ValueError, match="fewer than 20"):
-            kg.apply_ladder(w, psi, +1)
+        np.testing.assert_allclose(w_rec, kg.superpotential_eval(w, x[2:-2]), atol=1e-9)
 
 
 class TestIsospectrality:

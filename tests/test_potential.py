@@ -15,10 +15,20 @@ from hypothesis import strategies as st
 import kg_hierarchy as kg
 from kg_hierarchy import Branch, PotentialParams
 from kg_hierarchy.errors import DomainError, GammaPositivityWarning
+from kg_hierarchy.potential import kernel_and_base, screened_ratio
 
 from conftest import SET_C, params
 
 SRC = str(Path(kg.__file__).resolve().parent.parent)
+
+
+def coupling_form(p, E, x):
+    """(V, S, V_eff) from the Lorentz vector/scalar split: V = -V0_eff*u and S = -S0*u
+    with u = k/(1 - q*k), and V_eff = (S^2 - V^2) + 2(m*S + E*V), the coupling form
+    that the library's Gamma form must equal."""
+    u = screened_ratio(p.q, p.lambda_eff, x)
+    v, s = -p.v0_eff * u, -p.S0 * u
+    return v, s, (s * s - v * v) + 2.0 * (p.m * s + E * v)
 
 
 class TestConstruction:
@@ -108,43 +118,46 @@ class TestConstruction:
 class TestDeformationKernel:
     def test_unit_at_origin(self):
         for branch in Branch:
-            assert kg.deformation_kernel(params(SET_C, branch), 0.0) == 1.0
+            p = params(SET_C, branch)
+            assert kernel_and_base(p.q, p.lambda_eff, 0.0)[0] == 1.0
 
     def test_real_decay_or_pure_phase(self):
         x = np.linspace(0.0, 50.0, 101)
-        k = kg.deformation_kernel(params(SET_C), x)
+        p, p_pt = params(SET_C), params(SET_C, Branch.PT_SYMMETRIC)
+        k = kernel_and_base(p.q, p.lambda_eff, x)[0]
         np.testing.assert_allclose(k, np.exp(-SET_C["lam"] * x), rtol=1e-15)
-        phase = kg.deformation_kernel(params(SET_C, Branch.PT_SYMMETRIC), x)
+        phase = kernel_and_base(p_pt.q, p_pt.lambda_eff, x)[0]
         np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-15)
 
 
 class TestVectorScalar:
     def test_zero_coupling_is_zero(self):
         p = PotentialParams(V0=0.0, S0=1.0, lam=1.0, q=1.0, m=1.0)
-        assert kg.vector_potential(p, 3.7) == 0
+        assert coupling_form(p, 0.0, 3.7)[0] == 0
 
     def test_decay_at_infinity(self):
         p = PotentialParams(V0=1.0, S0=1.0, lam=1.0, q=1.0, m=1.0)
-        assert abs(kg.vector_potential(p, 60.0)) < 1e-15
+        assert abs(coupling_form(p, 0.0, 60.0)[0]) < 1e-15
 
     def test_hand_value_hulthen(self):
         # Direct evaluation: -exp(-0.2)/(1 - exp(-0.2)).
         p = PotentialParams(V0=1.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
         expected = -np.exp(-0.2) / (1.0 - np.exp(-0.2))
-        got = kg.vector_potential(p, 1.0)
+        got, scalar, _ = coupling_form(p, 0.0, 1.0)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(-4.516655566126993, rel=1e-12)
-        assert kg.scalar_potential(p, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert scalar == pytest.approx(expected, rel=1e-14)
 
     def test_scalar_uses_s0(self):
         p = PotentialParams(V0=0.5, S0=2.0, lam=0.3, q=0.7, m=1.0)
         x = np.linspace(0.5, 5.0, 32)
-        np.testing.assert_allclose(kg.scalar_potential(p, x), 4.0 * kg.vector_potential(p, x), rtol=1e-14)
+        v, s, _ = coupling_form(p, 0.0, x)
+        np.testing.assert_allclose(s, 4.0 * v, rtol=1e-14)
 
     def test_pole_raises(self):
         p = PotentialParams(V0=1.0, S0=2.0, lam=0.5, q=2.0, m=1.0)
         with pytest.raises(DomainError):
-            kg.vector_potential(p, np.log(2.0) / 0.5)
+            coupling_form(p, 0.0, np.log(2.0) / 0.5)
 
 
 class TestEffectivePotential:
@@ -182,7 +195,7 @@ class TestEffectivePotential:
         # Map t into the admissible half line (pole-free for these q ranges).
         x = p.domain_start() + 0.2 + t * 20.0 / lam
         a = kg.effective_potential(p, E, x)
-        b = kg.effective_potential_direct(p, E, x)
+        b = coupling_form(p, E, x)[2]
         assert abs(a - b) < 1e-12 * (1.0 + abs(a))
 
     def test_pt_branch_matches_phase_substitution(self):

@@ -70,23 +70,22 @@ def assert_roots_match(got: list[complex], expected: list[complex], tol: float =
         assert min(abs(g - e) for g in got) < tol * (1.0 + abs(e)), (e, got)
 
 
-class TestEnergyResidual:
-    def test_explicit_form_when_vector_free(self, set_a):
-        # Gamma2 is E-independent, so f_n(E) = E^2 - m^2 + mu_n^2 directly.
-        for E in (0.1, -0.6, 0.9):
-            mu = kg.level(set_a, E, 0).mu
-            expected = E * E - 1.0 + mu * mu
-            assert kg.energy_residual(set_a, 0, E) == pytest.approx(expected, abs=1e-15)
+def energy_residual(p: PotentialParams, n: int, E: complex) -> complex:
+    """f_n(E) = (E^2 - m^2) + mu_n(E)^2 with mu_n from level(), not from the solver's coefficients."""
+    mu = kg.level(p, E, n).mu
+    return E * E - p.m * p.m + mu * mu
 
+
+class TestEnergyResidual:
     def test_residual_vanishes_at_solved_roots(self, set_b):
         for n in range(3):
             for lv in kg.solve_level(set_b, n):
-                assert abs(kg.energy_residual(set_b, n, lv.E)) < 1e-12
+                assert abs(energy_residual(set_b, n, lv.E)) < 1e-12
 
     def test_quadratic_oracle_root_is_a_root(self, set_b):
         roots = quadratic_oracle_roots(1.0, 0.25, 0.2, 1.0, 0)
         for r in roots:
-            assert abs(kg.energy_residual(set_b, 0, r)) < 1e-12
+            assert abs(energy_residual(set_b, 0, r)) < 1e-12
 
 
 class TestSolveLevelHermitian:
@@ -209,6 +208,16 @@ class TestSpectrum:
         assert [lv.n for lv in spec] == [0, 0, 1, 1]
         with pytest.raises(ValueError, match="n_max"):
             kg.spectrum(set_a, -1)
+
+    @pytest.mark.parametrize("n_max", [2.5, -1, None])
+    def test_n_max_must_be_a_nonnegative_integer(self, set_a, n_max):
+        # n_max = 2.5 raised a raw TypeError from range().
+        with pytest.raises(kg.ParameterError, match="n_max must be an integer >= 0") as info:
+            kg.spectrum(set_a, n_max)
+        assert info.value.param == "n_max"
+
+    def test_numpy_integer_n_max_accepted(self, set_a):
+        assert kg.spectrum(set_a, np.int64(2)) == kg.spectrum(set_a, 2)
 
     def test_wraps_only_the_levels_it_returns(self, monkeypatch):
         # Set A at q = 2 stops at level 3, whose two roots have mu < 0: they are

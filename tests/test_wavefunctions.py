@@ -10,6 +10,18 @@ from kg_hierarchy.errors import DomainError, NonNormalizableError
 from conftest import SET_A, SET_C, params
 
 
+def closed_form_psi(p, lvl: HierarchyLevel, x: np.ndarray) -> np.ndarray:
+    """Unnormalized closed form (1 - q*k)^(nu/(q*lambda_eff)) * exp(-mu*x) on an array x.
+
+    A complex power of the deformation base times a separate exponential: a
+    different floating-point route from the fused antiderivative that
+    ground_state_from_W exponentiates, so the two must agree pointwise.
+    """
+    xa = np.asarray(x, dtype=float).astype(np.complex128)
+    base = 1.0 - p.q * np.exp(-p.lambda_eff * xa)
+    return np.power(base, lvl.nu / (p.q * p.lambda_eff)) * np.exp(-lvl.mu * xa)
+
+
 def solved_level(p, n=0, positive=True):
     lvls = kg.solve_level(p, n)
     lvls = [lv for lv in lvls if lv.mu.real > 0]
@@ -75,9 +87,9 @@ class TestGroundStateFromW:
         x = np.linspace(p.domain_start(), 40.0 / p.lam, 2000)
         psi = kg.ground_state_from_W(w, x)
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
-        full = kg.closed_form_psi(p, HierarchyLevel(0, w.nu, w.mu), x)
+        full = closed_form_psi(p, HierarchyLevel(0, w.nu, w.mu), x)
         assert np.sum(np.abs(full) ** 2) == 0.0
-        half = kg.closed_form_psi(p, HierarchyLevel(0, w.nu / 2, w.mu / 2), x).real
+        half = closed_form_psi(p, HierarchyLevel(0, w.nu / 2, w.mu / 2), x).real
         shape = (half / half.max()) ** 2
         shape /= np.sqrt(np.sum(shape * shape) * (x[1] - x[0]))
         np.testing.assert_allclose(psi.values.real, shape, rtol=0, atol=1e-12)
@@ -93,10 +105,11 @@ class TestGroundStateFromW:
     def test_small_q_exponential_limit(self):
         # ln(1 - q k) ~ -q k: psi -> exp(-(nu/lam) e^{-lam x}) exp(-mu x).
         p = params(dict(V0=0.0, S0=1.0, lam=0.2, q=1e-8, m=1.0))
-        lvl = kg.level(p, 0.0, 0)
+        w = kg.make_superpotential(p, 0.0, 0)
         x = np.linspace(0.1, 60.0, 800)
-        psi = np.asarray(kg.closed_form_psi(p, lvl, x))
-        limit = np.exp(-(lvl.nu / p.lam) * np.exp(-p.lam * x)) * np.exp(-lvl.mu * x)
+        psi = kg.ground_state_from_W(w, x).values
+        limit = np.exp(-(w.nu / p.lam) * np.exp(-p.lam * x)) * np.exp(-w.mu * x)
+        limit /= np.sqrt(np.sum(np.abs(limit) ** 2) * (x[1] - x[0]))
         assert np.max(np.abs(psi - limit)) <= 1e-6 * np.max(np.abs(limit))
 
     def test_complex_branch_max_modulus_normalization(self):
@@ -126,7 +139,7 @@ class TestRouteEquivalence:
             x = np.linspace(0.05 * period, 0.95 * period, 900)
         hermitian = branch is Branch.HERMITIAN and lvl.mu.real > 0
         psi_w = kg.ground_state_from_W(w, x)
-        raw = np.asarray(kg.closed_form_psi(p, lvl, x))
+        raw = closed_form_psi(p, lvl, x)
         if hermitian:
             ref = raw / (np.sqrt(np.sum(np.abs(raw) ** 2) * (x[1] - x[0])))
         else:
@@ -136,20 +149,16 @@ class TestRouteEquivalence:
         ref = ref * (psi_w.values[idx] / ref[idx])
         np.testing.assert_allclose(psi_w.values, ref, atol=1e-12)
 
-    def test_decaying_tail_closed_form(self, set_a):
-        lv = solved_level(set_a)
-        lvl = kg.level(set_a, lv.E, 0)
-        assert abs(kg.closed_form_psi(set_a, lvl, 500.0)) < 1e-30
-
     def test_pure_phase_factor_on_nonhermitian_branch(self):
         # With mu purely imaginary the exponential factor has unit modulus, so
         # |psi| is carried by the deformation power alone.
         p = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.1)
-        lvl_imag = kg.HierarchyLevel(n=0, nu=0.5 + 0.1j, mu=0.3j)
         x = np.linspace(1.0, 20.0, 300)
-        psi = np.asarray(kg.closed_form_psi(p, lvl_imag, x))
-        base = np.asarray(kg.closed_form_psi(p, kg.HierarchyLevel(n=0, nu=0.5 + 0.1j, mu=0.0), x))
-        np.testing.assert_allclose(np.abs(psi), np.abs(base), rtol=1e-12)
+        psi, base = (
+            kg.ground_state_from_W(Superpotential(nu=0.5 + 0.1j, mu=mu, lambda_eff=p.lambda_eff, q=p.q), x)
+            for mu in (0.3j, 0.0)
+        )
+        np.testing.assert_allclose(np.abs(psi.values), np.abs(base.values), rtol=1e-12)
 
     def test_grid_through_the_pole_raises(self):
         # q = 2: 1 - q*exp(-lam*x) vanishes at ln(2)/lam, the middle grid point.
@@ -158,14 +167,12 @@ class TestRouteEquivalence:
         w = Superpotential(nu=1.5, mu=0.3, lambda_eff=p.lambda_eff, q=p.q)
         with pytest.raises(DomainError, match="pole"):
             kg.ground_state_from_W(w, x)
-        with pytest.raises(DomainError, match="pole"):
-            kg.closed_form_psi(p, HierarchyLevel(n=0, nu=1.5, mu=0.3), x)
 
     def test_boundary_value_finite_for_nonnegative_exponent(self, set_c):
         lv = solved_level(set_c)
-        lvl = kg.level(set_c, lv.E, 0)
-        val = kg.closed_form_psi(set_c, lvl, set_c.domain_start())
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
+        w = kg.make_superpotential(set_c, lv.E, 0)
+        psi = kg.ground_state_from_W(w, np.linspace(set_c.domain_start(), 60.0, 900))
+        assert np.isfinite(psi.values[0].real) and np.isfinite(psi.values[0].imag)
 
 
 class TestNodeCount:
