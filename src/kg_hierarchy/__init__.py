@@ -16,9 +16,7 @@ binds all of ``__all__`` at once, leaving any name already bound as it is.
 __all__ = [
     "Branch",
     "PotentialParams",
-    "GammaPair",
     "GridFunction",
-    "HierarchyLevel",
     "Superpotential",
     "EnergyLevel",
     "LevelFlag",
@@ -31,10 +29,8 @@ __all__ = [
     "compare",
     "discretize",
     "effective_potential",
-    "gammas",
     "ground_state_from_W",
     "level",
-    "make_superpotential",
     "node_count",
     "partner_eigenvalues",
     "partner_potentials",

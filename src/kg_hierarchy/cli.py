@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
-from .hierarchy import RICCATI_TOL, make_superpotential, riccati_check
+from .hierarchy import RICCATI_TOL, level, riccati_check
 from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum
 
@@ -204,11 +204,11 @@ _LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_
 _LEVEL_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
-def _level_values(level: EnergyLevel) -> tuple:
-    eps = level.epsilon
+def _level_values(lv: EnergyLevel) -> tuple:
+    eps = lv.epsilon
     return (
-        level.n, level.E.real, level.E.imag, eps.real, eps.imag,
-        level.mu.real, level.mu.imag, level.residual, _flags_cell(level.flags, level.note),
+        lv.n, lv.E.real, lv.E.imag, eps.real, eps.imag,
+        lv.mu.real, lv.mu.imag, lv.residual, _flags_cell(lv.flags, lv.note),
     )
 
 
@@ -292,8 +292,7 @@ def run_wavefunction(cfg: RunConfig) -> int:
     for lv in levels:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
-        w = make_superpotential(p, lv.E, lv.n)
-        psi = ground_state_from_W(w, x)
+        psi = ground_state_from_W(level(p, lv.E, lv.n), x)
         samples.extend(
             (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
         )

@@ -13,10 +13,11 @@ Gamma2 is affine in E, so mu_n is too; :func:`chain_coefficients` is the one
 place rho_n, a_n and b_n are computed, from nu1 and the other level-independent
 terms that :func:`level_chain` collects once per parameter point.  The solver in
 spectra takes mu_n = a_n + b_n*E from these coefficients; :func:`level` gives
-(rho_n, mu_n) at one trial energy.  All quantities are stored complex on every
-branch; on the Hermitian branch they must be real, which level_chain checks for
-nu1 and level for mu_n.  The level algebra is plain Python; the functions of x
-import numpy and the grid module when they are called and return numpy arrays.
+the superpotential W_n (nu = rho_n, mu = mu_n) at one trial energy.  All
+quantities are stored complex on every branch; on the Hermitian branch they
+must be real, which level_chain checks for nu1 and level for mu_n.  The level
+algebra is plain Python; the functions of x import numpy and the grid module
+when they are called and return numpy arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
@@ -48,27 +49,22 @@ LevelChain = tuple[complex, complex, complex, float, complex]
 
 
 @dataclass(frozen=True)
-class HierarchyLevel:
-    """Per-level algebraic data of the factorization chain."""
-
-    n: int
-    nu: complex
-    mu: complex
-
-    @property
-    def epsilon(self) -> complex:
-        # Defined as -mu^2; keeping it derived makes the coupling identity exact.
-        return -(self.mu * self.mu)
-
-
-@dataclass(frozen=True)
 class Superpotential:
-    """Evaluable ansatz superpotential W(x) = -nu*k/(1 - q*k) + mu."""
+    """Evaluable ansatz superpotential W(x) = -nu*k/(1 - q*k) + mu.
+
+    Level n of the chain is W_n, nu = rho_n and mu = mu_n(E); its partner pair
+    W_n^2 -+ W_n' carries the level energy eps_n = -mu_n^2.
+    """
 
     nu: complex
     mu: complex
     lambda_eff: complex
     q: float
+
+    @property
+    def epsilon(self) -> complex:
+        # Defined as -mu^2; keeping it derived makes the coupling identity exact.
+        return -(self.mu * self.mu)
 
 
 def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1) -> complex:
@@ -168,8 +164,8 @@ def level_index(n: int, name: str = "n") -> int:
     return index
 
 
-def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
-    """Level-n data (rho_n, mu_n) of the recurrence at trial energy E.
+def level(p: PotentialParams, E: complex, n: int) -> Superpotential:
+    """Superpotential W_n of the chain at trial energy E: nu = rho_n, mu = mu_n(E).
 
     mu_n(E) = a + b*E must be real on the Hermitian branch; a complex one raises
     ComplexLevelError.
@@ -180,12 +176,7 @@ def level(p: PotentialParams, E: complex, n: int) -> HierarchyLevel:
         raise ComplexLevelError(
             f"trial energy E = {E} makes mu_{n} complex on the Hermitian branch"
         )
-    return HierarchyLevel(n=n, nu=rho, mu=complex(mu))
-
-
-def make_superpotential(p: PotentialParams, E: complex, n: int) -> Superpotential:
-    lvl = level(p, E, n)
-    return Superpotential(nu=lvl.nu, mu=lvl.mu, lambda_eff=p.lambda_eff, q=p.q)
+    return Superpotential(nu=rho, mu=complex(mu), lambda_eff=p.lambda_eff, q=p.q)
 
 
 def superpotential_eval(w: Superpotential, x: ArrayLike) -> np.ndarray:
@@ -240,18 +231,17 @@ def riccati_check(
     import numpy as np
 
     xa = np.asarray(x, dtype=float)
-    lvl = level(p, E, n)
-    mu = lvl.mu + mu_perturbation
-    w = Superpotential(lvl.nu, mu, p.lambda_eff, p.q)
+    w = level(p, E, n)
+    w = replace(w, mu=w.mu + mu_perturbation)
     wv = superpotential_eval(w, xa)
     wd = superpotential_derivative(w, xa)
     if n == 0:
         chain = effective_potential(p, E, xa)
     else:
-        w_prev = make_superpotential(p, E, n - 1)
+        w_prev = level(p, E, n - 1)
         wp = superpotential_eval(w_prev, xa)
-        chain = wp * wp + superpotential_derivative(w_prev, xa) - w_prev.mu * w_prev.mu
-    res = float(np.max(np.abs((wv * wv - wd) - (chain + mu * mu))))
+        chain = wp * wp + superpotential_derivative(w_prev, xa) + w_prev.epsilon
+    res = float(np.max(np.abs((wv * wv - wd) - (chain - w.epsilon))))
     aw = np.abs(wv)
     scale = 1.0 + float(np.max(aw * aw + np.abs(wd) + np.abs(chain)))
     return res, scale, res < RICCATI_TOL * scale

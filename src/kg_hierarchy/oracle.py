@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError
 from .grid import GridFunction, OracleConfig
-from .hierarchy import level_coefficients, make_superpotential, partner_potentials
+from .hierarchy import level, level_coefficients, level_index, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
@@ -183,7 +184,7 @@ class BandedOperator:
         """
         eigs = []
         shift = -self.norm
-        for k in range(k_max + 1):
+        for k in range(level_index(k_max, "k_max") + 1):
             eigs.append(self.eigenpair(k, shift)[0])
             shift = 2.0 * eigs[-1] - eigs[-2] if k else eigs[-1]
         return np.array(eigs)
@@ -241,9 +242,12 @@ class BandedOperator:
         The first round starts from start (a warm start) or else, like every
         restart, from sin(j*phi), phi the golden angle.  The vector returned is
         the Ritz vector v, accurate to the residual floor; polish(theta, v)
-        cleans it when its shape, not just theta, is wanted.
+        cleans it when its shape, not just theta, is wanted.  A k that is no
+        integer raises ParameterError, an integer outside 0..n-1 ValueError.
         """
         n = self.n
+        if not isinstance(k, numbers.Integral):
+            k = level_index(k, "k")
         if not 0 <= k < n:
             raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
         if not math.isfinite(shift):
@@ -470,6 +474,7 @@ def solve_selfconsistent(
     root, |E| > 5m, or |g| fails MAX_STALLED times in a row to halve its
     smallest value so far (a converging start halves it at every step).
     """
+    k = level_index(k, "k")
     cfg = (cfg or OracleConfig()).resolve(p)
     starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
     dE = 0.01 * p.m
@@ -619,5 +624,5 @@ def partner_eigenvalues(
     """
     box = _box(p, (cfg or OracleConfig()).resolve(p))
     ops = [BandedOperator(assemble_bands(v.values.real, box.h), box.x, box.h)
-           for v in partner_potentials(make_superpotential(p, E, 0), box.x)]
+           for v in partner_potentials(level(p, E, 0), box.x)]
     return ops[0].eigenvalues(k_max), ops[1].eigenvalues(k_max)

@@ -18,7 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GammaPositivityWarning, ParameterError
 
@@ -152,23 +152,8 @@ class PotentialParams:
         return base + 1e-6 / self.lam
 
 
-class GammaPair(NamedTuple):
-    """Effective-potential coefficients at a trial energy.
-
-    gamma1 = S0^2 - V0_eff^2 is energy independent; gamma2 = 2*(m*S0 + E*V0_eff)
-    is affine in E.
-    """
-
-    gamma1: complex
-    gamma2: complex
-
-
-def gammas(p: PotentialParams, E: complex) -> GammaPair:
-    """Coefficient pair (Gamma1, Gamma2(E)) of the effective potential."""
-    return GammaPair(p.gamma1, gamma2(p, E))
-
-
 def gamma2(p: PotentialParams, E: complex) -> complex:
+    """Gamma2(E) = 2*(m*S0 + E*V0_eff), affine in E; Gamma1 is p.gamma1."""
     g2 = 2.0 * (p.m * p.S0 + E * p.v0_eff)
     if g2.imag == 0.0 and g2.real <= 0.0:
         warnings.warn(
@@ -212,5 +197,4 @@ def gamma_form(p: PotentialParams, E: complex, u: np.ndarray) -> np.ndarray:
     Only Gamma2 depends on E, so a caller that evaluates many energies on one
     grid computes u once (the oracle does).
     """
-    g1, g2_ = gammas(p, E)
-    return g1 * u * u - g2_ * u
+    return p.gamma1 * u * u - gamma2(p, E) * u

@@ -64,7 +64,6 @@ class EnergyLevel:
     E: complex
     mu: complex
     residual: float
-    branch: Branch
     mass: float
     flags: frozenset = field(default_factory=frozenset)
     note: str = ""
@@ -110,7 +109,7 @@ def _make_level(p: PotentialParams, n: int, E: complex, mu: complex, residual: f
         p.branch is not Branch.HERMITIAN,
     )
     return EnergyLevel(
-        n=n, E=complex(E), mu=mu, residual=residual, branch=p.branch, mass=p.m, flags=_FLAG_SETS[on], note=note
+        n=n, E=complex(E), mu=mu, residual=residual, mass=p.m, flags=_FLAG_SETS[on], note=note
     )
 
 

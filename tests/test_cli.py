@@ -337,7 +337,7 @@ eigs1, eigs2 = kg.partner_eigenvalues(a, E, cfg, k_max=3)
 box = _box(a, cfg)
 x, h = box.x, box.h
 checks = []
-for v, eigs in zip(kg.partner_potentials(kg.make_superpotential(a, E, 0), x), (eigs1, eigs2)):
+for v, eigs in zip(kg.partner_potentials(kg.level(a, E, 0), x), (eigs1, eigs2)):
     # Fresh operators, the same certified eigenpairs: bit-identical.
     op = BandedOperator(assemble_bands(v.values.real, h), x, h)
     checks.append(np.array_equal(op.eigenvalues(3), eigs))
@@ -407,6 +407,11 @@ class TestScipyOnlyForVerify:
             with pytest.raises(AttributeError):
                 getattr(kg_hierarchy, name)
             assert name not in dir(kg_hierarchy)
+        # A level is its superpotential W_n, and Gamma1, Gamma2 are p.gamma1 and gamma2.
+        for name in ("HierarchyLevel", "make_superpotential", "GammaPair", "gammas"):
+            with pytest.raises(AttributeError):
+                getattr(kg_hierarchy, name)
+        assert len(kg_hierarchy.__all__) == 40
 
     def test_star_import_binds_all(self):
         proc = run_python_fresh("-c", STAR_PROBE)

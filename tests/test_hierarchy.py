@@ -11,6 +11,7 @@ import kg_hierarchy as kg
 import kg_hierarchy.hierarchy as hierarchy
 from kg_hierarchy import Branch, PotentialParams, Superpotential
 from kg_hierarchy.errors import DegenerateRootError
+from kg_hierarchy.potential import gamma2
 
 from conftest import SET_A, SET_B, SET_C, complex_branch_grid, hermitian_grid, params
 
@@ -106,7 +107,7 @@ class TestLevel:
     def test_level_zero_matches_first_factorization_formula(self):
         p = params(SET_C)
         E = 0.4
-        g1, g2 = kg.gammas(p, E)
+        g1, g2 = p.gamma1, gamma2(p, E)
         nu1 = kg.solve_nu1(g1, p.q, p.lambda_eff)
         lvl = kg.level(p, E, 0)
         assert lvl.nu == pytest.approx(nu1)
@@ -130,7 +131,7 @@ class TestLevel:
 
     @pytest.mark.parametrize("n", [1.5, -1, "1", None])
     def test_level_index_must_be_a_nonnegative_integer(self, set_a, n):
-        # n = 1.5 gave HierarchyLevel(n=1.5) and two certified roots labelled 1.5.
+        # n = 1.5 gave a level labelled n = 1.5 and two certified roots labelled 1.5.
         for solve in (lambda: kg.level(set_a, 0.5, n), lambda: kg.solve_level(set_a, n)):
             with pytest.raises(kg.ParameterError, match="n must be an integer >= 0") as info:
                 solve()
@@ -144,7 +145,7 @@ class TestLevel:
 class TestSuperpotential:
     def test_limit_at_infinity_is_mu(self):
         p = params(SET_A)
-        w = kg.make_superpotential(p, 0.5, 0)
+        w = kg.level(p, 0.5, 0)
         assert kg.superpotential_eval(w, 400.0) == pytest.approx(w.mu, abs=1e-14)
 
     def test_zero_nu_constant(self):
@@ -168,7 +169,7 @@ class TestSuperpotential:
 class TestPartnerPotentials:
     def test_difference_is_twice_derivative(self):
         p = params(SET_C)
-        w = kg.make_superpotential(p, 0.2, 0)
+        w = kg.level(p, 0.2, 0)
         x = np.linspace(0.5, 20.0, 256)
         v1, v2 = kg.partner_potentials(w, x)
         np.testing.assert_allclose(v2.values - v1.values, 2.0 * kg.superpotential_derivative(w, x), rtol=1e-12)
@@ -177,12 +178,12 @@ class TestPartnerPotentials:
     def test_long_linspace_grid_accepted(self, set_a, n):
         # Each point is rounded to an ulp of max|x| = 200, so the steps of this
         # exactly uniform grid differ by more than 1e-12 of a step.
-        w = kg.make_superpotential(set_a, 0.5, 0)
+        w = kg.level(set_a, 0.5, 0)
         v1, v2 = kg.partner_potentials(w, np.linspace(set_a.domain_start(), 200.0, n))
         assert v1.n == v2.n == n
 
     def test_nonuniform_grids_rejected(self, set_a):
-        w = kg.make_superpotential(set_a, 0.5, 0)
+        w = kg.level(set_a, 0.5, 0)
         moved = np.linspace(set_a.domain_start(), 200.0, 8000)
         moved[4000] += 1e-6 * (moved[1] - moved[0])
         for x in (np.geomspace(1.0, 200.0, 8000), moved):
@@ -230,7 +231,7 @@ class TestRiccatiResidual:
 class TestLadder:
     def test_annihilation_of_ground_state(self, set_a):
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        w = kg.make_superpotential(set_a, E, 0)
+        w = kg.level(set_a, E, 0)
         x = np.linspace(0.5, 60.5, 1201)
         psi = kg.ground_state_from_W(w, x)
         ann = ladder(w, psi, +1)
@@ -240,7 +241,7 @@ class TestLadder:
     def test_annihilation_fourth_order(self, base):
         p = params(base)
         E = [lv.E for lv in kg.solve_level(p, 0) if lv.mu.real > 0][0]
-        w = kg.make_superpotential(p, E, 0)
+        w = kg.level(p, E, 0)
         rels = []
         for npts in (801, 1601):
             x = np.linspace(0.5, 60.5, npts)
@@ -252,7 +253,7 @@ class TestLadder:
     def test_compositions_give_partner_hamiltonians(self, set_c):
         # (+d/dx + W)(-d/dx + W) f = -f'' + (W^2 + W') f, and the reversed
         # order produces the first partner (W^2 - W').
-        w = kg.make_superpotential(set_c, 0.3, 0)
+        w = kg.level(set_c, 0.3, 0)
         x = np.linspace(0.5, 30.0, 4001)
         h = x[1] - x[0]
         f = np.exp(-((x - 8.0) ** 2) / 4.0).astype(complex)
@@ -270,7 +271,7 @@ class TestLadder:
     def test_log_derivative_reconstructs_superpotential(self, set_a):
         # W = -(log psi)' recovered from sampled psi by central differences.
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        w = kg.make_superpotential(set_a, E, 0)
+        w = kg.level(set_a, E, 0)
         x = np.linspace(1.0, 30.0, 4001)
         h = x[1] - x[0]
         psi = kg.ground_state_from_W(w, x).values

@@ -361,6 +361,22 @@ class TestSolveSelfConsistent:
         assert abs(res.epsilon - (res.E ** 2 - 1.0)) < 1e-10
         assert res.epsilon < 0
 
+    @pytest.mark.parametrize("k", [1.5, -1, "1", None])
+    def test_level_index_must_be_a_nonnegative_integer(self, set_a, k):
+        # k = 1.5 solved level 1 (E = 0.8678) and eigenpair(1.5, 0) gave eigenvalue 1;
+        # k_max = -1 gave empty spectra; "1" and None raised a raw TypeError.
+        cfg = OracleConfig(n_points=1000)
+        op = discretize(set_a, 0.5, cfg)
+        solves = [("k", lambda: kg.solve_selfconsistent(set_a, k, cfg, seed=0.5)),
+                  ("k_max", lambda: op.eigenvalues(k)),
+                  ("k_max", lambda: kg.partner_eigenvalues(set_a, 0.5, cfg, k_max=k))]
+        if k != -1:  # eigenpair keeps its "outside 0..n-1" message for -1
+            solves.append(("k", lambda: op.eigenpair(k, 0.0)))
+        for name, solve in solves:
+            with pytest.raises(kg.ParameterError, match=f"{name} must be an integer >= 0") as info:
+                solve()
+            assert info.value.param == name
+
     def test_default_seeds_find_both_signs(self, set_a):
         r_pos = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=+0.5)
         r_neg = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=-0.5)
@@ -502,7 +518,7 @@ class TestCompare:
         res = kg.solve_selfconsistent(set_a, 0, cfg, seed=0.5)
         synthetic = kg.EnergyLevel(
             n=0, E=complex(res.E), mu=kg.level(set_a, res.E, 0).mu,
-            residual=0.0, branch=set_a.branch, mass=set_a.m,
+            residual=0.0, mass=set_a.m,
             flags=frozenset({kg.LevelFlag.NORMALIZABLE_MU_POSITIVE}),
         )
         report = kg.compare(set_a, [synthetic], cfg)

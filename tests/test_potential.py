@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import kg_hierarchy as kg
 from kg_hierarchy import Branch, PotentialParams
 from kg_hierarchy.errors import DomainError, GammaPositivityWarning
-from kg_hierarchy.potential import kernel_and_base, screened_ratio
+from kg_hierarchy.potential import gamma2, kernel_and_base, screened_ratio
 
 from conftest import SET_C, params
 
@@ -69,7 +69,7 @@ class TestConstruction:
 
     def test_gamma2_warning_names_the_caller(self, tmp_path):
         # Gamma2 = 2*(m*S0 + E*V0) = -1.7 is raised three calls deep
-        # (effective_potential -> gammas -> gamma2); with -W always the warning
+        # (effective_potential -> gamma_form -> gamma2); with -W always the warning
         # must name the script's line, not a line of the package.
         script = tmp_path / "caller.py"
         script.write_text(
@@ -202,7 +202,7 @@ class TestEffectivePotential:
         p_pt = params(SET_C, branch=Branch.PT_SYMMETRIC)
         x = np.linspace(1.0, 20.0, 200)
         k = np.exp(-1j * p_pt.lam * x)
-        g1, g2 = kg.gammas(p_pt, 0.3)
+        g1, g2 = p_pt.gamma1, gamma2(p_pt, 0.3)
         u = k / (1.0 - p_pt.q * k)
         expected = g1 * u * u - g2 * u
         np.testing.assert_allclose(kg.effective_potential(p_pt, 0.3, x), expected, rtol=1e-13)
@@ -220,19 +220,17 @@ class TestGammas:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
-        g = kg.gammas(p, 0.0)
-        assert g.gamma1 == 0
-        assert g.gamma2 == pytest.approx(0.5)
+        assert p.gamma1 == 0
+        assert gamma2(p, 0.0) == pytest.approx(0.5)
 
     def test_vector_free_gamma2_energy_independent(self):
         p = PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
-        assert kg.gammas(p, -0.7).gamma2 == kg.gammas(p, 0.9).gamma2 == 2.0
+        assert gamma2(p, -0.7) == gamma2(p, 0.9) == 2.0
 
     def test_nonhermitian_complex_gamma1(self):
         p = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.1)
-        g = kg.gammas(p, 0.0)
         # 0.25 - (0.3 + 0.1i)^2, checked by explicit complex arithmetic.
-        assert g.gamma1 == pytest.approx(0.17 - 0.06j, abs=1e-15)
+        assert p.gamma1 == pytest.approx(0.17 - 0.06j, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -243,8 +241,7 @@ class TestGammas:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = PotentialParams(V0=v0, S0=s0, lam=0.4, q=0.9, m=1.2)
-        g_1, g_2 = kg.gammas(p, e1), kg.gammas(p, e2)
-        assert g_1.gamma1 == g_2.gamma1
-        mid = kg.gammas(p, 0.5 * (e1 + e2))
-        # Affine in E: the midpoint value is the mean of the endpoint values.
-        assert mid.gamma2 == pytest.approx(0.5 * (g_1.gamma2 + g_2.gamma2), abs=1e-12)
+        # Gamma1 is the property p.gamma1, which takes no energy.  Gamma2 is
+        # affine in E: the midpoint value is the mean of the endpoint values.
+        mid = gamma2(p, 0.5 * (e1 + e2))
+        assert mid == pytest.approx(0.5 * (gamma2(p, e1) + gamma2(p, e2)), abs=1e-12)

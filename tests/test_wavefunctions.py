@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import kg_hierarchy as kg
-from kg_hierarchy import Branch, GridFunction, HierarchyLevel, Superpotential
+from kg_hierarchy import Branch, GridFunction, Superpotential
 from kg_hierarchy.errors import DomainError, NonNormalizableError
 
 from conftest import SET_A, SET_C, params
 
 
-def closed_form_psi(p, lvl: HierarchyLevel, x: np.ndarray) -> np.ndarray:
+def closed_form_psi(p, w: Superpotential, x: np.ndarray) -> np.ndarray:
     """Unnormalized closed form (1 - q*k)^(nu/(q*lambda_eff)) * exp(-mu*x) on an array x.
 
     A complex power of the deformation base times a separate exponential: a
@@ -19,7 +19,7 @@ def closed_form_psi(p, lvl: HierarchyLevel, x: np.ndarray) -> np.ndarray:
     """
     xa = np.asarray(x, dtype=float).astype(np.complex128)
     base = 1.0 - p.q * np.exp(-p.lambda_eff * xa)
-    return np.power(base, lvl.nu / (p.q * p.lambda_eff)) * np.exp(-lvl.mu * xa)
+    return np.power(base, w.nu / (p.q * p.lambda_eff)) * np.exp(-w.mu * xa)
 
 
 def solved_level(p, n=0, positive=True):
@@ -46,7 +46,7 @@ class TestGridFunction:
 class TestGroundStateFromW:
     def test_unit_l2_norm_hermitian(self, set_a):
         lv = solved_level(set_a)
-        w = kg.make_superpotential(set_a, lv.E, 0)
+        w = kg.level(set_a, lv.E, 0)
         psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 120.0, 1600))
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
 
@@ -54,7 +54,7 @@ class TestGroundStateFromW:
         # (1 - q e^{-lam x})^(nu/(q lam)) e^{-mu x}, checked against an
         # independently coded expression.
         lv = solved_level(set_a)
-        w = kg.make_superpotential(set_a, lv.E, 0)
+        w = kg.level(set_a, lv.E, 0)
         x = np.linspace(set_a.domain_start(), 80.0, 1024)
         psi = kg.ground_state_from_W(w, x)
         ref = (1.0 - np.exp(-0.2 * x)) ** (w.nu.real / 0.2) * np.exp(-w.mu.real * x)
@@ -66,7 +66,7 @@ class TestGroundStateFromW:
         # The GridFunction keeps x0 and the first step only, so any other grid
         # would come back with the wrong x and the wrong normalization.
         lv = solved_level(set_a)
-        w = kg.make_superpotential(set_a, lv.E, 0)
+        w = kg.level(set_a, lv.E, 0)
         with pytest.raises(ValueError, match="uniformly spaced"):
             kg.ground_state_from_W(w, np.geomspace(set_a.domain_start(), 120.0, 1600))
 
@@ -83,13 +83,13 @@ class TestGroundStateFromW:
         # (nu/2, mu/2), whose square is psi up to a constant.
         p = params(dict(SET_A, lam=0.001953125))
         lv = solved_level(p)
-        w = kg.make_superpotential(p, lv.E, 0)
+        w = kg.level(p, lv.E, 0)
         x = np.linspace(p.domain_start(), 40.0 / p.lam, 2000)
         psi = kg.ground_state_from_W(w, x)
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
-        full = closed_form_psi(p, HierarchyLevel(0, w.nu, w.mu), x)
+        full = closed_form_psi(p, w, x)
         assert np.sum(np.abs(full) ** 2) == 0.0
-        half = closed_form_psi(p, HierarchyLevel(0, w.nu / 2, w.mu / 2), x).real
+        half = closed_form_psi(p, Superpotential(w.nu / 2, w.mu / 2, p.lambda_eff, p.q), x).real
         shape = (half / half.max()) ** 2
         shape /= np.sqrt(np.sum(shape * shape) * (x[1] - x[0]))
         np.testing.assert_allclose(psi.values.real, shape, rtol=0, atol=1e-12)
@@ -97,7 +97,7 @@ class TestGroundStateFromW:
 
     def test_hermitian_tail_decay(self, set_a):
         lv = solved_level(set_a)
-        w = kg.make_superpotential(set_a, lv.E, 0)
+        w = kg.level(set_a, lv.E, 0)
         x_end = 20.0 / w.mu.real + 8.0
         psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), x_end, 2000))
         assert abs(psi.values[-1]) < 1e-8 * psi.max_modulus()
@@ -105,7 +105,7 @@ class TestGroundStateFromW:
     def test_small_q_exponential_limit(self):
         # ln(1 - q k) ~ -q k: psi -> exp(-(nu/lam) e^{-lam x}) exp(-mu x).
         p = params(dict(V0=0.0, S0=1.0, lam=0.2, q=1e-8, m=1.0))
-        w = kg.make_superpotential(p, 0.0, 0)
+        w = kg.level(p, 0.0, 0)
         x = np.linspace(0.1, 60.0, 800)
         psi = kg.ground_state_from_W(w, x).values
         limit = np.exp(-(w.nu / p.lam) * np.exp(-p.lam * x)) * np.exp(-w.mu * x)
@@ -115,7 +115,7 @@ class TestGroundStateFromW:
     def test_complex_branch_max_modulus_normalization(self):
         p = params(SET_C, branch=Branch.PT_SYMMETRIC)
         lv = kg.solve_level(p, 0)[0]
-        w = kg.make_superpotential(p, lv.E, 0)
+        w = kg.level(p, lv.E, 0)
         period = 2 * np.pi / p.lam
         psi = kg.ground_state_from_W(w, np.linspace(0.05 * period, 0.95 * period, 600))
         assert psi.max_modulus() == pytest.approx(1.0, rel=1e-12)
@@ -130,16 +130,15 @@ class TestRouteEquivalence:
     def test_two_evaluation_routes_agree(self, branch, vi):
         p = params(SET_C, branch=branch, VI=vi)
         lv = kg.solve_level(p, 0)[0]
-        lvl = kg.level(p, lv.E, 0)
-        w = kg.make_superpotential(p, lv.E, 0)
+        w = kg.level(p, lv.E, 0)
         if branch is Branch.HERMITIAN:
             x = np.linspace(p.domain_start(), 60.0, 900)
         else:
             period = 2 * np.pi / p.lam
             x = np.linspace(0.05 * period, 0.95 * period, 900)
-        hermitian = branch is Branch.HERMITIAN and lvl.mu.real > 0
+        hermitian = branch is Branch.HERMITIAN and w.mu.real > 0
         psi_w = kg.ground_state_from_W(w, x)
-        raw = closed_form_psi(p, lvl, x)
+        raw = closed_form_psi(p, w, x)
         if hermitian:
             ref = raw / (np.sqrt(np.sum(np.abs(raw) ** 2) * (x[1] - x[0])))
         else:
@@ -170,7 +169,7 @@ class TestRouteEquivalence:
 
     def test_boundary_value_finite_for_nonnegative_exponent(self, set_c):
         lv = solved_level(set_c)
-        w = kg.make_superpotential(set_c, lv.E, 0)
+        w = kg.level(set_c, lv.E, 0)
         psi = kg.ground_state_from_W(w, np.linspace(set_c.domain_start(), 60.0, 900))
         assert np.isfinite(psi.values[0].real) and np.isfinite(psi.values[0].imag)
 
@@ -178,7 +177,7 @@ class TestRouteEquivalence:
 class TestNodeCount:
     def test_nodeless_ground_state(self, set_a):
         lv = solved_level(set_a)
-        w = kg.make_superpotential(set_a, lv.E, 0)
+        w = kg.level(set_a, lv.E, 0)
         psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 100.0, 1200))
         assert kg.node_count(psi) == 0
 
