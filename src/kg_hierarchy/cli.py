@@ -1,15 +1,15 @@
 """Command-line interface: spectrum, wavefunction, verify and sweep runs.
 
-Configuration is a flat key=value file with # comments.  Recognized keys:
-V0, S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values,
-oracle.x_max, oracle.n_points.  All quantities are in natural units.
-spectrum, wavefunction and sweep write one table each: CSV with Re/Im
-column pairs, %.17g floats and LF line endings, or JSON records keyed by the CSV
-header; identical configs give byte-identical files.  verify writes text only.
-Exit codes: 1 for a ConfigError (a bad key, value or sweep value), another
-KGHierarchyError, an OSError or a verify run without scipy, each one stderr
-line; 2 when level 0 is not bound.  numpy, json, the oracle and wavefunctions
-are imported where used: spectrum and sweep start without numpy, CSV without json.
+Configuration is a flat key=value file with # comments.  Recognized keys: V0,
+S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values, oracle.x_max,
+oracle.n_points.  All quantities are in natural units.  spectrum, wavefunction
+and sweep write one table each: CSV with Re/Im column pairs, %.17g floats and
+LF line endings, or JSON records keyed by the CSV header; identical configs
+give byte-identical files.  verify writes text only.  Exit codes: 1 for a
+ConfigError (a bad key, value or sweep value), another KGHierarchyError, an
+OSError or a verify run without scipy, each one stderr line; 2 when level 0 is
+not bound.  numpy, json, the oracle and wavefunctions are imported where used:
+spectrum and sweep start without numpy or dataclasses, CSV without json.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import itertools
 import sys
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, level, riccati_check
@@ -44,8 +43,7 @@ _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
 _EMIT_BATCH = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     params: PotentialParams
     command: str
     n_max: int = 16
@@ -308,7 +306,7 @@ def run_sweep(cfg: RunConfig) -> int:
     swept: list[PotentialParams] = []
     for v in cfg.sweep_values:
         try:
-            swept.append(replace(p, **{field: v}))
+            swept.append(p._replace(**{field: v}))
         except ParameterError as exc:
             raise ConfigError(f"sweep value {key} = {v:g} rejected: {exc}") from exc
     solved = [spectrum(point, cfg.n_max) for point in swept]

@@ -26,8 +26,7 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
 from .potential import Branch, PotentialParams, effective_potential, screened_ratio
@@ -48,8 +47,7 @@ Coefficients = tuple[complex, complex, complex]
 LevelChain = tuple[complex, complex, complex, float, complex]
 
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(NamedTuple):
     """Evaluable ansatz superpotential W(x) = -nu*k/(1 - q*k) + mu.
 
     Level n of the chain is W_n, nu = rho_n and mu = mu_n(E); its partner pair
@@ -168,8 +166,10 @@ def level(p: PotentialParams, E: complex, n: int) -> Superpotential:
     """Superpotential W_n of the chain at trial energy E: nu = rho_n, mu = mu_n(E).
 
     mu_n(E) = a + b*E must be real on the Hermitian branch; a complex one raises
-    ComplexLevelError.
+    ComplexLevelError.  A non-finite E raises ParameterError("E").
     """
+    if not cmath.isfinite(E):
+        raise ParameterError("E", f"trial energy E must be finite, got {E}")
     rho, a, b = level_coefficients(p, n)
     mu = a + b * E
     if p.branch is Branch.HERMITIAN and abs(mu.imag) > _IMAG_TOL * (1.0 + abs(rho) + abs(mu)):
@@ -220,7 +220,8 @@ def riccati_check(
     grid: level n's (W^2 - W') against the chain potential V(n): V_eff for
     n = 0, else W_{n-1}^2 + W_{n-1}' + eps_{n-1}, the partner of the previous
     member, whose ground level sits at eps_n.  mu_perturbation offsets mu_n
-    first (the sensitivity hook of verify --perturb-mu).
+    first (the sensitivity hook of verify --perturb-mu); a non-finite one
+    raises ParameterError("mu_perturbation").
 
     The scale is 1 + the sup of the magnitudes actually entering the identity
     (|W_n|^2, |W_n'| and the chain potential), so the check stays meaningful
@@ -230,9 +231,11 @@ def riccati_check(
     """
     import numpy as np
 
+    if not cmath.isfinite(mu_perturbation):
+        raise ParameterError("mu_perturbation", f"mu_perturbation must be finite, got {mu_perturbation}")
     xa = np.asarray(x, dtype=float)
     w = level(p, E, n)
-    w = replace(w, mu=w.mu + mu_perturbation)
+    w = w._replace(mu=w.mu + mu_perturbation)
     wv = superpotential_eval(w, xa)
     wd = superpotential_derivative(w, xa)
     if n == 0:

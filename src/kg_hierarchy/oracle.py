@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError
+from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError, ParameterError
 from .grid import GridFunction, OracleConfig
 from .hierarchy import level, level_coefficients, level_index, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
@@ -470,13 +470,16 @@ def solve_selfconsistent(
     converged eps and started from v interpolated onto that grid.  With no seed
     the iteration starts from E = +m/2, then -m/2 (an iterate may leave (-m, m)
     on the way); the first bound root is returned, or the last start's error.
-    A start ends with OuterDivergenceError when its local model has no real
-    root, |E| > 5m, or |g| fails MAX_STALLED times in a row to halve its
-    smallest value so far (a converging start halves it at every step).
+    A non-finite seed raises ParameterError("seed").  A start ends with
+    OuterDivergenceError when its local model has no real root, |E| > 5m, or
+    |g| fails MAX_STALLED times in a row to halve its smallest value so far (a
+    converging start halves it at every step).
     """
     k = level_index(k, "k")
-    cfg = (cfg or OracleConfig()).resolve(p)
     starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
+    if not math.isfinite(starts[0]):
+        raise ParameterError("seed", f"seed must be finite, got {seed}")
+    cfg = (cfg or OracleConfig()).resolve(p)
     dE = 0.01 * p.m
     lower, upper = discretize(p, starts[0], cfg), discretize(p, starts[0] + dE, cfg)
     slope = (upper.bands[-1] - lower.bands[-1]) / dE

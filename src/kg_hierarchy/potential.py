@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -31,18 +31,17 @@ POLE_TOL = 1e-12
 
 
 # The top-level modules whose frames a warning skips to name its caller.
-_INTERNAL = (__name__.partition(".")[0], "dataclasses")
+_INTERNAL = (__name__.partition(".")[0], "collections")
 
 
 def _caller_stacklevel() -> int:
-    """warnings.warn stacklevel of the first frame outside this package and ``dataclasses``.
+    """warnings.warn stacklevel of the first frame outside this package and ``collections``.
 
     Counted from the function that calls this helper (stacklevel 1), so a
     warning names the caller's line however deep in the package it is raised,
-    including from the dataclass-generated ``__init__``, whose globals are this
-    module's, and through ``dataclasses.replace``.  The "once" action keys on
-    the registry of the module it names, so a replace() must not name
-    dataclasses.py: the same text would be shown again there.
+    including through ``PotentialParams._replace``, which namedtuple defines in
+    ``collections``: the "once" action keys on the registry of the module a
+    warning names, and one named there would be shown again.
     """
     level, frame = 1, sys._getframe(1)
     while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] in _INTERNAL:
@@ -56,25 +55,24 @@ class Branch(Enum):
     NON_HERMITIAN = "NonHermitian"
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+_ParamTuple = namedtuple("PotentialParams", "V0 S0 lam q m VI branch", defaults=(0.0, Branch.HERMITIAN))
+
+
+class PotentialParams(_ParamTuple):
     """Physical inputs: couplings, screening, deformation, mass and branch.
 
     V0, S0 are the real vector/scalar coupling strengths, VI the imaginary
     vector part (non-Hermitian branch only), lam > 0 the screening rate,
-    q != 0 the deformation parameter and m > 0 the particle mass.  An invalid
-    field raises ParameterError (a ValueError) naming it.
+    q != 0 the deformation parameter and m > 0 the particle mass.  ``__init__``
+    checks the fields the tuple already holds and raises ParameterError (a
+    ValueError) naming an invalid one; ``_replace`` checks too, since ``_make``
+    calls the constructor.
     """
 
-    V0: float
-    S0: float
-    lam: float
-    q: float
-    m: float
-    VI: float = 0.0
-    branch: Branch = Branch.HERMITIAN
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
+    def __init__(self, V0, S0, lam, q, m, VI=0.0, branch=Branch.HERMITIAN) -> None:
         # A str such as "Hermitian" is no Branch: every `is Branch.HERMITIAN` test
         # would fail, and the parameters would be solved as a complex branch.
         if not isinstance(self.branch, Branch):

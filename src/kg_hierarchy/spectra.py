@@ -21,21 +21,21 @@ The solver is scalar Python, point by point and root by root, with no arrays:
 a level has at most two roots.  On the Hermitian branch every imaginary part
 is exactly 0, so the coefficients are taken as floats and the roots and the
 Newton polish run in float arithmetic, which gives the digits of the complex
-one without -0 imaginary parts.  The module imports no numpy, so the spectrum
-and sweep commands start without it.  spectrum and solve_level share one root
-pass, giving each root of a level as (E, mu, residual, note), and one
-EnergyLevel constructor.  spectrum stops at n_max or at the first level with no
-root of Re(mu) > 0 (none flagged NormalizableMuPositive, a level with no root
-included) and wraps only the roots it returns; solve_level is one level, and
-only it raises NoRootError.
+one without -0 imaginary parts.  The module imports no numpy, and EnergyLevel
+is a NamedTuple, so the spectrum and sweep commands start without numpy or
+dataclasses.  spectrum and solve_level share one root pass, giving each root of
+a level as (E, mu, residual, note), and one EnergyLevel constructor.  spectrum
+stops at n_max or at the first level with no root of Re(mu) > 0 (none flagged
+NormalizableMuPositive, a level with no root included) and wraps only the roots
+it returns; solve_level is one level, and only it raises NoRootError.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NoRootError, NonConvergenceError
 from .hierarchy import Coefficients, chain_coefficients, level_chain, level_coefficients, level_index
@@ -56,8 +56,7 @@ class LevelFlag(Enum):
     COMPLEX_PAIR = "ComplexPair"
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """A solved bound-state energy with residual diagnostics."""
 
     n: int
@@ -65,7 +64,7 @@ class EnergyLevel:
     mu: complex
     residual: float
     mass: float
-    flags: frozenset = field(default_factory=frozenset)
+    flags: frozenset = frozenset()
     note: str = ""
 
     @property
@@ -108,9 +107,7 @@ def _make_level(p: PotentialParams, n: int, E: complex, mu: complex, residual: f
         abs(E.imag) <= 1e-12 * (1.0 + abs(E)) and abs(E.real) < p.m,
         p.branch is not Branch.HERMITIAN,
     )
-    return EnergyLevel(
-        n=n, E=complex(E), mu=mu, residual=residual, mass=p.m, flags=_FLAG_SETS[on], note=note
-    )
+    return EnergyLevel(n, complex(E), mu, residual, p.m, _FLAG_SETS[on], note)
 
 
 def solve_level(p: PotentialParams, n: int) -> list[EnergyLevel]:

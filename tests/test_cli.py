@@ -145,7 +145,7 @@ class TestErrorExit:
         assert "GammaPositivityWarning" in lines[0] and "V0 = 0.25, S0 = 0.25" in lines[0]
 
     def test_gamma_warning_is_one_line_per_sweep(self, tmp_path):
-        # The base parameters and each sweep point (built by dataclasses.replace)
+        # The base parameters and each sweep point (built by PotentialParams._replace)
         # raise the same Gamma1 warning; it is shown once.
         cfg = write_cfg(tmp_path, "V0 = 0.25\nS0 = 0.25\nlambda = 0.2\nq = 1\nm = 1\nn_max = 8\n"
                         "sweep_key = q\nsweep_values = 0.9, 1.1\n")
@@ -364,6 +364,49 @@ print(json.dumps([name in sys.modules for name in ("scipy.linalg._flapack", "sci
 """
 
 
+# Whether dataclasses and inspect are loaded before the package import, after
+# it and after each CLI run (one tab-separated argv each).
+HEAVY_IMPORT_PROBE = """
+import json, sys
+heavy = lambda: [name in sys.modules for name in ("dataclasses", "inspect")]
+seen = [heavy()]
+from kg_hierarchy.cli import main
+seen.append(heavy())
+for argv in sys.argv[1:]:
+    assert main(argv.split("\\t")) == 0
+    seen.append(heavy())
+print(json.dumps(seen))
+"""
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+class TestStartupImports:
+    def test_closed_form_commands_never_load_dataclasses(self, tmp_path):
+        # dataclasses loads inspect, ast, dis and tokenize: about 10 ms of every start.
+        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.9, 1.1\n")
+        runs = [
+            ["spectrum", "--config", str(SET_A_CFG), "--output", str(tmp_path / "s.csv")],
+            ["sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv")],
+        ]
+        proc = run_python_fresh("-c", HEAVY_IMPORT_PROBE, *("\t".join(argv) for argv in runs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[False, False]] * 4
+
+    def test_traced_sweep_counts_every_params_build(self, tmp_path):
+        # The tracer wraps PotentialParams.__init__; the base point and the two
+        # sweep points are one span each.
+        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.9, 1.1\n")
+        spans = tmp_path / "spans.json"
+        proc = run_python_fresh(
+            str(TRACING), "--spans", str(spans), "--run-id", "t", "--",
+            "sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = [span[2] for span in json.loads(spans.read_text())["spans"]]
+        assert names.count("potential.params") == 3
+
+
 class TestScipyOnlyForVerify:
     def test_closed_form_commands_never_load_scipy(self, tmp_path):
         sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.5, 1.0, 1.5\n")
@@ -478,6 +521,14 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, self.CFG)
         assert main(["verify", "--config", cfg, "--perturb-mu", "1e-3"]) == 1
         assert "verify: FAIL" in capsys.readouterr().out
+
+    def test_non_finite_perturbation_is_one_error_line(self, tmp_path, capsys):
+        # --perturb-mu nan printed a nan residual row and "verify: FAIL".
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert main(["verify", "--config", cfg, "--perturb-mu", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: mu_perturbation must be finite, got nan"]
 
     def test_non_normalizable_root_is_a_skipped_row(self, tmp_path, capsys):
         # Set B's level 0 has a root with Re(mu) <= 0 and no discretized

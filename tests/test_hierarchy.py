@@ -141,6 +141,13 @@ class TestLevel:
         assert kg.level(set_a, 0.5, np.int64(2)) == kg.level(set_a, 0.5, 2)
         assert kg.solve_level(set_a, np.int64(2)) == kg.solve_level(set_a, 2)
 
+    @pytest.mark.parametrize("E", [float("nan"), float("inf"), -float("inf"), complex(0.5, float("nan"))])
+    def test_non_finite_trial_energy_rejected(self, set_a, E):
+        # A nan or inf E gave mu = nan+nanj and no error.
+        with pytest.raises(kg.ParameterError, match="E must be finite") as info:
+            kg.level(set_a, E, 0)
+        assert info.value.param == "E"
+
 
 class TestSuperpotential:
     def test_limit_at_infinity_is_mu(self):
@@ -226,6 +233,13 @@ class TestRiccatiResidual:
         res, scale, ok = kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)
         assert not ok
         assert kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)[0] > 1e-4
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+    def test_non_finite_mu_perturbation_rejected(self, set_a, offset):
+        # A nan offset returned (nan, nan, False): a failed check with no cause.
+        with pytest.raises(kg.ParameterError, match="mu_perturbation must be finite") as info:
+            kg.riccati_check(set_a, 0.5, 0, hermitian_grid(set_a), mu_perturbation=offset)
+        assert info.value.param == "mu_perturbation"
 
 
 class TestLadder:

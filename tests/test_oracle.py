@@ -399,6 +399,15 @@ class TestSolveSelfConsistent:
         with pytest.raises(NoBoundStateError):
             kg.solve_selfconsistent(params(base), 4, OracleConfig())
 
+    @pytest.mark.parametrize("seed", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_seed_rejected(self, set_a, seed, monkeypatch):
+        # A nan or inf seed reached discretize and was reported as
+        # "bands must be finite"; it is rejected before any discretization.
+        monkeypatch.setattr(oracle, "discretize", lambda *args: pytest.fail("discretize called"))
+        with pytest.raises(kg.ParameterError, match="seed must be finite") as info:
+            kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=seed)
+        assert info.value.param == "seed"
+
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
     def test_unseeded_matches_seeded(self, base, k):

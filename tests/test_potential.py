@@ -1,6 +1,5 @@
 """Potential family: construction invariants, pointwise identities, branch behavior."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -64,8 +63,16 @@ class TestConstruction:
     def test_gamma1_warning_through_replace_names_the_caller(self):
         base = PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
         with pytest.warns(GammaPositivityWarning, match="V0 = 1.5, S0 = 1") as record:
-            dataclasses.replace(base, V0=1.5)
+            base._replace(V0=1.5)
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("field,value", [("q", 0.0), ("V0", float("nan"))])
+    def test_replace_checks_like_the_constructor(self, field, value):
+        # _replace builds the new record through _make, which runs the checks.
+        base = PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+        with pytest.raises(kg.ParameterError) as info:
+            base._replace(**{field: value})
+        assert info.value.param == field
 
     def test_gamma2_warning_names_the_caller(self, tmp_path):
         # Gamma2 = 2*(m*S0 + E*V0) = -1.7 is raised three calls deep

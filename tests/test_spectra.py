@@ -224,13 +224,16 @@ class TestSpectrum:
         # Set A at q = 2 stops at level 3, whose two roots have mu < 0: they are
         # solved for the stop rule but never built into EnergyLevels.
         built = []
-        init = spectra.EnergyLevel.__init__
 
-        def counted(self, **fields):
-            built.append(fields["n"])
-            init(self, **fields)
+        class Counted(spectra.EnergyLevel):
+            __slots__ = ()
 
-        monkeypatch.setattr(spectra.EnergyLevel, "__init__", counted)
+            def __new__(cls, *args, **fields):
+                lv = super().__new__(cls, *args, **fields)
+                built.append(lv.n)
+                return lv
+
+        monkeypatch.setattr(spectra, "EnergyLevel", Counted)
         spec = kg.spectrum(params(dict(SET_A, q=2.0)), 8)
         assert [lv.n for lv in spec] == [0, 0, 1, 1, 2, 2]
         assert built == [0, 0, 1, 1, 2, 2]
