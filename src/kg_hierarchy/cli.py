@@ -5,9 +5,11 @@ S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values, oracle.x_max,
 oracle.n_points.  All quantities are in natural units.  spectrum, wavefunction
 and sweep write one table each: CSV with Re/Im column pairs, %.17g floats and
 LF line endings, or JSON records keyed by the CSV header; identical configs
-give byte-identical files.  verify writes text only.  Exit codes: 1 for a
-ConfigError (a bad key, value or sweep value), another KGHierarchyError, an
-OSError or a verify run without scipy, each one stderr line; 2 when level 0 is
+give byte-identical files.  verify writes text only: the u-coefficient defects
+of each level's Riccati identity and, on the Hermitian branch, the oracle
+comparison.  Exit codes: 1 for a ConfigError (a bad key, value or sweep value),
+another KGHierarchyError, an OSError, a MemoryError (an oracle grid too large to
+allocate) or a verify run without scipy, each one stderr line; 2 when level 0 is
 not bound.  numpy, json, the oracle and wavefunctions are imported where used:
 spectrum and sweep start without numpy or dataclasses, CSV without json.
 """
@@ -30,8 +32,6 @@ from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .grid import OracleConfig
 
 _BRANCHES = {b.value: b for b in Branch}
@@ -225,32 +225,16 @@ def run_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_grid(p: PotentialParams) -> np.ndarray:
-    """The 2001 points of the Riccati check, clear of every deformation pole.
-
-    Complex branches: [0.05, 0.95] of the period 2*pi/lam of k that starts at
-    p.pole_position (pi/lam for q = -1), or at 0 when |q| != 1.
-    """
-    import numpy as np
-
-    if p.branch is Branch.HERMITIAN:
-        return np.linspace(p.domain_start(), 40.0 / p.lam, 2001)
-    period = 2.0 * np.pi / p.lam
-    start = p.pole_position or 0.0
-    return np.linspace(start + 0.05 * period, start + 0.95 * period, 2001)
-
-
 def run_verify(cfg: RunConfig) -> int:
     from .oracle import REL_TOL, compare
 
     p = cfg.params
     if not (levels := _bound_levels(cfg)):
         return 2
-    x = _verify_grid(p)
     out = [f"Riccati residuals (scaled tolerance {RICCATI_TOL:g}):", "n,re_E,im_E,residual,scale,ok"]
     all_ok = True
     for lv in levels:
-        res, scale, ok = riccati_check(p, lv.E, lv.n, x, mu_perturbation=cfg.perturb_mu)
+        res, scale, ok = riccati_check(p, lv.E, lv.n, mu_perturbation=cfg.perturb_mu)
         all_ok &= ok
         out.append("%d,%.17g,%.17g,%.17g,%.17g,%s" % (lv.n, lv.E.real, lv.E.imag, res, scale, ok))
     if p.branch is Branch.HERMITIAN:
@@ -365,8 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             sys.stderr.write(f"config error: {exc}\n")
             return 1
-        except KGHierarchyError as exc:
-            sys.stderr.write(f"error: {exc}\n")
+        except (KGHierarchyError, MemoryError) as exc:
+            # numpy raises MemoryError for an oracle grid it cannot allocate.
+            sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
             return 1
         except OSError as exc:
             sys.stderr.write(f"i/o error: {exc}\n")

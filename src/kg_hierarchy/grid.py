@@ -4,6 +4,7 @@ grid size that the verifier and the wavefunction command sample on."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -80,8 +81,12 @@ class OracleConfig:
     n_points: int = 4000
 
     def __post_init__(self) -> None:
-        if self.n_points < 64:
-            raise ValueError("n_points must be >= 64")
+        try:
+            n_points = operator.index(self.n_points)
+        except TypeError:
+            n_points = 0
+        if n_points < 64:
+            raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
 
     def resolve(self, p: PotentialParams) -> "OracleConfig":
         x_max = self.x_max if self.x_max is not None else 40.0 / p.lam

@@ -16,8 +16,8 @@ spectra takes mu_n = a_n + b_n*E from these coefficients; :func:`level` gives
 the superpotential W_n (nu = rho_n, mu = mu_n) at one trial energy.  All
 quantities are stored complex on every branch; on the Hermitian branch they
 must be real, which level_chain checks for nu1 and level for mu_n.  The level
-algebra is plain Python; the functions of x import numpy and the grid module
-when they are called and return numpy arrays.
+algebra and the grid-free :func:`riccati_check` are plain Python; the functions
+of x import numpy and the grid module when they are called and return arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
-from .potential import Branch, PotentialParams, effective_potential, screened_ratio
+from .potential import Branch, PotentialParams, gamma2, screened_ratio
 
 if TYPE_CHECKING:
     import numpy as np
@@ -206,45 +206,35 @@ def partner_potentials(w: Superpotential, x: ArrayLike) -> tuple[GridFunction, G
     )
 
 
+def _partner_terms(w: Superpotential, sign: int) -> tuple[list[complex], ...]:
+    """Terms of the u^2, u^1 and u^0 coefficients of W^2 + sign*W', with W' = nu*lambda_eff*(u + q*u^2)."""
+    nu, mu, lam = w.nu, w.mu, w.lambda_eff
+    return [nu * nu, sign * w.q * nu * lam], [-2.0 * nu * mu, sign * nu * lam], [mu * mu]
+
+
 def riccati_check(
-    p: PotentialParams,
-    E: complex,
-    n: int,
-    x: ArrayLike,
-    *,
-    mu_perturbation: complex = 0.0,
+    p: PotentialParams, E: complex, n: int, *, mu_perturbation: complex = 0.0
 ) -> tuple[float, float, bool]:
-    """(residual, scale, ok) with ok meaning residual < RICCATI_TOL * scale.
+    """(residual, scale, ok) of W_n^2 - W_n' = V(n) - eps_n, ok meaning residual < RICCATI_TOL * scale.
 
-    The residual is the sup-norm defect of W_n^2 - W_n' = V(n) - eps_n over the
-    grid: level n's (W^2 - W') against the chain potential V(n): V_eff for
-    n = 0, else W_{n-1}^2 + W_{n-1}' + eps_{n-1}, the partner of the previous
-    member, whose ground level sits at eps_n.  mu_perturbation offsets mu_n
-    first (the sensitivity hook of verify --perturb-mu); a non-finite one
-    raises ParameterError("mu_perturbation").
-
-    The scale is 1 + the sup of the magnitudes actually entering the identity
-    (|W_n|^2, |W_n'| and the chain potential), so the check stays meaningful
-    next to a deformation pole, where the individually huge W^2 and W' terms
-    cancel down to a much smaller potential.  Away from poles, and whenever
-    Gamma1 != 0, this agrees with 1 + sup|V_eff| up to an O(1) factor.
+    V(n) is V_eff = Gamma1*u^2 - Gamma2(E)*u for n = 0, else W_{n-1}^2 + W_{n-1}' + eps_{n-1}, the
+    partner of the previous member, whose ground level sits at eps_n.  Both sides are quadratics in
+    u = k/(1 - q*k): the residual is the largest defect of their u^2, u^1 and u^0 coefficients, the
+    scale 1 + the largest modulus of a term in one.  mu_perturbation offsets mu_n first (verify
+    --perturb-mu); a non-finite one raises ParameterError("mu_perturbation").
     """
-    import numpy as np
-
     if not cmath.isfinite(mu_perturbation):
         raise ParameterError("mu_perturbation", f"mu_perturbation must be finite, got {mu_perturbation}")
-    xa = np.asarray(x, dtype=float)
     w = level(p, E, n)
     w = w._replace(mu=w.mu + mu_perturbation)
-    wv = superpotential_eval(w, xa)
-    wd = superpotential_derivative(w, xa)
+    lhs = _partner_terms(w, -1)
     if n == 0:
-        chain = effective_potential(p, E, xa)
+        rhs = [p.gamma1], [-gamma2(p, E)], []
     else:
         w_prev = level(p, E, n - 1)
-        wp = superpotential_eval(w_prev, xa)
-        chain = wp * wp + superpotential_derivative(w_prev, xa) + w_prev.epsilon
-    res = float(np.max(np.abs((wv * wv - wd) - (chain - w.epsilon))))
-    aw = np.abs(wv)
-    scale = 1.0 + float(np.max(aw * aw + np.abs(wd) + np.abs(chain)))
+        rhs = _partner_terms(w_prev, +1)
+        rhs[2].append(w_prev.epsilon)
+    rhs[2].append(-w.epsilon)
+    res = max(abs(sum(left) - sum(right)) for left, right in zip(lhs, rhs))
+    scale = 1.0 + max(abs(t) for terms in (*lhs, *rhs) for t in terms)
     return res, scale, res < RICCATI_TOL * scale

@@ -22,10 +22,6 @@ def params(base: dict, branch: Branch = Branch.HERMITIAN, VI: float = 0.0) -> Po
         return PotentialParams(**base, VI=VI, branch=branch)
 
 
-def hermitian_grid(p: PotentialParams, n: int = 2001) -> np.ndarray:
-    return np.linspace(p.domain_start(), 40.0 / p.lam, n)
-
-
 def eig_banded_reference(op, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The k_max + 1 lowest eigenpairs of a BandedOperator by LAPACK's full banded
     reduction (scipy.linalg.eig_banded, O(N^2)): a reference that shares no code

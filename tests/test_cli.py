@@ -134,6 +134,16 @@ class TestErrorExit:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_unallocatable_oracle_grid_is_one_error_line(self, tmp_path):
+        # 1e12 points need 7.28 TiB for the box alone; numpy's request is refused
+        # before any page is touched.  It ended in an _ArrayMemoryError traceback.
+        cfg = write_cfg(tmp_path, SET_A_CFG.read_text() + "oracle.n_points = 1000000000000\n")
+        proc = run_cli_fresh("verify", "--config", cfg)
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: Unable to allocate ")
+        assert proc.stdout == ""
+
     def test_gamma_warning_is_one_stderr_line(self, tmp_path):
         # Set B has Gamma1 = 0: one warning line naming the parameters, with no
         # "<string>:10:" location and no echoed source line.
@@ -522,6 +532,13 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--perturb-mu", "1e-3"]) == 1
         assert "verify: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("offset,code", [("0", 0), ("1e-9", 1)])
+    def test_small_perturbation_fails(self, capsys, offset, code):
+        # Set A's Riccati table once passed an offset of 1e-6: sampled next to
+        # the pole, its scale reached 5.8e12.
+        assert main(["verify", "--config", str(SET_A_CFG), "--perturb-mu", offset]) == code
+        assert capsys.readouterr().out.endswith("verify: FAIL\n" if code else "verify: PASS\n")
+
     def test_non_finite_perturbation_is_one_error_line(self, tmp_path, capsys):
         # --perturb-mu nan printed a nan residual row and "verify: FAIL".
         cfg = write_cfg(tmp_path, self.CFG)
@@ -583,8 +600,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("branch", ["PTSymmetric", "NonHermitian"])
     def test_complex_branch_at_q_minus_one(self, tmp_path, branch):
-        # q = -1 has a pole at pi/lam, inside [0.05, 0.95]*2pi/lam; the Riccati
-        # grid starts that window at the pole instead.
+        # q = -1 has a pole at pi/lam on the complex branches; the Riccati check
+        # compares coefficients in u and samples no grid, and the oracle is skipped.
         cfg = write_cfg(tmp_path, f"V0 = 0\nS0 = 1\nlambda = 0.2\nq = -1\nm = 1\nn_max = 2\nbranch = {branch}\n")
         proc = run_cli_fresh("verify", "--config", cfg)
         assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,8 @@ from kg_hierarchy import Branch, PotentialParams, Superpotential
 from kg_hierarchy.errors import DegenerateRootError
 from kg_hierarchy.potential import gamma2
 
-from conftest import SET_A, SET_B, SET_C, complex_branch_grid, hermitian_grid, params
+from conftest import SET_A, SET_B, SET_C, complex_branch_grid, params
+from test_oracle import SET_D
 
 
 def ladder(w: Superpotential, psi: kg.GridFunction, sign: int) -> kg.GridFunction:
@@ -205,40 +206,98 @@ class TestPartnerPotentials:
         np.testing.assert_allclose(v2.values, 0.36, atol=1e-15)
 
 
+def grid_riccati(p: PotentialParams, E: complex, n: int, x: np.ndarray, offset: float = 0.0) -> tuple[float, float]:
+    """(residual, scale) of W_n^2 - W_n' = V(n) - eps_n sampled on x.
+
+    The second route beside riccati_check's coefficients in u: the sup-norm
+    defect of the sampled functions, with the scale 1 + sup(|W_n|^2 + |W_n'| +
+    |V(n)|).  offset shifts mu_n as riccati_check's mu_perturbation does.
+    """
+    w = kg.level(p, E, n)
+    w = w._replace(mu=w.mu + offset)
+    wv, wd = kg.superpotential_eval(w, x), kg.superpotential_derivative(w, x)
+    if n == 0:
+        chain = kg.effective_potential(p, E, x)
+    else:
+        w_prev = kg.level(p, E, n - 1)
+        wp = kg.superpotential_eval(w_prev, x)
+        chain = wp * wp + kg.superpotential_derivative(w_prev, x) + w_prev.epsilon
+    res = float(np.max(np.abs((wv * wv - wd) - (chain - w.epsilon))))
+    return res, 1.0 + float(np.max(np.abs(wv) ** 2 + np.abs(wd) + np.abs(chain)))
+
+
+def pole_free_grid(p: PotentialParams) -> np.ndarray:
+    # Hermitian: from 1/lam right of the pole (or of 0) to 40/lam; complex
+    # branches: [0.05, 0.95] of the first period, clear of the q = 1 poles.
+    if p.branch is Branch.HERMITIAN:
+        return np.linspace(max(0.0, p.pole_position or 0.0) + 1.0 / p.lam, 40.0 / p.lam, 2001)
+    return complex_branch_grid(p)
+
+
+BRANCHES = [(Branch.HERMITIAN, 0.0), (Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1)]
+
+
 class TestRiccatiResidual:
     def test_exact_level_data_identity_pole_free_grid(self, set_a):
-        # Away from the deformation pole the raw sup-norm defect is tiny.
+        # Away from the deformation pole the raw sup-norm defect is tiny, and
+        # so is the coefficient defect.
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        x = np.linspace(1.0, 40.0, 1500)
-        assert kg.riccati_check(set_a, E, 0, x)[0] < 1e-10
+        assert grid_riccati(set_a, E, 0, np.linspace(1.0, 40.0, 1500))[0] < 1e-10
+        assert kg.riccati_check(set_a, E, 0)[0] < 1e-10
 
-    @pytest.mark.parametrize("branch,vi", [(Branch.HERMITIAN, 0.0), (Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1)])
+    @pytest.mark.parametrize("branch,vi", BRANCHES)
     def test_scaled_identity_every_level(self, branch, vi):
         p = params(SET_C, branch=branch, VI=vi)
-        x = hermitian_grid(p) if branch is Branch.HERMITIAN else complex_branch_grid(p)
         for n in range(4):
             for lv in kg.solve_level(p, n):
-                res, scale, ok = kg.riccati_check(p, lv.E, n, x)
+                res, scale, ok = kg.riccati_check(p, lv.E, n)
                 assert ok, f"n={n} E={lv.E}: residual {res:.2e} vs scale {scale:.2e}"
+
+    @pytest.mark.parametrize("branch,vi", BRANCHES)
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C], ids="ABC")
+    def test_grid_route_agrees(self, base, branch, vi):
+        # The identity sampled on a pole-free grid holds at every level and
+        # fails under the offset that fails riccati_check.
+        p = params(base, branch=branch, VI=vi)
+        x = pole_free_grid(p)
+        for n in range(4):
+            for lv in kg.solve_level(p, n):
+                res, scale = grid_riccati(p, lv.E, n, x)
+                assert res < hierarchy.RICCATI_TOL * scale, f"n={n} E={lv.E}: {res:.2e} vs {scale:.2e}"
+                res, scale = grid_riccati(p, lv.E, n, x, offset=1e-3)
+                assert res >= hierarchy.RICCATI_TOL * scale, f"n={n} E={lv.E}: {res:.2e} vs {scale:.2e}"
+                assert kg.riccati_check(p, lv.E, n)[2]
+                assert not kg.riccati_check(p, lv.E, n, mu_perturbation=1e-3)[2]
 
     def test_arbitrary_energy_also_satisfies_identity(self, set_c):
         # The chain identity is algebraic in E, not only at self-consistent roots.
-        x = hermitian_grid(set_c)
-        res, scale, ok = kg.riccati_check(set_c, 0.123, 2, x)
+        res, scale, ok = kg.riccati_check(set_c, 0.123, 2)
         assert ok
 
     def test_mu_perturbation_breaks_identity(self, set_a):
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        x = hermitian_grid(set_a)
-        res, scale, ok = kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)
+        res, scale, ok = kg.riccati_check(set_a, E, 0, mu_perturbation=1e-3)
         assert not ok
-        assert kg.riccati_check(set_a, E, 0, x, mu_perturbation=1e-3)[0] > 1e-4
+        assert kg.riccati_check(set_a, E, 0, mu_perturbation=1e-3)[0] > 1e-4
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_D], ids="ABD")
+    def test_small_offset_fails_at_the_pole(self, base):
+        # Sampled up to 1e-6/lam from the Hermitian pole, the scale reached
+        # 1e12 and an offset of 1e-6 passed at every level; the coefficients
+        # have no pole, and it fails at each.
+        p = params(base)
+        assert p.pole_position is not None and p.pole_position >= 0.0
+        levels = kg.spectrum(p, 8)
+        assert levels
+        for lv in levels:
+            res, scale, ok = kg.riccati_check(p, lv.E, lv.n, mu_perturbation=1e-6)
+            assert not ok, f"n={lv.n} E={lv.E}: {res:.2e} vs {scale:.2e}"
 
     @pytest.mark.parametrize("offset", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
     def test_non_finite_mu_perturbation_rejected(self, set_a, offset):
         # A nan offset returned (nan, nan, False): a failed check with no cause.
         with pytest.raises(kg.ParameterError, match="mu_perturbation must be finite") as info:
-            kg.riccati_check(set_a, 0.5, 0, hermitian_grid(set_a), mu_perturbation=offset)
+            kg.riccati_check(set_a, 0.5, 0, mu_perturbation=offset)
         assert info.value.param == "mu_perturbation"
 
 

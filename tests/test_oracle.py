@@ -40,6 +40,16 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="deformation pole"):
             discretize(params(dict(SET_A, q=1e18)), 0.5, OracleConfig(n_points=100))
 
+    @pytest.mark.parametrize("n_points", [1000.5, 4000.0, "4000"])
+    def test_n_points_must_be_an_integer(self, n_points):
+        # 1000.5 passed, and its box of 1001 points ended at 200.0999, not x_max = 200.
+        with pytest.raises(ValueError, match="n_points must be an integer >= 64"):
+            OracleConfig(n_points=n_points)
+
+    def test_numpy_integer_n_points(self):
+        cfg = OracleConfig(n_points=np.int64(4000)).resolve(params(SET_A))
+        assert cfg.n_points == 4000 and cfg.x_max == 200.0
+
     def test_box_ground_state(self):
         # V = 0: lowest eigenvalue of the Dirichlet box is (pi/L)^2.
         op = box_operator(50.0, 1000)
