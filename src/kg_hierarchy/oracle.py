@@ -6,9 +6,10 @@ self-consistently with a Rayleigh-functional iteration.
 
 Each eps_k(E) costs O(N) for N grid points: shift-invert and Rayleigh-quotient
 iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
-ch. 4), its index certified by inertia counts from an unpivoted LDL^T
-factorization (Sylvester's law; the bisection of Barth, Martin & Wilkinson,
-Numer. Math. 9 (1967) 386).  BandedOperator.eigenvalues, the lowest few at
+ch. 4), its index certified by inertia counts: the negative pivots of the
+unpivoted A - s*I = L D L^T (Sylvester's law; the bisection of Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967) 386), taken from LAPACK's banded Cholesky,
+restarted past each negative pivot.  BandedOperator.eigenvalues, the lowest few at
 once, is a ladder of these certified eigenpairs.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
@@ -144,7 +145,7 @@ class BandedOperator:
     h: float
 
     def __post_init__(self) -> None:
-        # count_below reads the pentadiagonal LDL^T recurrence; other storage would count wrong.
+        # count_below factors a band of two superdiagonals; other storage would count wrong.
         if self.bands.shape != (3, self.x.size):
             raise ValueError(f"bands must be 3 x {self.x.size} (5-point stencil), got {self.bands.shape}")
         if not np.all(np.isfinite(self.bands)):
@@ -193,39 +194,43 @@ class BandedOperator:
         """Number of eigenvalues below s, in O(N).
 
         By Sylvester's law of inertia it is the number of negative pivots d_j of
-        the unpivoted factorization A - s*I = L D L^T.  With l1 = L[j, j-1],
-        l2 = L[j, j-2] and the band entries b = A[j+1, j], c = A[j+2, j]:
-
-            d_j = A[j, j] - s - l1^2 d_{j-1} - l2^2 d_{j-2}
-            L[j+1, j] = (b - L[j+1, j-1] l1 d_{j-1}) / d_j,   L[j+2, j] = c / d_j
+        the unpivoted factorization A - s*I = L D L^T.  LAPACK's banded
+        Cholesky, pbtrf, computes those pivots column by column and stops at the
+        first d_f <= 0 (info = f + 1), leaving d_f in place and the Schur
+        complement in columns f onward.  Column f is then eliminated by hand:
+        with b = A[f, f+1] and c = A[f, f+2] of that complement, b^2/d_f,
+        b*c/d_f and c^2/d_f come off the (f+1, f+1), (f+1, f+2) and (f+2, f+2)
+        entries, and pbtrf restarts on the columns after f.  Every column is
+        factored once, so a count of k costs one banded Cholesky and k + 1 calls.
 
         An exact zero pivot means s is an eigenvalue of a leading block; s is
-        then nudged down by one ulp.  A count of 0 (A - s*I positive definite)
-        is settled first by LAPACK's banded Cholesky, pbtrf, which is several
-        times faster than this loop.
+        then nudged down by one ulp.
         """
-        shifted = self.bands.copy()
-        shifted[-1] -= s
-        if _lapack().dpbtrf(shifted, overwrite_ab=True)[1] == 0:
-            return 0
-        sub1 = self.bands[1, 1:].tolist() + [0.0]
-        sub2 = self.bands[0, 2:].tolist() + [0.0, 0.0]
+        dpbtrf = _lapack().dpbtrf
         while True:
+            # Fortran order, so that pbtrf factors each column slice in place.
+            c = np.array(self.bands, order="F")
+            c[2] -= s
             neg = 0
-            d1 = d2 = 1.0
-            l1 = l2 = l1_next = 0.0
-            try:
-                for a, b, c in zip((self.bands[2] - s).tolist(), sub1, sub2):
-                    d = a - l1 * l1 * d1 - l2 * l2 * d2
-                    if d < 0.0:
-                        neg += 1
-                    l2 = l1_next
-                    l1, l1_next = (b - l2 * l1 * d1) / d, c / d
-                    d2, d1 = d1, d
-            except ZeroDivisionError:
-                s = math.nextafter(s, -math.inf)
-                continue
-            return neg
+            while True:
+                c, info = dpbtrf(c, overwrite_ab=True)
+                if info == 0:
+                    return neg
+                f = info - 1
+                d = c[2, f]
+                if d == 0.0:
+                    break
+                neg += 1
+                if f + 1 == c.shape[1]:
+                    return neg
+                b = c[1, f + 1]
+                c[2, f + 1] -= b * b / d
+                if f + 2 < c.shape[1]:
+                    cc = c[0, f + 2]
+                    c[1, f + 2] -= b * cc / d
+                    c[2, f + 2] -= cc * cc / d
+                c = c[:, f + 1 :]
+            s = math.nextafter(s, -math.inf)
 
     def eigenpair(self, k: int, shift: float, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """k-th eigenpair (k = 0 lowest) by shift-invert iteration from shift, in O(N).

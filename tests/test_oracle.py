@@ -24,6 +24,39 @@ def to_dense(op: BandedOperator) -> np.ndarray:
             + np.diag(upper2, 2) + np.diag(upper2, -2))
 
 
+def ldlt_count(op: BandedOperator, s: float) -> int:
+    """Eigenvalues of op below s, counted row by row as the negative pivots d_j of
+    the unpivoted A - s*I = L D L^T (Sylvester's law): a second route to
+    count_below, which gets the same pivots from chained banded Cholesky calls.
+
+    With l1 = L[j, j-1], l2 = L[j, j-2] and the band entries b = A[j+1, j],
+    c = A[j+2, j]:
+
+        d_j = A[j, j] - s - l1^2 d_{j-1} - l2^2 d_{j-2}
+        L[j+1, j] = (b - L[j+1, j-1] l1 d_{j-1}) / d_j,   L[j+2, j] = c / d_j
+
+    An exact zero pivot nudges s down by one ulp.
+    """
+    sub1 = op.bands[1, 1:].tolist() + [0.0]
+    sub2 = op.bands[0, 2:].tolist() + [0.0, 0.0]
+    while True:
+        neg = 0
+        d1 = d2 = 1.0
+        l1 = l2 = l1_next = 0.0
+        try:
+            for a, b, c in zip((op.bands[2] - s).tolist(), sub1, sub2):
+                d = a - l1 * l1 * d1 - l2 * l2 * d2
+                if d < 0.0:
+                    neg += 1
+                l2 = l1_next
+                l1, l1_next = (b - l2 * l1 * d1) / d, c / d
+                d2, d1 = d1, d
+        except ZeroDivisionError:
+            s = np.nextafter(s, -np.inf)
+            continue
+        return neg
+
+
 def box_operator(length: float, n: int) -> BandedOperator:
     h = length / (n + 1)
     return BandedOperator(assemble_bands(np.zeros(n), h), h * np.arange(1, n + 1), h)
@@ -236,20 +269,28 @@ class TestShiftInvertKernel:
     def operator(base: dict) -> BandedOperator:
         return discretize(params(base), 0.3, OracleConfig(n_points=600))
 
+    @pytest.mark.parametrize("n_points", [600, 4000])
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
-    def test_count_below_matches_eigenvalues(self, base):
-        op = self.operator(base)
-        eigs, _ = eig_banded_reference(op, self.K)
+    def test_count_below_matches_eigenvalues(self, base, n_points):
+        # Three routes to the inertia: count_below, the row-by-row LDL^T pivots
+        # of ldlt_count, and the eigenvalues of LAPACK's full banded reduction.
+        op = discretize(params(base), 0.3, OracleConfig(n_points=n_points))
+        # One eigenvalue more than the shifts need, so that every count is checked.
+        above = scipy.linalg.eig_banded(op.bands, eigvals_only=True, select="i", select_range=(0, self.K + 1))
+        eigs = above[:-1]
         # The eigenvalues ladder of certified eigenpairs agrees to rounding.
         assert np.all(np.abs(op.eigenvalues(self.K) - eigs) <= 1e-12 * np.maximum(np.abs(eigs), 1.0))
         shifts = [eigs[0] - 1.0, -1e6]
+        # COUNT_SLACK*eps*|A| is the slack eigenpair's counts allow for rounding.
         # Offsets of 1e-11 * max(|lambda_j|, m^2) stay well above eps*|A|; 1e-11
         # of a near-threshold eigenvalue (~5e-4) would not, and there either
         # count is right.
-        shifts += [lam + sign * 1e-11 * max(abs(lam), 1.0) for lam in eigs[:-1] for sign in (-1.0, 1.0)]
+        for lam in eigs:
+            for offset in (oracle.COUNT_SLACK * oracle.EPS * op.norm, 1e-11 * max(abs(lam), 1.0)):
+                shifts += [lam - offset, lam + offset]
         shifts += list(0.5 * (eigs[:-1] + eigs[1:]))
         for s in shifts:
-            assert op.count_below(s) == int(np.sum(eigs < s)), s
+            assert op.count_below(s) == ldlt_count(op, s) == int(np.sum(above < s)), s
 
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids=SET_IDS)
     def test_norm_is_the_dense_infinity_norm(self, base):
