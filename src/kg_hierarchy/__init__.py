@@ -51,7 +51,6 @@ __all__ = [
     "NonConvergenceError",
     "NonNormalizableError",
     "NoRootError",
-    "OuterDivergenceError",
     "ParameterError",
     "ZeroNuError",
 ]

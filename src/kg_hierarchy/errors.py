@@ -30,7 +30,7 @@ class ComplexLevelError(KGHierarchyError):
 
 
 class NoRootError(KGHierarchyError):
-    """No self-consistent bound energy exists at the requested level."""
+    """No self-consistent bound energy exists at the requested level (for the oracle: next to the claimed root)."""
 
 
 class NonConvergenceError(KGHierarchyError):
@@ -39,10 +39,6 @@ class NonConvergenceError(KGHierarchyError):
 
 class NonNormalizableError(KGHierarchyError):
     """Ground state with Re(mu) <= 0 on the Hermitian branch, or a grid norm of 0 or inf."""
-
-
-class OuterDivergenceError(KGHierarchyError):
-    """The oracle's Rayleigh-functional iteration on eps_k(E) = E^2 - m^2 escaped or did not settle."""
 
 
 class NoBoundStateError(KGHierarchyError):

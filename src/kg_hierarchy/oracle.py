@@ -1,8 +1,10 @@
 """Independent finite-difference verifier for the Hermitian branch.
 
 Discretizes (-d2/dx2 + V_eff(x; E)) psi = eps * psi on a box with Dirichlet
-walls and solves the energy-dependent eigenproblem eps_k(E) = E^2 - m^2
-self-consistently with a Rayleigh-functional iteration.
+walls and checks a claimed root E_n of the energy-dependent eigenproblem
+eps_k(E) = E^2 - m^2 in one shot: one certified eigenpair at E_n and its
+Hellmann-Feynman slope give the discretized root next to E_n to second order
+(solve_selfconsistent).
 
 Each eps_k(E) costs O(N) for N grid points: shift-invert and Rayleigh-quotient
 iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
@@ -13,9 +15,10 @@ restarted past each negative pivot.  BandedOperator.eigenvalues, the lowest few 
 once, is a ladder of these certified eigenpairs.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
-ch. 4), so the self-consistent solve warm-starts each eigensolve from the last
-Ritz vector, and cleans (BandedOperator.polish) only the vector it returns; a
-cold eigensolve starts from the fixed vector sin(j*phi), phi the golden angle.
+ch. 4), so the Richardson eigensolve on the doubled grid starts from the
+N-grid vector, and only the vector returned is cleaned
+(BandedOperator.polish); a cold eigensolve starts from the fixed vector
+sin(j*phi), phi the golden angle.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands never pay for it: spectrum,
@@ -50,20 +53,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoBoundStateError, NonConvergenceError, OuterDivergenceError, ParameterError
+from .errors import NoBoundStateError, NonConvergenceError, NoRootError, ParameterError
 from .grid import GridFunction, OracleConfig
 from .hierarchy import level, level_coefficients, level_index, partner_potentials
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
 REL_TOL = 1e-3
-# Bound on |eps - (E^2 - m^2)| at the converged E; Rayleigh-functional iteration
-# budget; a start ends after MAX_STALLED iterations in a row that do not halve it,
-# unless it stops halving within OUTER_SLACK rounding floors eps*|A|.
-OUTER_TOL = 1e-10
-MAX_OUTER = 100
-MAX_STALLED = 3
-OUTER_SLACK = 8.0
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
 # inertia counts get COUNT_SLACK*eps*|A| of rounding slack.  MAX_RITZ_STEPS bounds
 # the iteration from one shift, MAX_ROUNDS the restarts from bisected brackets.
@@ -370,9 +366,10 @@ def _pole_wall(p: PotentialParams, h: float) -> tuple[float, int] | None:
     which 1 + beta*t_j > 0 holds for every |E| <= m; that test bounds
     |Gamma2(E)| by 2m(|S0| + |V0|), so the number of rows depends on the grid
     and not on E: a closure that switched as E moves would make eps_k(E) jump,
-    and the self-consistent iteration could stall.  rows = 0 on a grid too
-    coarse for one row: the odd reflection is then a fallback (coarse_wall).
-    None where it is the closure: s not real or s >= POLE_WALL_MAX_S.
+    and the slope of solve_selfconsistent would difference across the jump.
+    rows = 0 on a grid too coarse for one row: the odd reflection is then a
+    fallback (coarse_wall).  None where it is the closure: s not real or
+    s >= POLE_WALL_MAX_S.
     """
     qlam = p.q * p.lam
     g1 = p.gamma1.real
@@ -446,100 +443,71 @@ def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperato
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Converged self-consistent eigenvalue with grid diagnostics."""
+    """The discretized root next to a claimed root, with grid diagnostics."""
 
     E: float
-    epsilon: float
+    epsilon: float  # eps_k(E) = E^2 - m^2, to first order in the step from the seed
     eigenvector: GridFunction
-    outer_iters: int
+    outer_iters: int  # eigensolves on the N grid: one
     grid_convergence_est: float
     coarse_wall: bool  # the pole wall fell back to the odd reflection (_box)
 
 
-def solve_selfconsistent(
-    p: PotentialParams, k: int, cfg: OracleConfig | None = None, *, seed: float | None = None
-) -> OracleResult:
-    """Rayleigh-functional iteration on eps_k(E) = E^2 - m^2.
+def solve_selfconsistent(p: PotentialParams, k: int, cfg: OracleConfig | None = None, *, seed: float) -> OracleResult:
+    """One-shot check of a claimed root seed of eps_k(E) = E^2 - m^2: the
+    discretized root next to it, from one certified eigensolve.
 
-    At the current E the certified BandedOperator.eigenpair(k, E^2 - m^2) gives
-    (eps, v) in O(N), and with it the Hellmann-Feynman slope s = v^T
-    diag(dV_eff/dE) v; E moves to the root nearest E of eps + (E' - E) s =
-    E'^2 - m^2 (Ruhe, SIAM J. Numer. Anal. 10 (1973) 674; Voss, Handbook of
-    Linear Algebra, 2nd ed., 2013) until the defect g = eps - (E^2 - m^2) is at
-    the rounding floor eps_mach*|A|, or stops halving within OUTER_SLACK floors,
-    so the answer does not depend on the start.  Each eigenpair warm-starts
-    from the previous v; only the returned v is cleaned.  V_eff is affine in E,
-    so the slope diagonal is the difference of two discretizations, once per
-    solve; the pole-wall rows, not affine in E, perturb it, not the fixed point.
-    The Richardson estimate takes the eigenvalue on 2N points, shifted at the
-    converged eps and started from v interpolated onto that grid.  With no seed
-    the iteration starts from E = +m/2, then -m/2 (an iterate may leave (-m, m)
-    on the way); the first bound root is returned, or the last start's error.
-    A non-finite seed raises ParameterError("seed").  A start ends with
-    OuterDivergenceError when its local model has no real root, |E| > 5m, or
-    |g| fails MAX_STALLED times in a row to halve its smallest value so far (a
-    converging start halves it at every step).
+    At E = seed, BandedOperator.eigenpair(k, E^2 - m^2) gives (eps, v) in O(N),
+    the defect g = eps - (E^2 - m^2) and, from the same v, the Hellmann-Feynman
+    slope s = v^T diag(dV_eff/dE) v.  The returned root is E + d, d the root
+    nearest 0 of the local model eps + s*d = (E + d)^2 - m^2, which is
+    g/(2E - s) to first order (the Rayleigh-functional step of Ruhe, SIAM J.
+    Numer. Anal. 10 (1973) 674; Voss, Handbook of Linear Algebra, 2nd ed.,
+    2013); its error is of order d^2.  The model keeps the d^2 of E^2 - m^2,
+    which the first-order step drops: that moves a root off by 1e-3 about
+    5e-7 of itself toward the seed, and at V0 = 0, S0 = 1, lam = 0.2,
+    q = m = 1 every root times 1 + 1e-3 would pass.  V_eff is affine in E, so the slope diagonal is the difference
+    of two discretizations; the pole-wall rows, not affine in E, perturb it,
+    and the root at order d^2.  The Richardson estimate takes eps_k(seed) on
+    2N points, shifted at eps and started from v interpolated onto that grid;
+    v is cleaned (polish) after.
+
+    The step stands for the distance to a discretized root only while it is
+    small, so compare fails a row whose step reaches REL_TOL*|seed|, whatever
+    E + d is.  A local model with no real root raises NoRootError, eps >= 0 or
+    |E + d| >= m NoBoundStateError, and a non-finite seed ParameterError("seed").
     """
     k = level_index(k, "k")
-    starts = [float(seed)] if seed is not None else [+0.5 * p.m, -0.5 * p.m]
-    if not math.isfinite(starts[0]):
+    E = float(seed)
+    if not math.isfinite(E):
         raise ParameterError("seed", f"seed must be finite, got {seed}")
     cfg = (cfg or OracleConfig()).resolve(p)
+    op = discretize(p, E, cfg)
     dE = 0.01 * p.m
-    lower, upper = discretize(p, starts[0], cfg), discretize(p, starts[0] + dE, cfg)
-    slope = (upper.bands[-1] - lower.bands[-1]) / dE
-    for start in starts[:-1]:
-        try:
-            return _rayleigh_functional_run(p, k, cfg, slope, start)
-        except (NoBoundStateError, OuterDivergenceError):
-            pass
-    return _rayleigh_functional_run(p, k, cfg, slope, starts[-1])
-
-
-def _rayleigh_functional_run(
-    p: PotentialParams, k: int, cfg: OracleConfig, slope: np.ndarray, E: float
-) -> OracleResult:
-    best, stalled, vec = math.inf, 0, None
-    for iters in range(1, MAX_OUTER + 1):
-        op = discretize(p, E, cfg)
-        eps, vec = op.eigenpair(k, E * E - p.m * p.m, vec)
-        g = eps - (E * E - p.m * p.m)
-        floor, halved = EPS * op.norm, abs(g) <= 0.5 * best
-        if abs(g) <= floor or (not halved and abs(g) <= OUTER_SLACK * floor):
-            break
-        stalled = 0 if halved else stalled + 1
-        if stalled == MAX_STALLED:
-            raise OuterDivergenceError(f"|g| has not halved from {best:.3e} in {MAX_STALLED} iterations (E = {E})")
-        best = min(best, abs(g))
-        # eps + s*d = (E + d)^2 - m^2 is d^2 - b*d - g = 0 with b = s - 2E; its
-        # root nearest 0, in cancellation-free form, is the step.  Near a root
-        # g -> 0 keeps the discriminant positive.
-        b = float(vec @ (slope * vec)) - 2.0 * E
-        disc = b * b + 4.0 * g
-        if disc < 0.0:
-            raise OuterDivergenceError(f"the local model at E = {E} has no real root")
-        E -= 2.0 * g / (b + math.copysign(math.sqrt(disc), b))
-        if not math.isfinite(E) or abs(E) > 5.0 * p.m:
-            raise OuterDivergenceError(f"Rayleigh-functional iterate escaped to E = {E}")
-    else:
-        raise OuterDivergenceError(f"|g| = {abs(g):.3e} after {MAX_OUTER} Rayleigh-functional iterations")
-    if eps >= 0.0 or abs(E) >= p.m:
-        raise NoBoundStateError(f"converged level {k} is not bound (eps = {eps:g}, E = {E:g})")
-    if abs(g) >= OUTER_TOL:
-        raise OuterDivergenceError(
-            f"self-consistency defect {abs(g):.3e} exceeds {OUTER_TOL:g} after convergence"
-        )
+    slope = (discretize(p, E + dE, cfg).bands[-1] - op.bands[-1]) / dE
+    eps, vec = op.eigenpair(k, E * E - p.m * p.m)
+    g = eps - (E * E - p.m * p.m)
+    s = float(vec @ (slope * vec))
+    # The model is d^2 - b*d - g = 0 with b = s - 2E; its root nearest 0, in
+    # cancellation-free form, is the step (b = g = 0 leaves d = 0).
+    b = s - 2.0 * E
+    disc = b * b + 4.0 * g
+    if disc < 0.0:
+        raise NoRootError(f"level {k}: the local model at E = {E} has no real root")
+    denom = b + math.copysign(math.sqrt(disc), b)
+    d = -2.0 * g / denom if denom else 0.0
+    if eps >= 0.0 or abs(E + d) >= p.m:
+        raise NoBoundStateError(f"level {k} is not bound next to E = {E:g} (eps = {eps:g}, E + d = {E + d:g})")
     fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))
     eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec))[0]
     # Richardson for an h^4 error: halving h divides it by 2^4 = 16.
     est = abs(eps - eps_fine) * 16.0 / 15.0
     vec = op.polish(eps, vec)
-    psi = GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128))
     return OracleResult(
-        E=float(E),
-        epsilon=float(eps),
-        eigenvector=psi,
-        outer_iters=iters,
+        E=E + d,
+        epsilon=eps + s * d,
+        eigenvector=GridFunction(float(op.x[0]), op.h, vec.astype(np.complex128)),
+        outer_iters=1,
         grid_convergence_est=float(est),
         coarse_wall=_box(p, cfg).coarse_wall,
     )
@@ -590,11 +558,12 @@ def compare(
     levels: list[EnergyLevel],
     cfg: OracleConfig | None = None,
 ) -> CompareReport:
-    """Per-level table of analytic vs self-consistent discretized energies; ok below REL_TOL.
+    """Per-level table of analytic vs discretized energies; ok below REL_TOL.
 
-    Each analytic root seeds its own Rayleigh-functional iteration (the
-    convergence criterion is still the oracle's own); a root with a
-    skip_reason is reported as skipped.
+    Each analytic root gets its one-shot check, solve_selfconsistent; a root
+    with a skip_reason is reported as skipped.  rel_diff is relative to the
+    smaller of the two energies, so that a step of REL_TOL times the analytic
+    root or more fails whichever way it points.
     """
     cfg = (cfg or OracleConfig()).resolve(p)
     rows: list[CompareRow] = []
@@ -604,13 +573,14 @@ def compare(
             continue
         res = solve_selfconsistent(p, lv.n, cfg, seed=float(lv.E.real))
         diff = abs(lv.E - res.E)
+        scale = min(abs(lv.E), abs(res.E))
         rows.append(
             CompareRow(
                 n=lv.n,
                 E_analytic=lv.E,
                 E_oracle=res.E,
                 abs_diff=diff,
-                rel_diff=diff / abs(res.E),
+                rel_diff=diff / scale if scale else math.inf,
                 grid_convergence_est=res.grid_convergence_est,
                 coarse_wall=res.coarse_wall,
             )

@@ -464,7 +464,10 @@ class TestScipyOnlyForVerify:
         for name in ("HierarchyLevel", "make_superpotential", "GammaPair", "gammas"):
             with pytest.raises(AttributeError):
                 getattr(kg_hierarchy, name)
-        assert len(kg_hierarchy.__all__) == 40
+        # The oracle checks each root in one shot; no iteration is left to diverge.
+        with pytest.raises(AttributeError):
+            kg_hierarchy.OuterDivergenceError
+        assert len(kg_hierarchy.__all__) == 39
 
     def test_star_import_binds_all(self):
         proc = run_python_fresh("-c", STAR_PROBE)
@@ -526,6 +529,18 @@ class TestVerifyCommand:
         assert "Riccati residuals" in out
         assert "Oracle comparison" in out
         assert "verify: PASS" in out
+
+    def test_roots_off_by_a_thousandth_fail(self, monkeypatch, capsys):
+        # Set A's roots times 1 + 1e-3 still satisfy the Riccati identity, which
+        # ties no level to its root; the oracle rows fail them.
+        spectrum = kg_hierarchy.cli.spectrum
+        monkeypatch.setattr(kg_hierarchy.cli, "spectrum",
+                            lambda p, n_max: [lv._replace(E=lv.E * (1.0 + 1e-3)) for lv in spectrum(p, n_max)])
+        assert main(["verify", "--config", str(SET_A_CFG)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        riccati = out[2:out.index("Oracle comparison (relative tolerance 0.001):")]
+        assert riccati and all(line.endswith(",True") for line in riccati)
+        assert out[-1] == "verify: FAIL"
 
     def test_perturbed_mu_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.CFG)

@@ -1,12 +1,14 @@
 """Finite-difference verifier: discretization quality and self-consistent solves."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams, oracle
-from kg_hierarchy.errors import NoBoundStateError, OuterDivergenceError
+from kg_hierarchy.errors import NoBoundStateError
 from kg_hierarchy.oracle import BandedOperator, _box, _pole_wall, _pole_wall_rows, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, eig_banded_reference, params
@@ -399,16 +401,22 @@ class TestShiftInvertKernel:
         assert eigs1.size == eigs2.size == 4
 
 
+def compared_roots(p: PotentialParams) -> list[kg.EnergyLevel]:
+    """The levels of spectrum(p, 8) that compare checks (no skip_reason)."""
+    return [lv for lv in kg.spectrum(p, 8) if not oracle.skip_reason(p, lv)]
+
+
 class TestSolveSelfConsistent:
     def test_matches_analytic_vector_free(self, set_a):
         # Primary cross-check at a tight tolerance (this family is grid-friendly).
         lv = [l for l in kg.solve_level(set_a, 0) if l.E.real > 0][0]
-        res = kg.solve_selfconsistent(set_a, 0, OracleConfig(), seed=0.5)
+        res = kg.solve_selfconsistent(set_a, 0, OracleConfig(), seed=lv.E.real)
         assert abs(res.E - lv.E.real) / abs(res.E) < 1e-4
-        assert res.outer_iters <= 20
+        assert res.outer_iters == 1
 
     def test_epsilon_consistency_invariant(self, set_a):
-        res = kg.solve_selfconsistent(set_a, 1, OracleConfig(n_points=2000), seed=0.5)
+        lv = [l for l in kg.solve_level(set_a, 1) if l.E.real > 0][0]
+        res = kg.solve_selfconsistent(set_a, 1, OracleConfig(n_points=2000), seed=lv.E.real)
         assert abs(res.epsilon - (res.E ** 2 - 1.0)) < 1e-10
         assert res.epsilon < 0
 
@@ -428,27 +436,34 @@ class TestSolveSelfConsistent:
                 solve()
             assert info.value.param == name
 
-    def test_default_seeds_find_both_signs(self, set_a):
-        r_pos = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=+0.5)
-        r_neg = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=-0.5)
-        assert r_pos.E == pytest.approx(-r_neg.E, rel=1e-9)
+    def test_seed_is_required(self, set_a):
+        with pytest.raises(TypeError, match="seed"):
+            kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000))
+
+    def test_seeds_of_both_signs_give_exact_negatives(self, set_a):
+        # V0 = 0: the discretized problem does not depend on the sign of E.
+        E = [lv.E.real for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
+        r_pos = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=+E)
+        r_neg = kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=2000), seed=-E)
+        assert r_pos.E == -r_neg.E
 
     @pytest.mark.parametrize(
         "base,k,E",
         [(SET_C, 3, 0.99368), (SET_B, 3, 0.97606), (dict(V0=0.3, S0=0.6, lam=0.3, q=1.0, m=1.0), 2, 0.98813)],
         ids=["C3", "B3", "V0.3-S0.6-k2"],
     )
-    def test_unseeded_finds_shallow_bound_level(self, base, k, E):
-        # Shallow levels with eps_k(0) > 0, bound only near |E| = m: set C has
-        # eps_3 > 0 at E = 0 and +-m/2 too, and the roots of the E = 0 local
-        # model fall outside (-m, m) for the other two.
-        res = kg.solve_selfconsistent(params(base), k, OracleConfig())
+    def test_shallow_bound_level(self, base, k, E):
+        # Shallow levels with eps_k(0) > 0, bound only near |E| = m.
+        p = params(base)
+        (seed,) = [lv.E.real for lv in kg.solve_level(p, k) if lv.E.real > 0.9]
+        res = kg.solve_selfconsistent(p, k, OracleConfig(), seed=seed)
         assert res.E == pytest.approx(E, abs=1e-5)
 
     @pytest.mark.parametrize("base", [SET_A, SET_B], ids="AB")
-    def test_unseeded_unbound_level_raises(self, base):
+    def test_unbound_level_raises(self, base):
+        # Sets A and B have four bound levels; the fifth eigenvalue is not negative.
         with pytest.raises(NoBoundStateError):
-            kg.solve_selfconsistent(params(base), 4, OracleConfig())
+            kg.solve_selfconsistent(params(base), 4, OracleConfig(), seed=0.5)
 
     @pytest.mark.parametrize("seed", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_seed_rejected(self, set_a, seed, monkeypatch):
@@ -459,37 +474,23 @@ class TestSolveSelfConsistent:
             kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=seed)
         assert info.value.param == "seed"
 
-    @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
-    def test_unseeded_matches_seeded(self, base, k):
-        # The iteration stops at the rounding floor, so where it starts does
-        # not show in the answer.
-        p, cfg = params(base), OracleConfig(n_points=2000)
-        unseeded = kg.solve_selfconsistent(p, k, cfg)
-        roots = [lv.E.real for lv in kg.solve_level(p, k) if kg.LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags]
-        seeded = kg.solve_selfconsistent(p, k, cfg, seed=min(roots, key=lambda e: abs(e - unseeded.E)))
-        assert abs(unseeded.E - seeded.E) <= 1e-12 * abs(seeded.E)
-        assert kg.node_count(seeded.eigenvector) == k
-        assert seeded.outer_iters <= 4
-
-    def test_no_real_root_raises(self, monkeypatch):
-        # Strong vector coupling with no real level (Gamma1 = -0.8): both the
-        # +m/2 and the -m/2 start wander past E = -m without settling, and
-        # neither may end in a math domain error.  Each stops halving |g| near
-        # 7e-2 to 9e-2 and ends once |g| has not halved for MAX_STALLED steps
-        # (13 eigenpairs for both starts), not after MAX_OUTER = 100.
-        p = params(dict(V0=0.9, S0=0.1, lam=1.0, q=1.0, m=1.0))
-        calls = []
-        eigenpair = BandedOperator.eigenpair
-        monkeypatch.setattr(BandedOperator, "eigenpair", lambda op, *a: calls.append(a) or eigenpair(op, *a))
-        with pytest.raises(OuterDivergenceError, match="has not halved"):
-            kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
-        assert len(calls) <= 15
+    def test_root_fed_back_moves_at_second_order(self, base):
+        # The step from the analytic root is abs_diff to first order; from the
+        # discretized root it found, the next step is of order abs_diff^2.
+        # Each root takes one eigensolve on the N grid, and its vector has n nodes.
+        p, cfg = params(base), OracleConfig()
+        for lv in compared_roots(p):
+            res = kg.solve_selfconsistent(p, lv.n, cfg, seed=lv.E.real)
+            again = kg.solve_selfconsistent(p, lv.n, cfg, seed=res.E)
+            assert abs(again.E - res.E) < 1e-3 * abs(res.E - lv.E.real), lv
+            assert res.outer_iters == 1
+            assert kg.node_count(res.eigenvector) == lv.n
 
     def test_local_model_without_real_root(self, set_a, monkeypatch):
         # An eigensolve whose defect g lies far below -b^2/4: the local model
-        # d^2 - b*d - g = 0 has no real root, and the start ends on its first
-        # step with a typed error, not a math domain error.
+        # d^2 - b*d - g = 0 has no real root, and the check ends with a typed
+        # error, not a math domain error.
         eigenpair = BandedOperator.eigenpair
 
         def deep(op, k, shift, *a):
@@ -497,47 +498,32 @@ class TestSolveSelfConsistent:
             return shift - 100.0, vec
 
         monkeypatch.setattr(BandedOperator, "eigenpair", deep)
-        with pytest.raises(OuterDivergenceError, match="no real root"):
+        with pytest.raises(kg.NoRootError, match="no real root"):
             kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=0.5)
 
-    def test_coarse_pole_wall_grid_converges(self, set_b):
-        # 372 points: a wall closure that switches as E moves makes eps_0(E)
-        # jump next to the level at -0.12642, and the iteration stalls.  The
-        # grid is coarse (E = -0.0539), but the solve converges, with 0 nodes,
-        # and its estimate covers the error in eps.
-        E = -0.12642
-        res = kg.solve_selfconsistent(set_b, 0, OracleConfig(n_points=372), seed=E)
-        assert kg.node_count(res.eigenvector) == 0
-        assert abs(res.epsilon - (E * E - 1.0)) < res.grid_convergence_est
-
-    @pytest.mark.parametrize("floors,converges", [(3.0, True), (100.0, False)])
-    def test_defect_that_stops_halving(self, set_a, monkeypatch, floors, converges):
-        # An eigensolve whose defect g settles at a fixed number of rounding
-        # floors eps*|A|: within OUTER_SLACK floors the start has converged,
-        # far above them it is stalled.
-        eigenpair = BandedOperator.eigenpair
-
-        def settled(op, k, shift, *a):
-            eps, vec = eigenpair(op, k, shift, *a)
-            return shift + floors * oracle.EPS * op.norm, vec
-
-        monkeypatch.setattr(BandedOperator, "eigenpair", settled)
-        solve = lambda: kg.solve_selfconsistent(set_a, 0, OracleConfig(n_points=1000), seed=0.5)
-        if converges:
-            assert solve().outer_iters == 2
-        else:
-            with pytest.raises(OuterDivergenceError, match="has not halved"):
-                solve()
+    def test_coarse_pole_wall_grid_fails_the_check(self, set_b):
+        # 372 points: too coarse for the pole-wall closure, and eps_0 at the
+        # analytic root is far from E^2 - m^2.  The step is then no distance to
+        # a discretized root, and compare fails the row, whatever E + d is;
+        # the vector still has 0 nodes.
+        lv = compared_roots(set_b)[0]
+        cfg = OracleConfig(n_points=372)
+        res = kg.solve_selfconsistent(set_b, 0, cfg, seed=lv.E.real)
+        assert kg.node_count(res.eigenvector) == 0 and res.coarse_wall
+        assert abs(res.E - lv.E.real) >= oracle.REL_TOL * abs(lv.E.real)
+        report = kg.compare(set_b, [lv], cfg)
+        assert not report.ok and report.rows[0].rel_diff >= oracle.REL_TOL
 
     def test_weak_coupling_no_bound_state(self):
         p = params(dict(V0=0.001, S0=0.001, lam=5.0, q=1.0, m=1.0))
         with pytest.raises(NoBoundStateError):
-            kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000))
+            kg.solve_selfconsistent(p, 0, OracleConfig(n_points=1000), seed=0.5)
 
     def test_richardson_estimate_bounds_grid_step(self, set_a):
         # |eps(n) - eps(2n)| must stay below 10x the Richardson error estimate.
         cfg = OracleConfig(n_points=2000)
-        res = kg.solve_selfconsistent(set_a, 0, cfg, seed=0.5)
+        lv = [l for l in kg.solve_level(set_a, 0) if l.E.real > 0][0]
+        res = kg.solve_selfconsistent(set_a, 0, cfg, seed=lv.E.real)
         eps_n = discretize(set_a, res.E, cfg).eigenvalues(0)[0]
         eps_2n = discretize(set_a, res.E, OracleConfig(n_points=4000)).eigenvalues(0)[0]
         assert abs(eps_n - eps_2n) < 10.0 * res.grid_convergence_est
@@ -575,7 +561,8 @@ class TestCompare:
     def test_synthetic_zero_diff(self, set_a):
         # Feeding the oracle's own result back in must give a vanishing diff.
         cfg = OracleConfig(n_points=2000)
-        res = kg.solve_selfconsistent(set_a, 0, cfg, seed=0.5)
+        lv = [l for l in kg.solve_level(set_a, 0) if l.E.real > 0][0]
+        res = kg.solve_selfconsistent(set_a, 0, cfg, seed=lv.E.real)
         synthetic = kg.EnergyLevel(
             n=0, E=complex(res.E), mu=kg.level(set_a, res.E, 0).mu,
             residual=0.0, mass=set_a.m,
@@ -608,3 +595,35 @@ class TestCompare:
         report = kg.compare(set_a, levels, OracleConfig(n_points=2000))
         assert report.ok
         assert 0.0 < report.worst_rel_diff < 1e-3
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C], ids="ABC")
+    def test_roots_off_by_a_thousandth_fail(self, base):
+        # Every analytic root times 1 + 1e-3 fails, while the roots pass: the
+        # step from each is about 1e-3 of the root, and second-order terms of
+        # the one-shot check must not pull it below REL_TOL.
+        p = params(base)
+        levels = kg.spectrum(p, 8)
+        assert kg.compare(p, levels).ok
+        assert not kg.compare(p, [lv._replace(E=lv.E * (1.0 + 1e-3)) for lv in levels]).ok
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
+    def test_next_level_root_fails(self, base):
+        # Level n checked at the root of level n + 1 (same sign of E) fails.
+        p = params(base)
+        roots = compared_roots(p)
+        pairs = [(lv, up) for lv in roots for up in roots if up.n == lv.n + 1 and up.E.real * lv.E.real > 0]
+        assert pairs
+        for lv, up in pairs:
+            report = kg.compare(p, [lv._replace(E=up.E)])
+            assert not report.ok and report.rows[0].rel_diff > 10.0 * oracle.REL_TOL, (lv.n, up.E)
+
+    def test_step_of_rel_tol_fails_either_way(self, set_b, monkeypatch):
+        # A step of REL_TOL*|E_n| or more fails whichever way it points: for
+        # one that moves away from 0, |d|/|E_n + d| would lie just below REL_TOL.
+        lv = compared_roots(set_b)[1]
+        for sign in (1.0, -1.0):
+            step = sign * math.copysign(1.0005 * oracle.REL_TOL * abs(lv.E.real), lv.E.real)
+            result = oracle.OracleResult(lv.E.real + step, 0.0, None, 1, 0.0, False)
+            monkeypatch.setattr(oracle, "solve_selfconsistent", lambda *a, **kw: result)
+            report = kg.compare(set_b, [lv])
+            assert not report.ok and report.rows[0].rel_diff >= oracle.REL_TOL, sign

@@ -1,15 +1,17 @@
-"""Scan the oracle's self-consistent solve over grid sizes, one summary line per set.
+"""Scan the oracle's one-shot root check over grid sizes, one summary line per set.
 
     PYTHONPATH=src python tools/oracle_scan.py --sets B,D --start 300 --stop 2100 --step 9
 
 For each set (the Hermitian parameter sets A-D of perfbench/inputs.py) every
-level-0 analytic root that `compare` would check seeds
+level-0 analytic root that `compare` would check is checked by
 kg_hierarchy.solve_selfconsistent with OracleConfig(n_points=N), for N from
-START to STOP inclusive in steps of STEP.  A set's line gives the number of
-solves, the count of each error type raised, the number of converged solves
-whose relative error |E_oracle - E|/|E| is above 1e-2, the number of converged
-solves whose pole wall was too coarse for the closure (OracleResult.coarse_wall),
-and the worst relative error with its N.  perfbench/ is only read.
+START to STOP inclusive in steps of STEP: one certified eigensolve at the root
+gives the discretized root next to it.  A set's line gives the number of
+checks ("solves"), the count of each error type raised (NoRootError where the local model
+has no real root, NoBoundStateError where the level is not bound), the number
+of checks whose relative step |E_oracle - E|/|E| is above 1e-2, the number
+whose pole wall was too coarse for the closure (OracleResult.coarse_wall), and
+the worst relative step with its N.  perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Scan:
 
 
 def scan(p: kg.PotentialParams, sizes: range) -> Scan:
-    """Solve every level-0 analytic root that compare checks, on every grid size, and tally the outcomes."""
+    """Check every level-0 analytic root that compare checks, on every grid size, and tally the outcomes."""
     result = Scan()
     roots = [lv.E.real for lv in kg.solve_level(p, 0) if not skip_reason(p, lv)]
     for n_points in sizes:
