@@ -11,8 +11,8 @@ iteration with a banded LU solve (Parlett, The Symmetric Eigenvalue Problem,
 ch. 4), its index certified by inertia counts: the negative pivots of the
 unpivoted A - s*I = L D L^T (Sylvester's law; the bisection of Barth, Martin &
 Wilkinson, Numer. Math. 9 (1967) 386), taken from LAPACK's banded Cholesky,
-restarted past each negative pivot.  BandedOperator.eigenvalues, the lowest few at
-once, is a ladder of these certified eigenpairs.
+restarted past each negative pivot.  BandedOperator.eigenvalues, the lowest
+few at once, is a ladder of these certified eigenpairs.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
 ch. 4), so the Richardson eigensolve on the doubled grid starts from the
@@ -366,7 +366,8 @@ def _pole_wall(p: PotentialParams, h: float) -> tuple[float, int] | None:
     which 1 + beta*t_j > 0 holds for every |E| <= m; that test bounds
     |Gamma2(E)| by 2m(|S0| + |V0|), so the number of rows depends on the grid
     and not on E: a closure that switched as E moves would make eps_k(E) jump,
-    and the slope of solve_selfconsistent would difference across the jump.
+    and the slope of solve_selfconsistent, a difference quotient in E, would
+    see the jump.
     rows = 0 on a grid too coarse for one row: the odd reflection is then a
     fallback (coarse_wall).  None where it is the closure: s not real or
     s >= POLE_WALL_MAX_S.
@@ -460,21 +461,21 @@ def solve_selfconsistent(p: PotentialParams, k: int, cfg: OracleConfig | None = 
     At E = seed, BandedOperator.eigenpair(k, E^2 - m^2) gives (eps, v) in O(N),
     the defect g = eps - (E^2 - m^2) and, from the same v, the Hellmann-Feynman
     slope s = v^T diag(dV_eff/dE) v.  The returned root is E + d, d the root
-    nearest 0 of the local model eps + s*d = (E + d)^2 - m^2, which is
-    g/(2E - s) to first order (the Rayleigh-functional step of Ruhe, SIAM J.
-    Numer. Anal. 10 (1973) 674; Voss, Handbook of Linear Algebra, 2nd ed.,
-    2013); its error is of order d^2.  The model keeps the d^2 of E^2 - m^2,
-    which the first-order step drops: that moves a root off by 1e-3 about
-    5e-7 of itself toward the seed, and at V0 = 0, S0 = 1, lam = 0.2,
-    q = m = 1 every root times 1 + 1e-3 would pass.  V_eff is affine in E, so the slope diagonal is the difference
-    of two discretizations; the pole-wall rows, not affine in E, perturb it,
-    and the root at order d^2.  The Richardson estimate takes eps_k(seed) on
-    2N points, shifted at eps and started from v interpolated onto that grid;
-    v is cleaned (polish) after.
+    nearest 0 of the local model eps + s*d = (E + d)^2 - m^2: g/(2E - s) to
+    first order (the Rayleigh-functional step of Ruhe, SIAM J. Numer. Anal. 10
+    (1973) 674; Voss, Handbook of Linear Algebra, 2nd ed., 2013), with an
+    error of order d^2.  The model keeps the d^2 that the first-order step
+    drops: without it a root off by 1e-3 reads about 5e-7 of itself closer,
+    and at V0 = 0, S0 = 1, lam = 0.2, q = m = 1 every root times 1 + 1e-3
+    passes compare.  V_eff is affine in E, so the slope diagonal is the
+    difference of two discretizations; the pole-wall rows, not affine in E,
+    perturb it, and the root at order d^2.  The Richardson estimate takes
+    eps_k(seed) on 2N points, shifted at eps and started from v interpolated
+    onto that grid; v is cleaned (polish) after.
 
-    The step stands for the distance to a discretized root only while it is
-    small, so compare fails a row whose step reaches REL_TOL*|seed|, whatever
-    E + d is.  A local model with no real root raises NoRootError, eps >= 0 or
+    The step is the distance to a discretized root only while it is small, so
+    compare fails a row whose step reaches REL_TOL*|seed|, whatever E + d is.
+    A local model with no real root raises NoRootError, eps >= 0 or
     |E + d| >= m NoBoundStateError, and a non-finite seed ParameterError("seed").
     """
     k = level_index(k, "k")

@@ -1,4 +1,4 @@
-"""Finite-difference verifier: discretization quality and self-consistent solves."""
+"""Finite-difference verifier: discretization quality, inertia counts and one-shot root checks."""
 
 import math
 
@@ -54,7 +54,7 @@ def ldlt_count(op: BandedOperator, s: float) -> int:
                 l1, l1_next = (b - l2 * l1 * d1) / d, c / d
                 d2, d1 = d1, d
         except ZeroDivisionError:
-            s = np.nextafter(s, -np.inf)
+            s = math.nextafter(s, -math.inf)
             continue
         return neg
 
@@ -505,11 +505,12 @@ class TestSolveSelfConsistent:
         # 372 points: too coarse for the pole-wall closure, and eps_0 at the
         # analytic root is far from E^2 - m^2.  The step is then no distance to
         # a discretized root, and compare fails the row, whatever E + d is;
-        # the vector still has 0 nodes.
+        # the vector still has 0 nodes, and the estimate covers the error in eps.
         lv = compared_roots(set_b)[0]
         cfg = OracleConfig(n_points=372)
         res = kg.solve_selfconsistent(set_b, 0, cfg, seed=lv.E.real)
         assert kg.node_count(res.eigenvector) == 0 and res.coarse_wall
+        assert abs(res.epsilon - (lv.E.real ** 2 - 1.0)) < res.grid_convergence_est
         assert abs(res.E - lv.E.real) >= oracle.REL_TOL * abs(lv.E.real)
         report = kg.compare(set_b, [lv], cfg)
         assert not report.ok and report.rows[0].rel_diff >= oracle.REL_TOL

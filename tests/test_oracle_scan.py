@@ -1,4 +1,4 @@
-"""tools/oracle_scan.py: the grid-size scan of the oracle's self-consistent solve."""
+"""tools/oracle_scan.py: the grid-size scan of the oracle's one-shot root check."""
 
 import importlib.util
 import re
