@@ -32,15 +32,11 @@ __all__ = [
     "ground_state_from_W",
     "level",
     "node_count",
-    "partner_eigenvalues",
-    "partner_potentials",
     "riccati_check",
     "solve_level",
     "solve_nu1",
     "solve_selfconsistent",
     "spectrum",
-    "superpotential_derivative",
-    "superpotential_eval",
     "ComplexLevelError",
     "ConfigError",
     "DegenerateRootError",

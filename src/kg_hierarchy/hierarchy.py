@@ -16,8 +16,12 @@ spectra takes mu_n = a_n + b_n*E from these coefficients; :func:`level` gives
 the superpotential W_n (nu = rho_n, mu = mu_n) at one trial energy.  All
 quantities are stored complex on every branch; on the Hermitian branch they
 must be real, which level_chain checks for nu1 and level for mu_n.  The level
-algebra and the grid-free :func:`riccati_check` are plain Python; the functions
-of x import numpy and the grid module when they are called and return arrays.
+algebra and :func:`riccati_check`, on the coefficients of W^2 -+ W' in
+u = k/(1 - q*k), are plain Python: no function here samples x or loads numpy.
+
+At a fixed E the chain is the bound spectrum of H(E) = -d2/dx2 + V_eff(E),
+{-mu_n(E)^2 : Re mu_n > 0}, since each partner shifts rho by q*lambda_eff;
+the oracle's discretize(p, E, cfg).eigenvalues reproduces it on a grid.
 """
 
 from __future__ import annotations
@@ -26,16 +30,10 @@ import cmath
 import math
 import operator
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
-from .potential import Branch, PotentialParams, gamma2, screened_ratio
-
-if TYPE_CHECKING:
-    import numpy as np
-    from numpy.typing import ArrayLike
-
-    from .grid import GridFunction
+from .potential import Branch, PotentialParams, gamma2
 
 _IMAG_TOL = 1e-13
 RICCATI_TOL = 1e-10  # scaled tolerance of riccati_check, and so of the verify command
@@ -48,10 +46,12 @@ LevelChain = tuple[complex, complex, complex, float, complex]
 
 
 class Superpotential(NamedTuple):
-    """Evaluable ansatz superpotential W(x) = -nu*k/(1 - q*k) + mu.
+    """Ansatz superpotential W(x) = -nu*k/(1 - q*k) + mu, held as its coefficients.
 
     Level n of the chain is W_n, nu = rho_n and mu = mu_n(E); its partner pair
-    W_n^2 -+ W_n' carries the level energy eps_n = -mu_n^2.
+    W_n^2 -+ W_n' carries the level energy eps_n = -mu_n^2.  riccati_check
+    compares W_n^2 -+ W_n' as quadratics in u = k/(1 - q*k), and
+    ground_state_from_W samples exp(-integral W) on a grid.
     """
 
     nu: complex
@@ -177,33 +177,6 @@ def level(p: PotentialParams, E: complex, n: int) -> Superpotential:
             f"trial energy E = {E} makes mu_{n} complex on the Hermitian branch"
         )
     return Superpotential(nu=rho, mu=complex(mu), lambda_eff=p.lambda_eff, q=p.q)
-
-
-def superpotential_eval(w: Superpotential, x: ArrayLike) -> np.ndarray:
-    """W(x) = -nu*k/(1 - q*k) + mu as a complex128 array shaped like x (0-d for scalar x)."""
-    u = screened_ratio(w.q, w.lambda_eff, x)
-    return -w.nu * u + w.mu
-
-
-def superpotential_derivative(w: Superpotential, x: ArrayLike) -> np.ndarray:
-    """W'(x) = nu*lambda_eff*k/(1 - q*k)^2 = nu*lambda_eff*(u + q*u^2), an array like W's."""
-    u = screened_ratio(w.q, w.lambda_eff, x)
-    return w.nu * w.lambda_eff * (u + w.q * u * u)
-
-
-def partner_potentials(w: Superpotential, x: ArrayLike) -> tuple[GridFunction, GridFunction]:
-    """Partner pair (V1, V2) = (W^2 - W', W^2 + W') sampled on a uniform grid."""
-    from .grid import GridFunction, uniform_grid
-
-    xa = uniform_grid(x)
-    wv = superpotential_eval(w, xa)
-    wd = superpotential_derivative(w, xa)
-    w2 = wv * wv
-    dx = float(xa[1] - xa[0])
-    return (
-        GridFunction(float(xa[0]), dx, w2 - wd),
-        GridFunction(float(xa[0]), dx, w2 + wd),
-    )
 
 
 def _partner_terms(w: Superpotential, sign: int) -> tuple[list[complex], ...]:

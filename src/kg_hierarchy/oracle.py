@@ -12,7 +12,8 @@ ch. 4), its index certified by inertia counts: the negative pivots of the
 unpivoted A - s*I = L D L^T (Sylvester's law; the bisection of Barth, Martin &
 Wilkinson, Numer. Math. 9 (1967) 386), taken from LAPACK's banded Cholesky,
 restarted past each negative pivot.  BandedOperator.eigenvalues, the lowest
-few at once, is a ladder of these certified eigenpairs.
+few at once, is a ladder of these certified eigenpairs: at a fixed E, the SUSY
+hierarchy's levels -mu_k(E)^2 with Re mu_k > 0.
 
 Inverse iteration from a good start vector converges in one step (Parlett,
 ch. 4), so the Richardson eigensolve on the doubled grid starts from the
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, NoRootError, ParameterError
 from .grid import GridFunction, OracleConfig
-from .hierarchy import level, level_coefficients, level_index, partner_potentials
+from .hierarchy import level_coefficients, level_index
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag
 
@@ -435,9 +436,13 @@ def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None)
 
 
 def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperator:
-    """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box."""
+    """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box;
+    a non-real or non-finite E, which this real matrix cannot hold, raises ParameterError("E")."""
+    z = complex(E)
+    if z.imag != 0.0 or not math.isfinite(z.real):
+        raise ParameterError("E", f"E must be real and finite, got {E!r}")
     box = _box(p, cfg)
-    v = gamma_form(p, complex(E), box.u).real
+    v = gamma_form(p, z, box.u).real
     wall_rows = _pole_wall_rows(p, E, box.h, *box.wall) if box.wall else None
     return BandedOperator(bands=assemble_bands(v, box.h, wall_rows), x=box.x, h=box.h)
 
@@ -588,20 +593,3 @@ def compare(
         )
     return CompareReport(rows=rows)
 
-
-def partner_eigenvalues(
-    p: PotentialParams,
-    E: complex,
-    cfg: OracleConfig | None = None,
-    k_max: int = 5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discretized spectra of the partner pair (W^2 - W', W^2 + W') at level 0;
-    Hermitian branch only, like discretize.
-
-    Unbroken-factorization bookkeeping predicts eig(V2)_k = eig(V1)_{k+1} for the
-    bound part of the spectra.
-    """
-    box = _box(p, (cfg or OracleConfig()).resolve(p))
-    ops = [BandedOperator(assemble_bands(v.values.real, box.h), box.x, box.h)
-           for v in partner_potentials(level(p, E, 0), box.x)]
-    return ops[0].eigenvalues(k_max), ops[1].eigenvalues(k_max)

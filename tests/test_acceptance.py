@@ -14,6 +14,8 @@ from kg_hierarchy.cli import main
 from pathlib import Path
 
 from conftest import SET_A, SET_B, SET_C, params
+from test_hierarchy import LADDER_TOL, chain_epsilons, discretized_ladder
+from test_oracle import SET_D
 from test_spectra import quadratic_oracle_roots, solved_levels
 
 DATA = Path(__file__).parent / "data"
@@ -21,7 +23,6 @@ DATA = Path(__file__).parent / "data"
 RICCATI_TOL = 1e-10
 RICCATI_SCALE_BOUND = 1e3
 ORACLE_REL_TOL = 1e-3
-ISOSPECTRAL_TOL = 1e-4
 CLOSED_FORM_TOL = 1e-12
 PAIR_CONJ_TOL = 1e-12
 
@@ -90,16 +91,22 @@ def test_oracle_agreement_hermitian():
             worst_overall < ORACLE_REL_TOL, "worst rel diff " + ", ".join(details))
 
 
-def test_isospectrality_of_partner_spectra():
-    """Discretized spectra of (V1, V2) from the level-0 superpotential of set A
-    agree level-shifted to 1e-4."""
-    p = params(SET_A)
-    E0 = [lv.E for lv in kg.solve_level(p, 0) if lv.E.real > 0][0]
-    eigs1, eigs2 = kg.partner_eigenvalues(p, E0, OracleConfig(), k_max=5)
-    diffs = np.abs(eigs1[1:] - eigs2[:-1])
-    _report("Isospectrality of partner spectra (set A, level 0)",
-            bool(np.all(diffs < ISOSPECTRAL_TOL)),
-            f"max shifted diff {diffs.max():.2e} over {len(diffs)} pairs")
+def test_hierarchy_ladder_of_discretized_spectra():
+    """At E0, the largest level-0 root, the oracle's H(E0) at 4000 points has the
+    levels -mu_k(E0)^2 with Re mu_k > 0 to 3e-5 on sets A-D, and a chain step
+    q*lambda_eff off by 1e-3 moves some k >= 1 by more than 1e-4 on each."""
+    worst, weakest = 0.0, np.inf
+    for base in (SET_A, SET_B, SET_C, SET_D):
+        p = params(base)
+        E0, eigs = discretized_ladder(p)
+        eps = np.array([kg.level(p, E0, k).epsilon for k in range(eigs.size)])
+        worst = max(worst, float(np.max(np.abs(eigs - eps))))
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            moved = np.abs(eigs - chain_epsilons(p, E0, eigs.size, factor))[1:]
+            weakest = min(weakest, float(np.max(moved)))
+    _report("Hierarchy ladder of discretized spectra (sets A-D, E0, 4000 points)",
+            worst < LADDER_TOL and weakest > 1e-4,
+            f"worst |eig_k + mu_k^2| {worst:.2e}; step off by 1e-3 moves {weakest:.2e}")
 
 
 def test_closed_form_regression():

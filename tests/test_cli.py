@@ -332,33 +332,30 @@ SHARED_LAPACK_PROBE = """
 import json, sys
 import numpy as np
 import kg_hierarchy as kg
-from kg_hierarchy.oracle import BandedOperator, _box, _lapack, assemble_bands
+from kg_hierarchy.oracle import _lapack
 
 b = kg.PotentialParams(V0=0.25, S0=0.25, lam=0.2, q=1.0, m=1.0)
 assert kg.compare(b, kg.solve_level(b, 0), kg.OracleConfig(n_points=2000)).ok
+a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
+cfg = kg.OracleConfig(n_points=2000)
+E = max(lv.E.real for lv in kg.solve_level(a, 0))
+before = kg.discretize(a, E, cfg).eigenvalues(3)
 import scipy.linalg
 same = [getattr(scipy.linalg.lapack, f) is getattr(_lapack(), f) for f in ("dgbtrf", "dgbtrs", "dpbtrf")]
 one_module = sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack is _lapack()
 
-a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
-cfg = kg.OracleConfig(n_points=2000).resolve(a)
-E = [lv.E for lv in kg.solve_level(a, 0) if lv.E.real > 0][0]
-eigs1, eigs2 = kg.partner_eigenvalues(a, E, cfg, k_max=3)
-box = _box(a, cfg)
-x, h = box.x, box.h
-checks = []
-for v, eigs in zip(kg.partner_potentials(kg.level(a, E, 0), x), (eigs1, eigs2)):
-    # Fresh operators, the same certified eigenpairs: bit-identical.
-    op = BandedOperator(assemble_bands(v.values.real, h), x, h)
-    checks.append(np.array_equal(op.eigenvalues(3), eigs))
-    # The O(N) shift-invert path agrees with eig_banded to rounding.
-    ref = scipy.linalg.eig_banded(op.bands, lower=False, eigvals_only=True, select="i", select_range=(0, 3))
-    checks += [abs(eigs[k] - ref[k]) <= 1e-12 * max(abs(ref[k]), 1.0) for k in range(4)]
+op = kg.discretize(a, E, cfg)
+# A fresh operator after scipy.linalg is loaded, the same certified eigenpairs: bit-identical.
+eigs = op.eigenvalues(3)
+checks = [np.array_equal(eigs, before)]
+# The O(N) shift-invert path agrees with eig_banded to rounding.
+ref = scipy.linalg.eig_banded(op.bands, lower=False, eigvals_only=True, select="i", select_range=(0, 3))
+checks += [abs(eigs[k] - ref[k]) <= 1e-12 * max(abs(ref[k]), 1.0) for k in range(4)]
 print(json.dumps({"same_routines": same, "one_module": one_module, "eig_banded_matches": bool(all(checks))}))
 """
 
 
-# Every library call that reaches the oracle, partner_eigenvalues included,
+# Every library call that reaches the oracle, BandedOperator.eigenvalues included,
 # loads scipy's LAPACK extension and never the scipy.linalg package.
 NO_SCIPY_LINALG_PROBE = """
 import json, sys
@@ -367,8 +364,8 @@ import kg_hierarchy as kg
 a = kg.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
 cfg = kg.OracleConfig(n_points=2000)
 levels = kg.solve_level(a, 0)
-E = [lv.E for lv in levels if lv.E.real > 0][0]
-kg.partner_eigenvalues(a, E, cfg, k_max=3)
+E = max(lv.E.real for lv in levels)
+kg.discretize(a, E, cfg).eigenvalues(3)
 assert kg.compare(a, levels, cfg).ok
 print(json.dumps([name in sys.modules for name in ("scipy.linalg._flapack", "scipy.linalg")]))
 """
@@ -467,7 +464,12 @@ class TestScipyOnlyForVerify:
         # The oracle checks each root in one shot; no iteration is left to diverge.
         with pytest.raises(AttributeError):
             kg_hierarchy.OuterDivergenceError
-        assert len(kg_hierarchy.__all__) == 39
+        # The hierarchy is checked on the oracle's own operator, not on sampled partner potentials.
+        for name in ("partner_eigenvalues", "partner_potentials", "superpotential_eval", "superpotential_derivative"):
+            with pytest.raises(AttributeError):
+                getattr(kg_hierarchy, name)
+            assert name not in dir(kg_hierarchy)
+        assert len(kg_hierarchy.__all__) == 35
 
     def test_star_import_binds_all(self):
         proc = run_python_fresh("-c", STAR_PROBE)

@@ -1,5 +1,6 @@
 """Factorization machinery: root solving, recurrence, Riccati identity, ladder ops."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -17,6 +18,16 @@ from conftest import SET_A, SET_B, SET_C, complex_branch_grid, params
 from test_oracle import SET_D
 
 
+def w_and_derivative(w: Superpotential, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W(x) = -nu*k/(1 - q*k) + mu and W'(x) = nu*lambda_eff*k/(1 - q*k)^2, k = exp(-lambda_eff*x).
+
+    Sampled straight from the ansatz: the second route beside riccati_check's
+    coefficients in u = k/(1 - q*k).
+    """
+    k = np.exp(-w.lambda_eff * np.asarray(x, dtype=float))
+    return -w.nu * k / (1.0 - w.q * k) + w.mu, w.nu * w.lambda_eff * k / (1.0 - w.q * k) ** 2
+
+
 def ladder(w: Superpotential, psi: kg.GridFunction, sign: int) -> kg.GridFunction:
     """(sign * d/dx + W) psi on the interior grid by 4th-order central differences.
 
@@ -26,7 +37,7 @@ def ladder(w: Superpotential, psi: kg.GridFunction, sign: int) -> kg.GridFunctio
     v, h = psi.values, psi.dx
     dpsi = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
     x_in = psi.x[2:-2]
-    return kg.GridFunction(float(x_in[0]), h, sign * dpsi + kg.superpotential_eval(w, x_in) * v[2:-2])
+    return kg.GridFunction(float(x_in[0]), h, sign * dpsi + w_and_derivative(w, x_in)[0] * v[2:-2])
 
 
 class TestSolveNu1:
@@ -150,62 +161,6 @@ class TestLevel:
         assert info.value.param == "E"
 
 
-class TestSuperpotential:
-    def test_limit_at_infinity_is_mu(self):
-        p = params(SET_A)
-        w = kg.level(p, 0.5, 0)
-        assert kg.superpotential_eval(w, 400.0) == pytest.approx(w.mu, abs=1e-14)
-
-    def test_zero_nu_constant(self):
-        w = Superpotential(nu=0.0, mu=0.7, lambda_eff=1.0, q=1.0)
-        x = np.linspace(0.5, 10.0, 32)
-        np.testing.assert_allclose(kg.superpotential_eval(w, x), 0.7, rtol=0, atol=0)
-
-    def test_hand_value(self):
-        w = Superpotential(nu=1.0, mu=0.0, lambda_eff=1.0, q=1.0)
-        assert kg.superpotential_eval(w, np.log(2.0)) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_analytic_derivative_matches_finite_differences(self):
-        w = Superpotential(nu=1.3, mu=0.4, lambda_eff=0.7, q=0.9)
-        x = np.linspace(1.0, 6.0, 11)
-        h = 1e-5
-        fd = (kg.superpotential_eval(w, x - 2 * h) - 8 * kg.superpotential_eval(w, x - h)
-              + 8 * kg.superpotential_eval(w, x + h) - kg.superpotential_eval(w, x + 2 * h)) / (12 * h)
-        np.testing.assert_allclose(kg.superpotential_derivative(w, x), fd, rtol=1e-9)
-
-
-class TestPartnerPotentials:
-    def test_difference_is_twice_derivative(self):
-        p = params(SET_C)
-        w = kg.level(p, 0.2, 0)
-        x = np.linspace(0.5, 20.0, 256)
-        v1, v2 = kg.partner_potentials(w, x)
-        np.testing.assert_allclose(v2.values - v1.values, 2.0 * kg.superpotential_derivative(w, x), rtol=1e-12)
-
-    @pytest.mark.parametrize("n", [8000, 16000])
-    def test_long_linspace_grid_accepted(self, set_a, n):
-        # Each point is rounded to an ulp of max|x| = 200, so the steps of this
-        # exactly uniform grid differ by more than 1e-12 of a step.
-        w = kg.level(set_a, 0.5, 0)
-        v1, v2 = kg.partner_potentials(w, np.linspace(set_a.domain_start(), 200.0, n))
-        assert v1.n == v2.n == n
-
-    def test_nonuniform_grids_rejected(self, set_a):
-        w = kg.level(set_a, 0.5, 0)
-        moved = np.linspace(set_a.domain_start(), 200.0, 8000)
-        moved[4000] += 1e-6 * (moved[1] - moved[0])
-        for x in (np.geomspace(1.0, 200.0, 8000), moved):
-            with pytest.raises(ValueError, match="uniformly spaced"):
-                kg.partner_potentials(w, x)
-
-    def test_zero_nu_gives_constant_mu_squared(self):
-        w = Superpotential(nu=0.0, mu=0.6, lambda_eff=1.0, q=1.0)
-        x = np.linspace(0.5, 20.0, 64)
-        v1, v2 = kg.partner_potentials(w, x)
-        np.testing.assert_allclose(v1.values, 0.36, atol=1e-15)
-        np.testing.assert_allclose(v2.values, 0.36, atol=1e-15)
-
-
 def grid_riccati(p: PotentialParams, E: complex, n: int, x: np.ndarray, offset: float = 0.0) -> tuple[float, float]:
     """(residual, scale) of W_n^2 - W_n' = V(n) - eps_n sampled on x.
 
@@ -215,13 +170,13 @@ def grid_riccati(p: PotentialParams, E: complex, n: int, x: np.ndarray, offset: 
     """
     w = kg.level(p, E, n)
     w = w._replace(mu=w.mu + offset)
-    wv, wd = kg.superpotential_eval(w, x), kg.superpotential_derivative(w, x)
+    wv, wd = w_and_derivative(w, x)
     if n == 0:
         chain = kg.effective_potential(p, E, x)
     else:
         w_prev = kg.level(p, E, n - 1)
-        wp = kg.superpotential_eval(w_prev, x)
-        chain = wp * wp + kg.superpotential_derivative(w_prev, x) + w_prev.epsilon
+        wp, wpd = w_and_derivative(w_prev, x)
+        chain = wp * wp + wpd + w_prev.epsilon
     res = float(np.max(np.abs((wv * wv - wd) - (chain - w.epsilon))))
     return res, 1.0 + float(np.max(np.abs(wv) ** 2 + np.abs(wd) + np.abs(chain)))
 
@@ -334,8 +289,7 @@ class TestLadder:
         for first, second, pm in [(-1, +1, +1.0), (+1, -1, -1.0)]:
             twice = ladder(w, ladder(w, fg, first), second)
             xi = twice.x
-            wv = kg.superpotential_eval(w, xi)
-            wd = kg.superpotential_derivative(w, xi)
+            wv, wd = w_and_derivative(w, xi)
             fi = np.exp(-((xi - 8.0) ** 2) / 4.0)
             fpp = fi * (((xi - 8.0) ** 2) / 4.0 - 0.5)
             expected = -fpp + (wv * wv + pm * wd) * fi
@@ -350,13 +304,39 @@ class TestLadder:
         psi = kg.ground_state_from_W(w, x).values
         dpsi = (psi[:-4] - 8 * psi[1:-3] + 8 * psi[3:-1] - psi[4:]) / (12 * h)
         w_rec = -dpsi / psi[2:-2]
-        np.testing.assert_allclose(w_rec, kg.superpotential_eval(w, x[2:-2]), atol=1e-9)
+        np.testing.assert_allclose(w_rec, w_and_derivative(w, x[2:-2])[0], atol=1e-9)
 
 
-class TestIsospectrality:
-    def test_partner_spectra_interlace(self, set_a):
-        # Factorization bookkeeping: eig(V2)_k = eig(V1)_{k+1}.
-        E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
-        eigs1, eigs2 = kg.partner_eigenvalues(set_a, E, kg.OracleConfig(n_points=2000), k_max=3)
-        np.testing.assert_allclose(eigs1[1:], eigs2[:-1], atol=1e-4)
-        assert abs(eigs1[0]) < 1e-6  # lowest level of V1 sits at zero
+LADDER_TOL = 3e-5  # |eig_k + mu_k(E0)^2| at 4000 points; the worst, set D, reads 1.1e-5
+
+
+def discretized_ladder(p: PotentialParams) -> tuple[float, np.ndarray]:
+    """E0, the largest level-0 root, and the K lowest eigenvalues of the oracle's
+    H(E0) = -d2/dx2 + V_eff(E0) at 4000 points, K the levels with Re mu_k(E0) > 0."""
+    E0 = max(lv.E.real for lv in kg.solve_level(p, 0))
+    K = next(k for k in itertools.count() if kg.level(p, E0, k).mu.real <= 0.0)
+    return E0, kg.discretize(p, E0, kg.OracleConfig(n_points=4000)).eigenvalues(K - 1)
+
+
+def chain_epsilons(p: PotentialParams, E: float, K: int, step_factor: float) -> np.ndarray:
+    """eps_k(E) = -mu_k(E)^2 for k < K from a chain whose step q*lambda_eff is scaled by step_factor."""
+    nu1, step, *rest = hierarchy.level_chain(p)
+    chain = (nu1, step * step_factor, *rest)
+    mus = [a + b * E for _, a, b in (hierarchy.chain_coefficients(chain, k) for k in range(K))]
+    return np.array([-(mu * mu).real for mu in mus])
+
+
+class TestHierarchyLadder:
+    """Shape invariance on the oracle's own operator: at a fixed E the bound
+    spectrum of H(E) is {-mu_k(E)^2 : Re mu_k > 0}, each partner shifting rho by q*lambda_eff."""
+
+    @pytest.mark.parametrize("base", [SET_A, SET_B, SET_C, SET_D], ids="ABCD")
+    def test_discretized_spectrum_is_the_chain(self, base):
+        p = params(base)
+        E0, eigs = discretized_ladder(p)
+        assert eigs.size >= 2
+        eps = np.array([kg.level(p, E0, k).epsilon for k in range(eigs.size)])
+        assert np.max(np.abs(eigs - eps)) < LADDER_TOL
+        # A chain step off by 1e-3 moves some k >= 1 above 1e-4 on every set.
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert np.max(np.abs(eigs - chain_epsilons(p, E0, eigs.size, factor))[1:]) > 1e-4

@@ -123,12 +123,17 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="Hermitian"):
             discretize(p, 0.5, OracleConfig())
 
-    def test_partner_eigenvalues_complex_branch_rejected(self):
-        # W^2 -+ W' is complex on the PT branch, so a real banded spectrum of it
-        # means nothing.
-        p = params(dict(SET_A, q=2.0), branch=kg.Branch.PT_SYMMETRIC)
-        with pytest.raises(ValueError, match="Hermitian branch only"):
-            kg.partner_eigenvalues(p, kg.solve_level(p, 0)[0].E, OracleConfig(n_points=500), k_max=2)
+    @pytest.mark.parametrize("E", [0.5 + 0.1j, float("nan"), float("inf"), -float("inf"), complex(0.5, float("nan"))])
+    def test_non_real_or_non_finite_energy_rejected(self, set_b, E):
+        # 0.5 + 0.1j gave the bands of E = 0.5, Im Gamma2 dropped; nan or inf
+        # ended in "bands must be finite".
+        with pytest.raises(kg.ParameterError, match="E must be real and finite") as info:
+            discretize(set_b, E, OracleConfig(n_points=500))
+        assert info.value.param == "E"
+
+    def test_real_complex_energy_is_the_float(self, set_b):
+        cfg = OracleConfig(n_points=500)
+        assert np.array_equal(discretize(set_b, complex(0.5, 0.0), cfg).bands, discretize(set_b, 0.5, cfg).bands)
 
     def test_wall_at_pole_for_strong_deformation(self):
         # q > 1: the box starts at the pole ln(q)/lam, keeping the grid clean.
@@ -397,8 +402,7 @@ class TestShiftInvertKernel:
         report = kg.compare(set_b, levels, OracleConfig(n_points=2000))
         assert report.ok
         assert [r.E_oracle is not None for r in report.rows] == [False, True]
-        eigs1, eigs2 = kg.partner_eigenvalues(set_b, levels[1].E, OracleConfig(n_points=2000), k_max=3)
-        assert eigs1.size == eigs2.size == 4
+        assert discretize(set_b, levels[1].E.real, OracleConfig(n_points=2000)).eigenvalues(3).size == 4
 
 
 def compared_roots(p: PotentialParams) -> list[kg.EnergyLevel]:
@@ -427,8 +431,7 @@ class TestSolveSelfConsistent:
         cfg = OracleConfig(n_points=1000)
         op = discretize(set_a, 0.5, cfg)
         solves = [("k", lambda: kg.solve_selfconsistent(set_a, k, cfg, seed=0.5)),
-                  ("k_max", lambda: op.eigenvalues(k)),
-                  ("k_max", lambda: kg.partner_eigenvalues(set_a, 0.5, cfg, k_max=k))]
+                  ("k_max", lambda: op.eigenvalues(k))]
         if k != -1:  # eigenpair keeps its "outside 0..n-1" message for -1
             solves.append(("k", lambda: op.eigenpair(k, 0.0)))
         for name, solve in solves:

@@ -67,8 +67,18 @@ class TestGroundStateFromW:
         # would come back with the wrong x and the wrong normalization.
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            kg.ground_state_from_W(w, np.geomspace(set_a.domain_start(), 120.0, 1600))
+        moved = np.linspace(set_a.domain_start(), 200.0, 8000)
+        moved[4000] += 1e-6 * (moved[1] - moved[0])
+        for x in (np.geomspace(set_a.domain_start(), 120.0, 1600), moved):
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                kg.ground_state_from_W(w, x)
+
+    @pytest.mark.parametrize("n", [8000, 16000])
+    def test_long_linspace_grid_accepted(self, set_a, n):
+        # Each point is rounded to an ulp of max|x| = 200, so the steps of this
+        # exactly uniform grid differ by more than 1e-12 of a step.
+        w = kg.level(set_a, solved_level(set_a).E, 0)
+        assert kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 200.0, n)).n == n
 
     def test_non_normalizable_raises(self):
         w = Superpotential(nu=0.5, mu=-0.2, lambda_eff=0.5, q=1.0)
