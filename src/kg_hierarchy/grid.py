@@ -26,6 +26,8 @@ def uniform_grid(x: ArrayLike) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1 or xa.size < MIN_SAMPLES:
         raise ValueError(f"need a 1-D grid with at least {MIN_SAMPLES} points")
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("grid points must be finite")
     steps = np.diff(xa)
     tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
     if not np.all(np.abs(steps - steps[0]) <= tol):
@@ -35,7 +37,7 @@ def uniform_grid(x: ArrayLike) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A complex-valued function sampled on a uniform grid x0 + i*dx."""
+    """A complex-valued function sampled on a uniform grid x0 + i*dx, x0 finite and 0 < dx < inf."""
 
     x0: float
     dx: float
@@ -46,8 +48,8 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < MIN_SAMPLES:
             raise ValueError(f"GridFunction needs at least {MIN_SAMPLES} samples in 1-D")
-        if not self.dx > 0:
-            raise ValueError("grid spacing dx must be positive")
+        if not (math.isfinite(self.x0) and 0.0 < self.dx < math.inf):
+            raise ValueError("GridFunction needs a finite x0 and a finite positive spacing dx")
 
     @property
     def n(self) -> int:

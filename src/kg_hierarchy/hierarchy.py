@@ -27,9 +27,7 @@ the oracle's discretize(p, E, cfg).eigenvalues reproduces it on a grid.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
-import sys
 from typing import NamedTuple
 
 from .errors import ComplexLevelError, DegenerateRootError, ParameterError, ZeroNuError
@@ -76,7 +74,7 @@ def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1)
     if q == 0:
         raise ParameterError("q", "q must be nonzero")
     qle = q * lambda_eff
-    disc = _csqrt(qle * qle + 4.0 * gamma1)
+    disc = cmath.sqrt(qle * qle + 4.0 * gamma1)
     nu1 = 0.5 * (qle + root * disc)
     scale = max(abs(qle), abs(disc), 1.0)
     if abs(nu1) < 1e-14 * scale:
@@ -85,29 +83,6 @@ def solve_nu1(gamma1: complex, q: float, lambda_eff: complex, *, root: int = +1)
             "(gamma1 = 0 with the vanishing root)"
         )
     return complex(nu1)
-
-
-def _csqrt(z: complex) -> complex:
-    """C99 csqrt(z), numpy's complex square root, without numpy.
-
-    On the axes csqrt takes one real square root, where cmath.sqrt rounds
-    differently: on the imaginary axis it rounds the imaginary part again as
-    |y|/(2*re), and next to the smallest normal double it scales the argument
-    into the subnormal range.  Off the axes the two agree unless a part of the
-    result is subnormal.  The Hermitian and PT-symmetric branches stay on the
-    real axis; a non-Hermitian run reaches the imaginary axis whenever
-    (q*lam)^2 = 4*Re(Gamma1), for example at V0 = S0 = lam = q = 1, VI = 0.5.
-    """
-    x, y = z.real, z.imag
-    if math.isfinite(x) and math.isfinite(y):
-        if y == 0.0:
-            r = math.sqrt(abs(x))
-            return complex(0.0, math.copysign(r, y)) if x < 0.0 else complex(r, y)
-        if x == 0.0:
-            ay = abs(y)
-            r = math.sqrt(0.5 * ay) if ay >= 2.0 * sys.float_info.min else 0.5 * math.sqrt(2.0 * ay)
-            return complex(r, math.copysign(r, y))
-    return cmath.sqrt(z)
 
 
 def level_chain(p: PotentialParams) -> LevelChain:

@@ -35,7 +35,8 @@ beyond the comparison tolerance.  For q < 0 there is no pole (the potential
 flattens to a plateau on the left) and the wall is pushed to -x_max.
 
 Wall closure: near the pole V_eff ~ A/t^2 + B/t and the bound solution starts
-as t^s, with s(s - 1) = A.  For s < 5/2 up to three rows next to the pole get
+as t^s, with s(s - 1) = A: s = nu1/(q*lam), the exponent of the hierarchy's
+ground state.  For s < 5/2 up to three rows next to the pole get
 diagonal corrections from t^s (1 + beta*t); every other wall, and a pole wall
 too coarse for one row (coarse_wall), uses the odd reflection psi(-h) = -psi(h).
 _box chooses it once per grid, with the wall, x, h and u(x) = k/(1 - q*k); per
@@ -56,9 +57,9 @@ import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, NoRootError, ParameterError
 from .grid import GridFunction, OracleConfig
-from .hierarchy import level_coefficients, level_index
+from .hierarchy import level_chain, level_coefficients, level_index
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
-from .spectra import EnergyLevel, LevelFlag
+from .spectra import EnergyLevel, LevelFlag, _quadratic_roots
 
 REL_TOL = 1e-3
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
@@ -363,25 +364,23 @@ def _pole_wall(p: PotentialParams, h: float) -> tuple[float, int] | None:
     With t = x - ln(q)/lam, V_eff = A/t^2 + B/t + O(1) near the pole, where
     A = Gamma1/(q*lam)^2 and B = -(Gamma1/q + Gamma2(E))/(q*lam), and the
     bound solution starts as f = t^s (1 + beta*t) with s(s - 1) = A and
-    beta = B/(2s).  The rows corrected are the most, up to POLE_WALL_ROWS, for
-    which 1 + beta*t_j > 0 holds for every |E| <= m; that test bounds
+    beta = B/(2s).  s = nu1/(q*lam), nu1 from level_chain, is the root above
+    1/2: the exponent of the hierarchy's ground state (1 - q*k)^(nu1/(q*lam)).
+    Below the discriminant bound level_chain raises ComplexLevelError.  The
+    rows corrected are the most, up to POLE_WALL_ROWS, for which
+    1 + beta*t_j > 0 holds for every |E| <= m; that test bounds
     |Gamma2(E)| by 2m(|S0| + |V0|), so the number of rows depends on the grid
     and not on E: a closure that switched as E moves would make eps_k(E) jump,
     and the slope of solve_selfconsistent, a difference quotient in E, would
     see the jump.
     rows = 0 on a grid too coarse for one row: the odd reflection is then a
-    fallback (coarse_wall).  None where it is the closure: s not real or
-    s >= POLE_WALL_MAX_S.
+    fallback (coarse_wall).  None where it is the closure: s >= POLE_WALL_MAX_S.
     """
     qlam = p.q * p.lam
-    g1 = p.gamma1.real
-    a = g1 / (qlam * qlam)
-    if a < -0.25:
-        return None
-    s = 0.5 + math.sqrt(0.25 + a)
+    s = level_chain(p)[0].real / qlam
     if s >= POLE_WALL_MAX_S:
         return None
-    b_max = abs(g1 / p.q) + 2.0 * p.m * (abs(p.S0) + abs(p.V0))
+    b_max = abs(p.gamma1.real / p.q) + 2.0 * p.m * (abs(p.S0) + abs(p.V0))
     rows = POLE_WALL_ROWS
     while rows > 0 and b_max / (qlam * 2.0 * s) * rows * h >= 1.0:
         rows -= 1
@@ -437,7 +436,8 @@ def assemble_bands(v: np.ndarray, h: float, wall_rows: np.ndarray | None = None)
 
 def discretize(p: PotentialParams, E: float, cfg: OracleConfig) -> BandedOperator:
     """Banded symmetric matrix of -d2/dx2 + V_eff(x; E) on the Dirichlet box;
-    a non-real or non-finite E, which this real matrix cannot hold, raises ParameterError("E")."""
+    a non-real or non-finite E, which this real matrix cannot hold, raises ParameterError("E"),
+    and a wall on the pole with a complex nu1 (level_chain) ComplexLevelError."""
     z = complex(E)
     if z.imag != 0.0 or not math.isfinite(z.real):
         raise ParameterError("E", f"E must be real and finite, got {E!r}")
@@ -494,14 +494,12 @@ def solve_selfconsistent(p: PotentialParams, k: int, cfg: OracleConfig | None = 
     eps, vec = op.eigenpair(k, E * E - p.m * p.m)
     g = eps - (E * E - p.m * p.m)
     s = float(vec @ (slope * vec))
-    # The model is d^2 - b*d - g = 0 with b = s - 2E; its root nearest 0, in
-    # cancellation-free form, is the step (b = g = 0 leaves d = 0).
-    b = s - 2.0 * E
-    disc = b * b + 4.0 * g
-    if disc < 0.0:
+    # The model is d^2 + (2E - s)*d - g = 0; the closed form's last root, C/t, is
+    # the step, the root nearest 0 (s = 2E and g = 0 leave d = 0).
+    d = _quadratic_roots(1.0, 0.5 * (2.0 * E - s), -g)[-1]
+    if d.imag:
         raise NoRootError(f"level {k}: the local model at E = {E} has no real root")
-    denom = b + math.copysign(math.sqrt(disc), b)
-    d = -2.0 * g / denom if denom else 0.0
+    d = d.real
     if eps >= 0.0 or abs(E + d) >= p.m:
         raise NoBoundStateError(f"level {k} is not bound next to E = {E:g} (eps = {eps:g}, E + d = {E + d:g})")
     fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))

@@ -68,9 +68,12 @@ def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
 
 
 def node_count(f: GridFunction) -> int:
-    """Strict sign changes of a real-valued grid function, ignoring near-zero samples."""
+    """Strict sign changes of a real-valued grid function, ignoring near-zero samples;
+    ValueError on a non-finite sample."""
     vals = f.values
     vmax = float(np.max(np.abs(vals)))
+    if not np.isfinite(vmax):
+        raise ValueError("node counting needs finite samples")
     if vmax == 0.0:
         return 0
     if np.max(np.abs(vals.imag)) > 1e-9 * vmax:

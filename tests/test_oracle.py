@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kg_hierarchy as kg
 from kg_hierarchy import OracleConfig, PotentialParams, oracle
-from kg_hierarchy.errors import NoBoundStateError
+from kg_hierarchy.errors import ComplexLevelError, NoBoundStateError
 from kg_hierarchy.oracle import BandedOperator, _box, _pole_wall, _pole_wall_rows, assemble_bands, discretize
 
 from conftest import SET_A, SET_B, SET_C, eig_banded_reference, params
@@ -176,6 +178,41 @@ class TestPoleWallClosure:
         f = lambda t: t**s * (1.0 + beta * t)
         f2 = lambda t: s * (s - 1.0) * t ** (s - 2.0) + beta * s * (s + 1.0) * t ** (s - 1.0)
         return f, f2
+
+    @staticmethod
+    def assert_wall_exponent(p: PotentialParams):
+        # s(s - 1) = A has two roots, s and 1 - s; the bound solution starts as
+        # t^s with the one above 1/2, whichever route gives s.
+        s, a = _pole_wall(p, 0.01)[0], p.gamma1.real / (p.q * p.lam) ** 2
+        assert s > 0.5
+        assert abs(s * (s - 1.0) - a) <= 1e-14 * (1.0 + s * s)
+
+    @pytest.mark.parametrize("base", [SET_B, SET_D], ids=["B", "D"])
+    def test_wall_exponent_is_the_root_above_one_half(self, base):
+        self.assert_wall_exponent(params(base))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-0.24, 3.7),
+        v0=st.floats(0.0, 2.0),
+        lam=st.floats(0.05, 2.0),
+        q=st.floats(0.05, 10.0),
+    )
+    def test_wall_exponent_on_drawn_parameters(self, a, v0, lam, q):
+        # Gamma1 = S0^2 - V0^2 = a*(q*lam)^2 to rounding, so A = a stays above the
+        # discriminant bound -1/4 and below 3.75 (s < 5/2, a wall with rows).
+        g1 = a * (q * lam) ** 2
+        s0, v0 = (math.sqrt(v0 * v0 + g1), v0) if v0 * v0 + g1 >= 0.0 else (0.0, math.sqrt(-g1))
+        self.assert_wall_exponent(params(dict(V0=v0, S0=s0, lam=lam, q=q, m=1.0)))
+
+    def test_complex_wall_exponent_rejected(self):
+        # Gamma1 = -0.35 lies below -(q*lam)^2/4 = -0.140625: nu1, and so s, is
+        # complex, and discretize raises as spectrum does.
+        p = params(dict(SET_D, V0=0.6, S0=0.1))
+        with pytest.raises(ComplexLevelError, match="discriminant bound"):
+            discretize(p, -0.5, OracleConfig(n_points=400))
+        with pytest.raises(ComplexLevelError, match="discriminant bound"):
+            kg.spectrum(p, 2)
 
     def test_rows_reproduce_the_local_solution(self):
         p, E = params(SET_D), -0.9956637780343593

@@ -38,6 +38,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(0.0, -0.1, np.ones(32, dtype=complex))
 
+    @pytest.mark.parametrize("x0,dx", [(np.nan, 0.1), (np.inf, 0.1), (0.0, np.inf), (0.0, np.nan)])
+    def test_non_finite_axis_rejected(self, x0, dx):
+        # x0 = nan would make every x NaN, dx = inf every x after the first inf.
+        with pytest.raises(ValueError, match="finite x0 and a finite positive spacing"):
+            GridFunction(x0, dx, np.ones(32, dtype=complex))
+
     def test_axis(self):
         g = GridFunction(1.0, 0.5, np.ones(16, dtype=complex))
         assert g.x[0] == 1.0 and g.x[-1] == pytest.approx(8.5)
@@ -72,6 +78,16 @@ class TestGroundStateFromW:
         for x in (np.geomspace(set_a.domain_start(), 120.0, 1600), moved):
             with pytest.raises(ValueError, match="uniformly spaced"):
                 kg.ground_state_from_W(w, x)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_grid_rejected(self, set_a, bad):
+        # x[-1] = inf would make the step tolerance inf and pass the grid as
+        # uniform, and kernel_and_base would then raise a DomainError about the pole.
+        w = kg.level(set_a, solved_level(set_a).E, 0)
+        x = np.arange(20.0)
+        x[-1] = bad
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            kg.ground_state_from_W(w, x)
 
     @pytest.mark.parametrize("n", [8000, 16000])
     def test_long_linspace_grid_accepted(self, set_a, n):
@@ -204,6 +220,16 @@ class TestNodeCount:
     def test_near_zero_samples_ignored(self):
         vals = np.array([1.0] * 20 + [1e-15, -1e-15] + [1.0] * 20, dtype=complex)
         assert kg.node_count(GridFunction(0.0, 0.1, vals)) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_samples_rejected(self, bad):
+        # One non-finite sample would make this sine with 3 nodes read 0.
+        x = np.linspace(0.0, 1.0, 64)
+        vals = np.sin(4.0 * np.pi * x[1:-1]).astype(complex)
+        assert kg.node_count(GridFunction(0.0, x[1], vals)) == 3
+        vals[10] = bad
+        with pytest.raises(ValueError, match="finite samples"):
+            kg.node_count(GridFunction(0.0, x[1], vals))
 
     def test_complex_samples_rejected(self):
         vals = np.linspace(-1, 1, 32) + 0.5j
