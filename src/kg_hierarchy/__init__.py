@@ -53,7 +53,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("errors", "potential", "grid", "hierarchy", "spectra", "wavefunctions", "oracle")
+_SUBMODULES = ("errors", "potential", "hierarchy", "spectra", "wavefunctions", "oracle")
 
 
 def __getattr__(name: str):

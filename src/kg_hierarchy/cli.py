@@ -1,11 +1,12 @@
 """Command-line interface: spectrum, wavefunction, verify and sweep runs.
 
 Configuration is a flat key=value file with # comments.  Recognized keys: V0,
-S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values, oracle.x_max,
-oracle.n_points.  All quantities are in natural units.  spectrum, wavefunction
-and sweep write one table each: CSV with Re/Im column pairs, %.17g floats and
-LF line endings, or JSON records keyed by the CSV header; identical configs
-give byte-identical files.  verify writes text only: the u-coefficient defects
+S0, VI, lambda, q, m, branch, n_max, sweep_key, sweep_values, oracle.n_points.
+All quantities are in natural units; verify and wavefunction sample x up to
+40/lambda (PotentialParams.box_end).  spectrum, wavefunction and sweep
+write one table each: CSV with Re/Im column pairs, %.17g floats and LF line
+endings, or JSON records keyed by the CSV header; identical configs give
+byte-identical files.  verify writes text only: the u-coefficient defects
 of each level's Riccati identity and, on the Hermitian branch, the oracle
 comparison.  Exit codes: 1 for a ConfigError (a bad key, value or sweep value),
 another KGHierarchyError, an OSError, a MemoryError (an oracle grid too large to
@@ -32,12 +33,11 @@ from .potential import Branch, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum
 
 if TYPE_CHECKING:
-    from .grid import OracleConfig
+    from .oracle import OracleConfig
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
-_ORACLE_KEYS = ("oracle.x_max", "oracle.n_points")
-_OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", *_ORACLE_KEYS}
+_OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", "oracle.n_points"}
 _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
 # Output chunks joined per write: one write per chunk is slow on an unbuffered stdout.
 _EMIT_BATCH = 4096
@@ -52,7 +52,7 @@ class RunConfig(NamedTuple):
     output_path: str | None = None
     fmt: str = "csv"
     perturb_mu: float = 0.0
-    # Built for verify and wavefunction, or when an oracle.* key is given.
+    # Built for verify, or when oracle.n_points is given.
     oracle_cfg: OracleConfig | None = None
 
 
@@ -136,17 +136,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw = parse_config(args.config)
-    oracle_kwargs = {key.removeprefix("oracle."): raw[key] for key in _ORACLE_KEYS if key in raw}
     oracle_cfg = None
-    # x_max against 10/lambda and the pole; spectrum and sweep never use the default box.
-    if oracle_kwargs or args.command in ("verify", "wavefunction"):
-        from .grid import OracleConfig
+    try:
+        # A given oracle.n_points is checked on every command; only verify uses it.
+        if "oracle.n_points" in raw or args.command == "verify":
+            from .oracle import OracleConfig
 
-        try:
-            oracle_cfg = OracleConfig(**oracle_kwargs)
-            oracle_cfg.resolve(raw["_params"])
-        except ValueError as exc:
-            raise ConfigError(f"oracle: {exc}") from exc
+            oracle_cfg = OracleConfig(raw.get("oracle.n_points", OracleConfig.n_points))
+        # verify and wavefunction sample on a box that ends at 40/lambda, right of the pole.
+        if args.command in ("verify", "wavefunction"):
+            raw["_params"].box_end()
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     cfg = RunConfig(
         params=raw["_params"],
         command=args.command,
@@ -268,8 +269,7 @@ def run_wavefunction(cfg: RunConfig) -> int:
     p = cfg.params
     if not (levels := _bound_levels(cfg)):
         return 2
-    ocfg = cfg.oracle_cfg.resolve(p)
-    x = np.linspace(p.domain_start(), ocfg.x_max, min(ocfg.n_points, 2000))
+    x = np.linspace(p.domain_start(), p.box_end(), 2000)
     samples: list[tuple[int, float, float, float]] = []
     for lv in levels:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:

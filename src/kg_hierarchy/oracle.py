@@ -32,7 +32,8 @@ potential wall diverges and where the analytic ground state vanishes; for
 0 < q < 1 the pole lies at negative x and the analytic eigenfunctions do not
 vanish at x = 0, so clamping the wall to 0 would shift every eigenvalue far
 beyond the comparison tolerance.  For q < 0 there is no pole (the potential
-flattens to a plateau on the left) and the wall is pushed to -x_max.
+flattens to a plateau on the left) and the wall is pushed to -40/lam.  The right
+wall is PotentialParams.box_end(), 40/lam.
 
 Wall closure: near the pole V_eff ~ A/t^2 + B/t and the bound solution starts
 as t^s, with s(s - 1) = A: s = nu1/(q*lam), the exponent of the hierarchy's
@@ -51,15 +52,15 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, NoRootError, ParameterError
-from .grid import GridFunction, OracleConfig
 from .hierarchy import level_chain, level_coefficients, level_index
 from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag, _quadratic_roots
+from .wavefunctions import GridFunction
 
 REL_TOL = 1e-3
 # Shift-invert eigensolve: a Ritz value is accepted at residual RITZ_FLOOR*eps*|A|;
@@ -79,21 +80,33 @@ POLE_WALL_ROWS = 3
 POLE_WALL_MAX_S = 2.5
 
 
+@dataclass(frozen=True)
+class OracleConfig:
+    """Discretization control: n_points, the number of interior grid points of the
+    5-point stencil on the box that ends at PotentialParams.box_end()."""
+
+    n_points: int = 4000
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 64):
+            raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
+
+
 _Box = namedtuple("_Box", "x h u wall coarse_wall")
 
 
 @functools.lru_cache(maxsize=2)
 def _box(p: PotentialParams, cfg: OracleConfig) -> _Box:
-    """The Dirichlet box of cfg (resolved here), cached for the N and 2N grids: interior
-    points x and u(x) = k/(1 - q*k), float64 and read-only, spacing h, wall = (s, rows)
-    of _pole_wall or None (odd reflection), and coarse_wall (_pole_wall gave rows = 0)."""
-    cfg = cfg.resolve(p)
+    """The Dirichlet box of cfg, cached for the N and 2N grids: interior points x and
+    u(x) = k/(1 - q*k), float64 and read-only, spacing h, wall = (s, rows) of
+    _pole_wall or None (odd reflection), and coarse_wall (_pole_wall gave rows = 0)."""
+    x_end = p.box_end()
     if p.branch is not Branch.HERMITIAN:
         raise ValueError("the finite-difference verifier covers the Hermitian branch only")
     pole = p.pole_position
-    at_pole = pole is not None and pole >= -cfg.x_max
-    x_left = pole if at_pole else -cfg.x_max
-    h = (cfg.x_max - x_left) / (cfg.n_points + 1)
+    at_pole = pole is not None and pole >= -x_end
+    x_left = pole if at_pole else -x_end
+    h = (x_end - x_left) / (cfg.n_points + 1)
     x = x_left + h * np.arange(1, cfg.n_points + 1)
     u = screened_ratio(p.q, p.lambda_eff, x).real.copy()
     x.flags.writeable = u.flags.writeable = False
@@ -481,13 +494,14 @@ def solve_selfconsistent(p: PotentialParams, k: int, cfg: OracleConfig | None = 
     The step is the distance to a discretized root only while it is small, so
     compare fails a row whose step reaches REL_TOL*|seed|, whatever E + d is.
     A local model with no real root raises NoRootError, eps >= 0 or
-    |E + d| >= m NoBoundStateError, and a non-finite seed ParameterError("seed").
+    |E + d| >= m NoBoundStateError, and a non-real or non-finite seed ParameterError("seed").
     """
     k = level_index(k, "k")
-    E = float(seed)
-    if not math.isfinite(E):
-        raise ParameterError("seed", f"seed must be finite, got {seed}")
-    cfg = (cfg or OracleConfig()).resolve(p)
+    z = complex(seed)
+    if z.imag != 0.0 or not math.isfinite(z.real):
+        raise ParameterError("seed", f"seed must be finite and real, got {seed!r}")
+    E = z.real
+    cfg = cfg or OracleConfig()
     op = discretize(p, E, cfg)
     dE = 0.01 * p.m
     slope = (discretize(p, E + dE, cfg).bands[-1] - op.bands[-1]) / dE
@@ -502,7 +516,7 @@ def solve_selfconsistent(p: PotentialParams, k: int, cfg: OracleConfig | None = 
     d = d.real
     if eps >= 0.0 or abs(E + d) >= p.m:
         raise NoBoundStateError(f"level {k} is not bound next to E = {E:g} (eps = {eps:g}, E + d = {E + d:g})")
-    fine = discretize(p, E, replace(cfg, n_points=2 * cfg.n_points))
+    fine = discretize(p, E, OracleConfig(n_points=2 * cfg.n_points))
     eps_fine = fine.eigenpair(k, eps, np.interp(fine.x, op.x, vec))[0]
     # Richardson for an h^4 error: halving h divides it by 2^4 = 16.
     est = abs(eps - eps_fine) * 16.0 / 15.0
@@ -569,7 +583,6 @@ def compare(
     smaller of the two energies, so that a step of REL_TOL times the analytic
     root or more fails whichever way it points.
     """
-    cfg = (cfg or OracleConfig()).resolve(p)
     rows: list[CompareRow] = []
     for lv in levels:
         if skipped := skip_reason(p, lv):

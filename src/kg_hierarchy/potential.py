@@ -149,6 +149,15 @@ class PotentialParams(_ParamTuple):
         base = 0.0 if pole is None else max(0.0, pole)
         return base + 1e-6 / self.lam
 
+    def box_end(self) -> float:
+        """Right edge for grid work: 40/lam, forty screening lengths;
+        ValueError unless domain_start() < 40/lam < inf."""
+        end, start = 40.0 / self.lam, self.domain_start()
+        if not start < end < math.inf:
+            raise ValueError(f"the box end 40/lam = {end:g} must be finite and lie right of "
+                             f"the deformation pole at {start:g}")
+        return end
+
 
 def gamma2(p: PotentialParams, E: complex) -> complex:
     """Gamma2(E) = 2*(m*S0 + E*V0_eff), affine in E; Gamma1 is p.gamma1."""

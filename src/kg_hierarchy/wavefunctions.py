@@ -1,4 +1,4 @@
-"""Hierarchy ground-state wavefunctions and grid diagnostics.
+"""Hierarchy ground-state wavefunctions sampled on uniform grids, and grid diagnostics.
 
 Integrating the ansatz superpotential gives the closed form
 
@@ -13,12 +13,13 @@ constant, so exp(-mu*x) is the expected oscillatory phase factor there.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonNormalizableError
-from .grid import GridFunction, uniform_grid
 from .hierarchy import Superpotential
 from .potential import kernel_and_base
 
@@ -33,6 +34,61 @@ WAVEFORM_NOTE = (
 )
 # node_count ignores samples below this fraction of the largest modulus.
 NODE_FLOOR = 1e-12
+MIN_SAMPLES = 16
+
+
+def uniform_grid(x: ArrayLike) -> np.ndarray:
+    """x as an increasing 1-D float array of at least MIN_SAMPLES points whose steps
+    agree to 1e-12 of a step plus rounding: each point of np.linspace is off by up to an
+    ulp of max|x|, so the steps of an exactly uniform grid differ by up to
+    4*eps*max|x|."""
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim != 1 or xa.size < MIN_SAMPLES:
+        raise ValueError(f"need a 1-D grid with at least {MIN_SAMPLES} points")
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("grid points must be finite")
+    steps = np.diff(xa)
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
+    if not np.all(np.abs(steps - steps[0]) <= tol):
+        raise ValueError("grid must be uniformly spaced")
+    if not steps[0] > 0.0:
+        raise ValueError("grid points must increase")
+    return xa
+
+
+@dataclass(frozen=True, eq=False)
+class GridFunction:
+    """A complex-valued function sampled on a uniform grid x0 + i*dx, x0 finite and 0 < dx < inf."""
+
+    x0: float
+    dx: float
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
+        object.__setattr__(self, "values", vals)
+        if vals.ndim != 1 or vals.size < MIN_SAMPLES:
+            raise ValueError(f"GridFunction needs at least {MIN_SAMPLES} samples in 1-D")
+        if not (math.isfinite(self.x0) and 0.0 < self.dx < math.inf):
+            raise ValueError("GridFunction needs a finite x0 and a finite positive spacing dx")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(self.n)
+
+    def l2_norm(self) -> float:
+        """Discrete L2 norm sqrt(dx * sum |v|^2)."""
+        return float(np.sqrt(self.dx * np.sum(np.abs(self.values) ** 2)))
+
+    def max_modulus(self) -> float:
+        return float(np.max(np.abs(self.values)))
+
+    def scaled(self, factor: complex) -> "GridFunction":
+        return GridFunction(self.x0, self.dx, self.values * factor)
 
 
 def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:

@@ -69,7 +69,7 @@ class TestConfigParsing:
         raw = parse_config(cfg_path)
         assert raw["_params"] == kg_hierarchy.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
         cfg = build_run_config(build_parser().parse_args(["sweep", "--config", cfg_path]))
-        assert cfg.oracle_cfg == kg_hierarchy.OracleConfig(x_max=200.0, n_points=4000)
+        assert cfg.oracle_cfg == kg_hierarchy.OracleConfig(n_points=4000)
         assert (cfg.n_max, cfg.sweep_key, cfg.sweep_values) == (8, "q", (0.5, 0.75, 1.0, 1.25, 1.5))
 
 
@@ -174,13 +174,16 @@ class TestConfigErrorExit:
             ("verify", {"oracle.n_points": "32"}, (), "n_points"),
             # spectrum and sweep load the oracle only to check a key that is given.
             ("spectrum", {"oracle.n_points": "32"}, (), "oracle: n_points"),
-            ("sweep", {"sweep_key": "q", "sweep_values": "1", "oracle.x_max": "1"}, (), "oracle: x_max"),
-            # The stencil is fixed; its old key is unknown.
+            # The stencil is fixed and the box ends at 40/lambda; their old keys are unknown.
+            ("sweep", {"sweep_key": "q", "sweep_values": "1", "oracle.x_max": "1"}, (), "unknown key 'oracle.x_max'"),
             ("verify", {"oracle.fd_order": "4"}, (), "unknown key 'oracle.fd_order'"),
-            ("verify", {"oracle.x_max": "1"}, (), "x_max"),
-            # The deformation pole ln(q)/lambda = 51.54 lies right of x_max.
-            ("verify", {"S0": "1000", "q": "3e4", "oracle.x_max": "50", "oracle.n_points": "500"}, (), "pole"),
-            ("wavefunction", {"S0": "1000", "q": "3e4", "oracle.x_max": "50", "oracle.n_points": "500"}, (), "pole"),
+            ("verify", {"oracle.x_max": "200"}, (), "unknown key 'oracle.x_max'"),
+            # The deformation pole ln(q)/lambda = 207.2 lies right of the box end 40/lambda = 200.
+            ("verify", {"q": "1e18", "oracle.n_points": "500"}, (), "deformation pole"),
+            ("wavefunction", {"q": "1e18"}, (), "deformation pole"),
+            # 40/lambda overflows to inf.
+            ("verify", {"lambda": "1e-310"}, (), "40/lam = inf must be finite"),
+            ("wavefunction", {"lambda": "1e-310"}, (), "40/lam = inf must be finite"),
             ("spectrum", {"n_max": "-1"}, (), "n_max"),
             ("spectrum", {"V0": "nan"}, (), "V0 must be finite"),
             ("spectrum", {"S0": "nan"}, (), "S0 must be finite"),
@@ -195,7 +198,8 @@ class TestConfigErrorExit:
             ("spectrum", {"sweep_values": "1,2"}, (), "sweep_values is only valid with the sweep command, not 'spectrum'"),
             ("verify", {"sweep_values": "1,2"}, (), "sweep_values is only valid with the sweep command, not 'verify'"),
         ],
-        ids=["n_points", "n_points-spectrum", "x_max-sweep", "fd_order", "x_max", "x_max-pole-verify", "x_max-pole-wavefunction", "n_max", "V0", "S0",
+        ids=["n_points", "n_points-spectrum", "x_max-sweep", "fd_order", "x_max", "box-pole-verify", "box-pole-wavefunction",
+             "box-overflow-verify", "box-overflow-wavefunction", "n_max", "V0", "S0",
              "VI", "lambda", "q", "m", "jobs0", "jobs-1", "verify-json", "sweep_values-spectrum", "sweep_values-verify"],
     )
     def test_invalid_input_is_config_error(self, tmp_path, command, overrides, extra, fragment):
@@ -251,7 +255,7 @@ class TestConfigErrorLine:
 SCIPY_PROBE = """
 import json, sys
 from kg_hierarchy.cli import main
-watch = ("numpy", "scipy", "kg_hierarchy.oracle", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid")
+watch = ("numpy", "scipy", "kg_hierarchy.oracle", "kg_hierarchy.wavefunctions")
 loaded = lambda: [name for name in watch if name in sys.modules]
 seen = [["import", None, loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -425,7 +429,7 @@ class TestScipyOnlyForVerify:
         proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
         # spectrum and sweep load no numpy and no oracle; wavefunction loads neither the oracle nor scipy.
-        wavefunction = ["numpy", "kg_hierarchy.wavefunctions", "kg_hierarchy.grid"]
+        wavefunction = ["numpy", "kg_hierarchy.wavefunctions"]
         assert json.loads(proc.stdout) == [
             ["import", None, []], ["spectrum", 0, []], ["sweep", 0, []], ["wavefunction", 0, wavefunction]
         ]
@@ -445,7 +449,7 @@ class TestScipyOnlyForVerify:
         # keeps a name that was bound before it.
         proc = run_python_fresh("-c", LAZY_PROBE)
         assert proc.returncode == 0, proc.stderr
-        submodules = ["errors", "grid", "hierarchy", "oracle", "potential", "spectra", "wavefunctions"]
+        submodules = ["errors", "hierarchy", "oracle", "potential", "spectra", "wavefunctions"]
         assert json.loads(proc.stdout) == {
             "import": [], "dir_covers_all": True, "unknown_name": [],
             "first_name": [f"kg_hierarchy.{name}" for name in submodules],
@@ -464,6 +468,9 @@ class TestScipyOnlyForVerify:
         # The oracle checks each root in one shot; no iteration is left to diverge.
         with pytest.raises(AttributeError):
             kg_hierarchy.OuterDivergenceError
+        # The grid helpers live in wavefunctions and OracleConfig in oracle; no grid module is left.
+        with pytest.raises(AttributeError):
+            kg_hierarchy.grid
         # The hierarchy is checked on the oracle's own operator, not on sampled partner potentials.
         for name in ("partner_eigenvalues", "partner_potentials", "superpotential_eval", "superpotential_derivative"):
             with pytest.raises(AttributeError):
@@ -665,6 +672,17 @@ class TestWavefunctionCommand:
         assert lines[0] == "n,x,re_psi,im_psi"
         ns = {int(line.split(",")[0]) for line in lines[1:]}
         assert ns == {0, 1}
+
+    def test_samples_span_the_box_whatever_n_points(self, tmp_path):
+        # Each normalizable root is sampled at 2000 points from domain_start() to
+        # 40/lambda = 200; oracle.n_points = 400 used to cut that to 400 samples.
+        cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 1\noracle.n_points = 400\n")
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--config", cfg, "--output", str(out)]) == 0
+        blocks = np.loadtxt(out, delimiter=",", skiprows=1).reshape(-1, 2000, 4)
+        assert blocks.shape[0] == 4
+        assert np.all(blocks[:, 0, 1] == blocks[0, 0, 1]) and np.all(blocks[:, -1, 1] == 200.0)
+        assert np.all(blocks[:, :, 0] == blocks[:, :1, 0])
 
     def test_json_carries_form_note(self, tmp_path):
         cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 0\noracle.n_points = 400\n")

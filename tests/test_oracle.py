@@ -70,22 +70,22 @@ class TestDiscretize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(n_points=32)
-        with pytest.raises(ValueError):
-            OracleConfig(x_max=1.0).resolve(params(SET_A))  # below 10/lam
-        # The pole ln(q)/lam = 207.2 lies past the default x_max = 40/lam = 200;
+        # The pole ln(q)/lam = 207.2 lies past the box end 40/lam = 200;
         # the box used to be built backwards, with h < 0.
         with pytest.raises(ValueError, match="deformation pole"):
             discretize(params(dict(SET_A, q=1e18)), 0.5, OracleConfig(n_points=100))
 
     @pytest.mark.parametrize("n_points", [1000.5, 4000.0, "4000"])
     def test_n_points_must_be_an_integer(self, n_points):
-        # 1000.5 passed, and its box of 1001 points ended at 200.0999, not x_max = 200.
+        # 1000.5 passed, and its box of 1001 points ended at 200.0999, not 40/lam = 200.
         with pytest.raises(ValueError, match="n_points must be an integer >= 64"):
             OracleConfig(n_points=n_points)
 
     def test_numpy_integer_n_points(self):
-        cfg = OracleConfig(n_points=np.int64(4000)).resolve(params(SET_A))
-        assert cfg.n_points == 4000 and cfg.x_max == 200.0
+        cfg = OracleConfig(n_points=np.int64(4000))
+        assert cfg == OracleConfig()
+        op = discretize(params(SET_A), 0.5, cfg)
+        assert op.n == 4000 and op.x[-1] + op.h == pytest.approx(200.0, rel=1e-15)
 
     def test_box_ground_state(self):
         # V = 0: lowest eigenvalue of the Dirichlet box is (pi/L)^2.
@@ -150,13 +150,13 @@ class TestDiscretize:
         assert op.x[0] < 0.0
         assert op.x[0] > np.log(0.8) / 0.25
 
-    def test_wall_at_minus_x_max_without_pole(self):
+    def test_wall_at_minus_box_end_without_pole(self):
         # q < 0: no pole; the potential flattens to a plateau on the left, and
-        # the box spans [-x_max, x_max].
+        # the box spans [-40/lam, 40/lam].
         p = params(dict(SET_A, q=-0.5))
-        cfg = OracleConfig().resolve(p)
+        cfg = OracleConfig()
         op = discretize(p, 0.5, cfg)
-        assert op.x[0] == -cfg.x_max + op.h
+        assert op.x[0] == -p.box_end() + op.h
         report = kg.compare(p, kg.spectrum(p, 8), cfg)
         assert report.ok
         assert all(row.E_oracle is not None for row in report.rows)
@@ -256,14 +256,14 @@ class TestPoleWallClosure:
     )
     def test_closure_is_chosen_for_every_energy_at_once(self, base, n_points, rows):
         # A (s = 5.52) and C (s = 2.56) keep the plain reflection: their wall
-        # error h^(2s-1) is below h^4; for q < 0 the left wall is -x_max.  B
+        # error h^(2s-1) is below h^4; for q < 0 the left wall is -40/lam.  B
         # (s = 1, 1 + beta*t > 0 on t <= rows*h for every |E| <= m) gets no row
         # at 400 points, two at 1000 and three at 4000; at s = 1 only the first
         # carries a correction above rounding.  The choice must not switch as E
         # moves, and every wall without rows is the odd reflection, diagonal
         # (30 - 1)/(12 h^2) + v.
         p = params(base)
-        cfg = OracleConfig(n_points=n_points).resolve(p)
+        cfg = OracleConfig(n_points=n_points)
         box = _box(p, cfg)
         x, h = box.x, box.h
         stencil = np.array([1.0, -16.0, 30.0, -16.0, 1.0]) * (1.0 / (h * h)) / 12.0
@@ -505,6 +505,18 @@ class TestSolveSelfConsistent:
         with pytest.raises(NoBoundStateError):
             kg.solve_selfconsistent(params(base), 4, OracleConfig(), seed=0.5)
 
+    def test_non_real_seed_rejected(self, set_a, monkeypatch):
+        # 0.5 + 0.1j escaped as a raw TypeError from float(seed); a zero
+        # imaginary part is the float.
+        cfg = OracleConfig(n_points=1000)
+        E = [lv.E.real for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
+        as_complex, as_float = (kg.solve_selfconsistent(set_a, 0, cfg, seed=s) for s in (complex(E, 0.0), E))
+        assert (as_complex.E, as_complex.epsilon) == (as_float.E, as_float.epsilon)
+        monkeypatch.setattr(oracle, "discretize", lambda *args: pytest.fail("discretize called"))
+        with pytest.raises(kg.ParameterError, match="seed must be finite and real") as info:
+            kg.solve_selfconsistent(set_a, 0, cfg, seed=0.5 + 0.1j)
+        assert info.value.param == "seed"
+
     @pytest.mark.parametrize("seed", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_seed_rejected(self, set_a, seed, monkeypatch):
         # A nan or inf seed reached discretize and was reported as
@@ -570,12 +582,14 @@ class TestSolveSelfConsistent:
         assert abs(eps_n - eps_2n) < 10.0 * res.grid_convergence_est
 
     def test_box_relaxation_monotone(self):
-        # Fixed spacing, growing box: the discretized ground level only drops.
-        p = params(dict(V0=0.0, S0=1.0, lam=1.0, q=1.0, m=1.0))
+        # Fixed spacing h = 0.01, growing box [0, length] with its left wall on
+        # the pole: the discretized ground level only drops.
+        p, h = params(dict(V0=0.0, S0=1.0, lam=1.0, q=1.0, m=1.0)), 0.01
         eps = []
-        for x_max in (12.0, 16.0, 20.0, 24.0):
-            cfg = OracleConfig(x_max=x_max, n_points=int(x_max / 0.01))
-            eps.append(discretize(p, 0.0, cfg).eigenvalues(0)[0])
+        for length in (12.0, 16.0, 20.0, 24.0):
+            x = h * np.arange(1, round(length / h))
+            op = BandedOperator(assemble_bands(kg.effective_potential(p, 0.0, x).real, h), x, h)
+            eps.append(op.eigenvalues(0)[0])
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
 

@@ -107,6 +107,20 @@ class TestConstruction:
             PotentialParams(V0=0.0, S0=1.0, lam=1e-200, q=1e-200, m=1.0)
         assert info.value.param == "q"
 
+    @pytest.mark.parametrize("lam", [0.2, 0.25, 1.0])
+    def test_box_end_is_forty_screening_lengths(self, lam):
+        assert PotentialParams(V0=0.0, S0=1.0, lam=lam, q=1.0, m=1.0).box_end() == 40.0 / lam
+
+    @pytest.mark.parametrize(
+        "lam,q,fragment",
+        [(1e-310, 1.0, "40/lam = inf must be finite"), (0.2, 1e18, "deformation pole at 207.233")],
+        ids=["overflow", "pole-past-box"],
+    )
+    def test_box_end_must_be_finite_and_right_of_the_pole(self, lam, q, fragment):
+        # 40/lam overflows at lam = 1e-310; at q = 1e18 the pole ln(q)/lam lies past 40/lam = 200.
+        with pytest.raises(ValueError, match=fragment):
+            PotentialParams(V0=0.0, S0=1.0, lam=lam, q=q, m=1.0).box_end()
+
     def test_domain_start_beyond_pole_for_q_above_one(self):
         p = PotentialParams(V0=1.0, S0=2.0, lam=0.5, q=2.0, m=1.0)
         x0 = np.log(2.0) / 0.5

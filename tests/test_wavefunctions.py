@@ -79,6 +79,14 @@ class TestGroundStateFromW:
             with pytest.raises(ValueError, match="uniformly spaced"):
                 kg.ground_state_from_W(w, x)
 
+    @pytest.mark.parametrize("x", [np.linspace(100.0, 1.0, 200), np.full(20, 3.0)], ids=["decreasing", "constant"])
+    def test_grid_that_does_not_increase_rejected(self, set_a, x):
+        # A decreasing grid passed as uniform, and GridFunction then raised
+        # "needs a finite x0 and a finite positive spacing dx".
+        w = kg.level(set_a, solved_level(set_a).E, 0)
+        with pytest.raises(ValueError, match="grid points must increase"):
+            kg.ground_state_from_W(w, x)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_grid_rejected(self, set_a, bad):
         # x[-1] = inf would make the step tolerance inf and pass the grid as
