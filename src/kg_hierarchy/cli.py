@@ -11,8 +11,8 @@ of each level's Riccati identity and, on the Hermitian branch, the oracle
 comparison.  Exit codes: 1 for a ConfigError (a bad key, value or sweep value),
 another KGHierarchyError, an OSError, a MemoryError (an oracle grid too large to
 allocate) or a verify run without scipy, each one stderr line; 2 when level 0 is
-not bound.  numpy, json, the oracle and wavefunctions are imported where used:
-spectrum and sweep start without numpy or dataclasses, CSV without json.
+not bound.  json, the oracle and wavefunctions (so numpy) are imported where
+used: spectrum and sweep start without numpy or dataclasses, CSV without json.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ _EMIT_BATCH = 4096
 class RunConfig(NamedTuple):
     params: PotentialParams
     command: str
-    n_max: int = 16
-    sweep_key: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    output_path: str | None = None
-    fmt: str = "csv"
-    perturb_mu: float = 0.0
+    n_max: int
+    sweep_key: str | None
+    sweep_values: tuple[float, ...]
+    output_path: str | None
+    fmt: str
+    perturb_mu: float
     # Built for verify, or when oracle.n_points is given.
-    oracle_cfg: OracleConfig | None = None
+    oracle_cfg: OracleConfig | None
 
 
 @functools.cache
@@ -151,7 +151,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         params=raw["_params"],
         command=args.command,
-        n_max=int(raw.get("n_max", 16)),
+        n_max=raw.get("n_max", 16),
         sweep_key=raw.get("sweep_key"),
         sweep_values=raw.get("sweep_values", ()),
         output_path=args.output,
@@ -262,19 +262,18 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_wavefunction(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .wavefunctions import WAVEFORM_NOTE, ground_state_from_W
 
     p = cfg.params
     if not (levels := _bound_levels(cfg)):
         return 2
-    x = np.linspace(p.domain_start(), p.box_end(), 2000)
+    x0 = p.domain_start()
+    dx = (p.box_end() - x0) / 1999  # 2000 points from x0 to box_end()
     samples: list[tuple[int, float, float, float]] = []
     for lv in levels:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
-        psi = ground_state_from_W(level(p, lv.E, lv.n), x)
+        psi = ground_state_from_W(level(p, lv.E, lv.n), x0, dx, 2000)
         samples.extend(
             (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
         )

@@ -8,23 +8,20 @@ with k = exp(-lambda_eff*x).  The deformation parameter appears in the exponent
 denominator, which is why q = 0 is excluded at construction.  On the
 non-Hermitian branch mu is (up to the stored convention) i times a real decay
 constant, so exp(-mu*x) is the expected oscillatory phase factor there.
-:func:`ground_state_from_W` is the one evaluation of psi.
+:func:`ground_state_from_W` is the one evaluation of psi, at the points
+GridFunction.x of the grid (x0, dx, n) it is given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonNormalizableError
-from .hierarchy import Superpotential
+from .hierarchy import Superpotential, level_index
 from .potential import kernel_and_base
-
-if TYPE_CHECKING:
-    from numpy.typing import ArrayLike
 
 # Serialized next to wavefunction output: records the normalization rule and the
 # generative form actually evaluated.
@@ -35,25 +32,6 @@ WAVEFORM_NOTE = (
 # node_count ignores samples below this fraction of the largest modulus.
 NODE_FLOOR = 1e-12
 MIN_SAMPLES = 16
-
-
-def uniform_grid(x: ArrayLike) -> np.ndarray:
-    """x as an increasing 1-D float array of at least MIN_SAMPLES points whose steps
-    agree to 1e-12 of a step plus rounding: each point of np.linspace is off by up to an
-    ulp of max|x|, so the steps of an exactly uniform grid differ by up to
-    4*eps*max|x|."""
-    xa = np.asarray(x, dtype=float)
-    if xa.ndim != 1 or xa.size < MIN_SAMPLES:
-        raise ValueError(f"need a 1-D grid with at least {MIN_SAMPLES} points")
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("grid points must be finite")
-    steps = np.diff(xa)
-    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(xa)) + 1e-12 * abs(steps[0])
-    if not np.all(np.abs(steps - steps[0]) <= tol):
-        raise ValueError("grid must be uniformly spaced")
-    if not steps[0] > 0.0:
-        raise ValueError("grid points must increase")
-    return xa
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,40 +65,41 @@ class GridFunction:
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def scaled(self, factor: complex) -> "GridFunction":
-        return GridFunction(self.x0, self.dx, self.values * factor)
 
+def ground_state_from_W(w: Superpotential, x0: float, dx: float, n: int) -> GridFunction:
+    """exp(-integral W) at the n points x0 + i*dx, normalized.
 
-def ground_state_from_W(w: Superpotential, x: ArrayLike) -> GridFunction:
-    """exp(-integral W) on a uniform grid, normalized; ValueError on any other grid.
-
-    Uses the closed-form antiderivative integral(W) = mu*x - (nu/(q*lambda_eff)) *
-    log(1 - q*k(x)).  Hermitian-style data (real lambda_eff) is normalized to unit
-    grid L2 norm and requires Re(mu) > 0; complex branches are normalized to unit
-    maximum modulus.  log(psi) is shifted by its maximum real part before the
-    exponential, so a ground state whose values all lie below the smallest
-    double still normalizes.
+    ParameterError("n") unless n is an integer >= 0, and GridFunction's ValueError
+    unless x0 is finite, 0 < dx < inf and n >= MIN_SAMPLES.  Uses the closed-form
+    antiderivative integral(W) = mu*x - (nu/(q*lambda_eff)) * log(1 - q*k(x)).
+    Hermitian-style data (real lambda_eff) is normalized to unit grid L2 norm and
+    requires Re(mu) > 0; complex branches are normalized to unit maximum modulus.
+    log(psi) is shifted by its maximum real part before the exponential, so a
+    ground state whose values all lie below the smallest double still normalizes.
     """
-    xa = uniform_grid(x)
-    dx = float(xa[1] - xa[0])
+    # Built before psi is known: it checks the grid, and its x is the points psi
+    # is evaluated at.  The values are filled in below.
+    psi = GridFunction(x0, dx, np.empty(level_index(n, "n"), dtype=np.complex128))
     hermitian = w.lambda_eff.imag == 0.0
     if hermitian and w.mu.real <= 0.0:
         raise NonNormalizableError(
             f"Re(mu) = {w.mu.real:g} <= 0: exp(-mu*x) does not decay; no bound ground state"
         )
-    base = kernel_and_base(w.q, w.lambda_eff, xa)[1]
-    log_psi = (w.nu / (w.q * w.lambda_eff)) * np.log(base) - w.mu * xa
+    x = psi.x
+    base = kernel_and_base(w.q, w.lambda_eff, x)[1]
+    log_psi = (w.nu / (w.q * w.lambda_eff)) * np.log(base) - w.mu * x
     # A constant factor, which the normalization divides out again.
     peak = float(np.max(log_psi.real))
     if np.isfinite(peak):
         log_psi = log_psi - peak
-    psi = GridFunction(float(xa[0]), dx, np.exp(log_psi))
+    np.exp(log_psi, out=psi.values)
     norm = psi.l2_norm() if hermitian else psi.max_modulus()
     if not 0.0 < norm < np.inf:
         raise NonNormalizableError(
             f"grid norm of psi is {norm:g}: the ground state under- or overflows on this grid"
         )
-    return psi.scaled(1.0 / norm)
+    np.multiply(psi.values, 1.0 / norm, out=psi.values)
+    return psi
 
 
 def node_count(f: GridFunction) -> int:

@@ -684,6 +684,23 @@ class TestWavefunctionCommand:
         assert np.all(blocks[:, 0, 1] == blocks[0, 0, 1]) and np.all(blocks[:, -1, 1] == 200.0)
         assert np.all(blocks[:, :, 0] == blocks[:, :1, 0])
 
+    def test_samples_are_written_at_the_points_psi_was_computed_at(self, tmp_path):
+        # At lambda = 0.3, q = 2 the first step of the grid, x[1] - x[0], is not
+        # (x1 - x0)/1999.  Written as x0 + i*(x[1] - x[0]), 1998 of 2000 x values
+        # were off the points psi was computed at, the last one past 40/lambda.
+        cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.3\nq = 2\nm = 1\nn_max = 2\n")
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--config", cfg, "--output", str(out)]) == 0
+        p = parse_config(cfg)["_params"]
+        x0, x1 = p.domain_start(), p.box_end()
+        blocks = np.loadtxt(out, delimiter=",", skiprows=1).reshape(-1, 2000, 4)
+        assert blocks.shape[0] > 0
+        for block in blocks:
+            assert np.array_equal(block[:, 1], np.linspace(x0, x1, 2000))
+            assert block[:, 1].max() <= x1
+            l2 = np.sqrt(np.sum(block[:, 2] ** 2 + block[:, 3] ** 2) * ((x1 - x0) / 1999))
+            assert l2 == pytest.approx(1.0, rel=1e-12)
+
     def test_json_carries_form_note(self, tmp_path):
         cfg = write_cfg(tmp_path, "V0 = 0\nS0 = 1\nlambda = 0.2\nq = 1\nm = 1\nn_max = 0\noracle.n_points = 400\n")
         out = tmp_path / "wf.json"

@@ -247,8 +247,7 @@ class TestLadder:
     def test_annihilation_of_ground_state(self, set_a):
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
         w = kg.level(set_a, E, 0)
-        x = np.linspace(0.5, 60.5, 1201)
-        psi = kg.ground_state_from_W(w, x)
+        psi = kg.ground_state_from_W(w, 0.5, 0.05, 1201)
         ann = ladder(w, psi, +1)
         assert ann.l2_norm() / psi.l2_norm() < 1e-5
 
@@ -259,8 +258,7 @@ class TestLadder:
         w = kg.level(p, E, 0)
         rels = []
         for npts in (801, 1601):
-            x = np.linspace(0.5, 60.5, npts)
-            psi = kg.ground_state_from_W(w, x)
+            psi = kg.ground_state_from_W(w, 0.5, 60.0 / (npts - 1), npts)
             rels.append(ladder(w, psi, +1).l2_norm() / psi.l2_norm())
         ratio = rels[0] / rels[1]
         assert 11.0 < ratio < 21.0  # halving h cuts the defect ~2^4
@@ -286,12 +284,11 @@ class TestLadder:
         # W = -(log psi)' recovered from sampled psi by central differences.
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
         w = kg.level(set_a, E, 0)
-        x = np.linspace(1.0, 30.0, 4001)
-        h = x[1] - x[0]
-        psi = kg.ground_state_from_W(w, x).values
-        dpsi = (psi[:-4] - 8 * psi[1:-3] + 8 * psi[3:-1] - psi[4:]) / (12 * h)
-        w_rec = -dpsi / psi[2:-2]
-        np.testing.assert_allclose(w_rec, w_and_derivative(w, x[2:-2])[0], atol=1e-9)
+        psi = kg.ground_state_from_W(w, 1.0, 29.0 / 4000, 4001)
+        v = psi.values
+        dpsi = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * psi.dx)
+        w_rec = -dpsi / v[2:-2]
+        np.testing.assert_allclose(w_rec, w_and_derivative(w, psi.x[2:-2])[0], atol=1e-9)
 
 
 LADDER_TOL = 3e-5  # |eig_k + mu_k(E0)^2| at 4000 points; the worst, set D, reads 1.1e-5

@@ -5,7 +5,7 @@ import pytest
 
 import kg_hierarchy as kg
 from kg_hierarchy import Branch, GridFunction, Superpotential
-from kg_hierarchy.errors import DomainError, NonNormalizableError
+from kg_hierarchy.errors import DomainError, NonNormalizableError, ParameterError
 
 from conftest import SET_A, SET_C, params
 
@@ -20,6 +20,11 @@ def closed_form_psi(p, w: Superpotential, x: np.ndarray) -> np.ndarray:
     xa = np.asarray(x, dtype=float).astype(np.complex128)
     base = 1.0 - p.q * np.exp(-p.lambda_eff * xa)
     return np.power(base, w.nu / (p.q * p.lambda_eff)) * np.exp(-w.mu * xa)
+
+
+def linspace_grid(x0: float, x1: float, n: int) -> tuple[float, float, int]:
+    """(x0, dx, n) of the n points from x0 to x1, as ground_state_from_W takes them."""
+    return x0, (x1 - x0) / (n - 1), n
 
 
 def solved_level(p, n=0, positive=True):
@@ -53,7 +58,7 @@ class TestGroundStateFromW:
     def test_unit_l2_norm_hermitian(self, set_a):
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
-        psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 120.0, 1600))
+        psi = kg.ground_state_from_W(w, *linspace_grid(set_a.domain_start(), 120.0, 1600))
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_closed_form_structure(self, set_a):
@@ -61,53 +66,48 @@ class TestGroundStateFromW:
         # independently coded expression.
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
-        x = np.linspace(set_a.domain_start(), 80.0, 1024)
-        psi = kg.ground_state_from_W(w, x)
+        psi = kg.ground_state_from_W(w, *linspace_grid(set_a.domain_start(), 80.0, 1024))
+        x = psi.x
         ref = (1.0 - np.exp(-0.2 * x)) ** (w.nu.real / 0.2) * np.exp(-w.mu.real * x)
-        ref = ref / np.sqrt(np.sum(ref * ref) * (x[1] - x[0]))
+        ref = ref / np.sqrt(np.sum(ref * ref) * psi.dx)
         np.testing.assert_allclose(psi.values.real, ref, atol=1e-12)
         np.testing.assert_allclose(psi.values.imag, 0.0, atol=1e-14)
 
-    def test_nonuniform_grid_rejected(self, set_a):
-        # The GridFunction keeps x0 and the first step only, so any other grid
-        # would come back with the wrong x and the wrong normalization.
-        lv = solved_level(set_a)
-        w = kg.level(set_a, lv.E, 0)
-        moved = np.linspace(set_a.domain_start(), 200.0, 8000)
-        moved[4000] += 1e-6 * (moved[1] - moved[0])
-        for x in (np.geomspace(set_a.domain_start(), 120.0, 1600), moved):
-            with pytest.raises(ValueError, match="uniformly spaced"):
-                kg.ground_state_from_W(w, x)
-
-    @pytest.mark.parametrize("x", [np.linspace(100.0, 1.0, 200), np.full(20, 3.0)], ids=["decreasing", "constant"])
-    def test_grid_that_does_not_increase_rejected(self, set_a, x):
-        # A decreasing grid passed as uniform, and GridFunction then raised
-        # "needs a finite x0 and a finite positive spacing dx".
+    @pytest.mark.parametrize("n", [2000.0, 16.5, "2000", None])
+    def test_non_integer_sample_count_rejected(self, set_a, n):
         w = kg.level(set_a, solved_level(set_a).E, 0)
-        with pytest.raises(ValueError, match="grid points must increase"):
-            kg.ground_state_from_W(w, x)
+        with pytest.raises(ParameterError, match="n must be an integer >= 0") as info:
+            kg.ground_state_from_W(w, 1.0, 0.1, n)
+        assert info.value.param == "n"
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_grid_rejected(self, set_a, bad):
-        # x[-1] = inf would make the step tolerance inf and pass the grid as
-        # uniform, and kernel_and_base would then raise a DomainError about the pole.
+    @pytest.mark.parametrize("x0,dx,n,match", [
+        (1.0, 0.1, 15, "at least 16 samples"),
+        (1.0, 0.1, 0, "at least 16 samples"),
+        (1.0, 0.0, 2000, "finite positive spacing"),
+        (100.0, -0.05, 2000, "finite positive spacing"),
+        (np.inf, 0.1, 2000, "finite positive spacing"),
+        (-np.inf, 0.1, 2000, "finite positive spacing"),
+        (np.nan, 0.1, 2000, "finite positive spacing"),
+        (1.0, np.inf, 2000, "finite positive spacing"),
+        (1.0, np.nan, 2000, "finite positive spacing"),
+    ], ids=["n15", "n0", "dx0", "decreasing", "x0inf", "x0-inf", "x0nan", "dxinf", "dxnan"])
+    def test_bad_grid_is_the_grid_function_error(self, set_a, x0, dx, n, match):
+        # GridFunction's own checks, made before psi is evaluated.
         w = kg.level(set_a, solved_level(set_a).E, 0)
-        x = np.arange(20.0)
-        x[-1] = bad
-        with pytest.raises(ValueError, match="grid points must be finite"):
-            kg.ground_state_from_W(w, x)
+        with pytest.raises(ValueError, match=match):
+            kg.ground_state_from_W(w, x0, dx, n)
 
-    @pytest.mark.parametrize("n", [8000, 16000])
-    def test_long_linspace_grid_accepted(self, set_a, n):
-        # Each point is rounded to an ulp of max|x| = 200, so the steps of this
-        # exactly uniform grid differ by more than 1e-12 of a step.
+    def test_long_grid_accepted_as_given(self, set_a):
         w = kg.level(set_a, solved_level(set_a).E, 0)
-        assert kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 200.0, n)).n == n
+        x0, dx, n = linspace_grid(set_a.domain_start(), 200.0, 16000)
+        psi = kg.ground_state_from_W(w, x0, dx, n)
+        assert (psi.x0, psi.dx, psi.n) == (x0, dx, n)
+        assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_non_normalizable_raises(self):
         w = Superpotential(nu=0.5, mu=-0.2, lambda_eff=0.5, q=1.0)
         with pytest.raises(NonNormalizableError):
-            kg.ground_state_from_W(w, np.linspace(0.1, 40.0, 512))
+            kg.ground_state_from_W(w, *linspace_grid(0.1, 40.0, 512))
 
     def test_underflowing_psi_normalizes(self):
         # lam = 2^-9 on set A: |psi|^2 lies below the smallest double on all of
@@ -118,14 +118,14 @@ class TestGroundStateFromW:
         p = params(dict(SET_A, lam=0.001953125))
         lv = solved_level(p)
         w = kg.level(p, lv.E, 0)
-        x = np.linspace(p.domain_start(), 40.0 / p.lam, 2000)
-        psi = kg.ground_state_from_W(w, x)
+        psi = kg.ground_state_from_W(w, *linspace_grid(p.domain_start(), 40.0 / p.lam, 2000))
+        x = psi.x
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-12)
         full = closed_form_psi(p, w, x)
         assert np.sum(np.abs(full) ** 2) == 0.0
         half = closed_form_psi(p, Superpotential(w.nu / 2, w.mu / 2, p.lambda_eff, p.q), x).real
         shape = (half / half.max()) ** 2
-        shape /= np.sqrt(np.sum(shape * shape) * (x[1] - x[0]))
+        shape /= np.sqrt(np.sum(shape * shape) * psi.dx)
         np.testing.assert_allclose(psi.values.real, shape, rtol=0, atol=1e-12)
         assert not np.any(psi.values.imag)
 
@@ -133,25 +133,25 @@ class TestGroundStateFromW:
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
         x_end = 20.0 / w.mu.real + 8.0
-        psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), x_end, 2000))
+        psi = kg.ground_state_from_W(w, *linspace_grid(set_a.domain_start(), x_end, 2000))
         assert abs(psi.values[-1]) < 1e-8 * psi.max_modulus()
 
     def test_small_q_exponential_limit(self):
         # ln(1 - q k) ~ -q k: psi -> exp(-(nu/lam) e^{-lam x}) exp(-mu x).
         p = params(dict(V0=0.0, S0=1.0, lam=0.2, q=1e-8, m=1.0))
         w = kg.level(p, 0.0, 0)
-        x = np.linspace(0.1, 60.0, 800)
-        psi = kg.ground_state_from_W(w, x).values
+        psi = kg.ground_state_from_W(w, *linspace_grid(0.1, 60.0, 800))
+        x = psi.x
         limit = np.exp(-(w.nu / p.lam) * np.exp(-p.lam * x)) * np.exp(-w.mu * x)
-        limit /= np.sqrt(np.sum(np.abs(limit) ** 2) * (x[1] - x[0]))
-        assert np.max(np.abs(psi - limit)) <= 1e-6 * np.max(np.abs(limit))
+        limit /= np.sqrt(np.sum(np.abs(limit) ** 2) * psi.dx)
+        assert np.max(np.abs(psi.values - limit)) <= 1e-6 * np.max(np.abs(limit))
 
     def test_complex_branch_max_modulus_normalization(self):
         p = params(SET_C, branch=Branch.PT_SYMMETRIC)
         lv = kg.solve_level(p, 0)[0]
         w = kg.level(p, lv.E, 0)
         period = 2 * np.pi / p.lam
-        psi = kg.ground_state_from_W(w, np.linspace(0.05 * period, 0.95 * period, 600))
+        psi = kg.ground_state_from_W(w, *linspace_grid(0.05 * period, 0.95 * period, 600))
         assert psi.max_modulus() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -166,15 +166,15 @@ class TestRouteEquivalence:
         lv = kg.solve_level(p, 0)[0]
         w = kg.level(p, lv.E, 0)
         if branch is Branch.HERMITIAN:
-            x = np.linspace(p.domain_start(), 60.0, 900)
+            grid = linspace_grid(p.domain_start(), 60.0, 900)
         else:
             period = 2 * np.pi / p.lam
-            x = np.linspace(0.05 * period, 0.95 * period, 900)
+            grid = linspace_grid(0.05 * period, 0.95 * period, 900)
         hermitian = branch is Branch.HERMITIAN and w.mu.real > 0
-        psi_w = kg.ground_state_from_W(w, x)
-        raw = closed_form_psi(p, w, x)
+        psi_w = kg.ground_state_from_W(w, *grid)
+        raw = closed_form_psi(p, w, psi_w.x)
         if hermitian:
-            ref = raw / (np.sqrt(np.sum(np.abs(raw) ** 2) * (x[1] - x[0])))
+            ref = raw / (np.sqrt(np.sum(np.abs(raw) ** 2) * psi_w.dx))
         else:
             ref = raw / np.max(np.abs(raw))
         # Normalization can differ by a constant phase between the two routes.
@@ -186,9 +186,9 @@ class TestRouteEquivalence:
         # With mu purely imaginary the exponential factor has unit modulus, so
         # |psi| is carried by the deformation power alone.
         p = params(SET_C, branch=Branch.NON_HERMITIAN, VI=0.1)
-        x = np.linspace(1.0, 20.0, 300)
         psi, base = (
-            kg.ground_state_from_W(Superpotential(nu=0.5 + 0.1j, mu=mu, lambda_eff=p.lambda_eff, q=p.q), x)
+            kg.ground_state_from_W(Superpotential(nu=0.5 + 0.1j, mu=mu, lambda_eff=p.lambda_eff, q=p.q),
+                                   *linspace_grid(1.0, 20.0, 300))
             for mu in (0.3j, 0.0)
         )
         np.testing.assert_allclose(np.abs(psi.values), np.abs(base.values), rtol=1e-12)
@@ -196,15 +196,15 @@ class TestRouteEquivalence:
     def test_grid_through_the_pole_raises(self):
         # q = 2: 1 - q*exp(-lam*x) vanishes at ln(2)/lam, the middle grid point.
         p = params(dict(SET_A, q=2.0))
-        x = np.log(2.0) / p.lam + np.linspace(-1.0, 1.0, 33)
+        pole = np.log(2.0) / p.lam
         w = Superpotential(nu=1.5, mu=0.3, lambda_eff=p.lambda_eff, q=p.q)
         with pytest.raises(DomainError, match="pole"):
-            kg.ground_state_from_W(w, x)
+            kg.ground_state_from_W(w, *linspace_grid(pole - 1.0, pole + 1.0, 33))
 
     def test_boundary_value_finite_for_nonnegative_exponent(self, set_c):
         lv = solved_level(set_c)
         w = kg.level(set_c, lv.E, 0)
-        psi = kg.ground_state_from_W(w, np.linspace(set_c.domain_start(), 60.0, 900))
+        psi = kg.ground_state_from_W(w, *linspace_grid(set_c.domain_start(), 60.0, 900))
         assert np.isfinite(psi.values[0].real) and np.isfinite(psi.values[0].imag)
 
 
@@ -212,7 +212,7 @@ class TestNodeCount:
     def test_nodeless_ground_state(self, set_a):
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
-        psi = kg.ground_state_from_W(w, np.linspace(set_a.domain_start(), 100.0, 1200))
+        psi = kg.ground_state_from_W(w, *linspace_grid(set_a.domain_start(), 100.0, 1200))
         assert kg.node_count(psi) == 0
 
     def test_constant_function(self):
