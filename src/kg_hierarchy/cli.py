@@ -11,8 +11,9 @@ of each level's Riccati identity and, on the Hermitian branch, the oracle
 comparison.  Exit codes: 1 for a ConfigError (a bad key, value or sweep value),
 another KGHierarchyError, an OSError, a MemoryError (an oracle grid too large to
 allocate) or a verify run without scipy, each one stderr line; 2 when level 0 is
-not bound.  json, the oracle and wavefunctions (so numpy) are imported where
-used: spectrum and sweep start without numpy or dataclasses, CSV without json.
+not bound.  json, the oracle (so numpy) and wavefunctions are imported where
+used: spectrum, sweep and wavefunction start without numpy or dataclasses, CSV
+without json.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ import sys
 import warnings
 from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, level, riccati_check
-from .potential import Branch, PotentialParams
+from .potential import Branch, OracleConfig, PotentialParams
 from .spectra import EnergyLevel, LevelFlag, spectrum
-
-if TYPE_CHECKING:
-    from .oracle import OracleConfig
 
 _BRANCHES = {b.value: b for b in Branch}
 _PARAM_KEYS = {"V0", "S0", "VI", "lambda", "q", "m", "branch"}
@@ -139,10 +137,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     oracle_cfg = None
     try:
         # A given oracle.n_points is checked on every command; only verify uses it.
-        if "oracle.n_points" in raw or args.command == "verify":
-            from .oracle import OracleConfig
-
-            oracle_cfg = OracleConfig(raw.get("oracle.n_points", OracleConfig.n_points))
+        if "oracle.n_points" in raw:
+            oracle_cfg = OracleConfig(raw["oracle.n_points"])
+        elif args.command == "verify":
+            oracle_cfg = OracleConfig()
         # verify and wavefunction sample on a box that ends at 40/lambda, right of the pole.
         if args.command in ("verify", "wavefunction"):
             raw["_params"].box_end()
@@ -274,9 +272,7 @@ def run_wavefunction(cfg: RunConfig) -> int:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
         psi = ground_state_from_W(level(p, lv.E, lv.n), x0, dx, 2000)
-        samples.extend(
-            (lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x.tolist(), psi.values.tolist())
-        )
+        samples.extend((lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x, psi.values))
     columns = ("n", "x", "re_psi", "im_psi")
     _write_table(cfg, "samples", columns, "%d,%.17g,%.17g,%.17g", samples, note=WAVEFORM_NOTE)
     return 0

@@ -23,8 +23,9 @@ sin(j*phi), phi the golden angle.
 
 Only scipy's LAPACK extension, scipy.linalg._flapack, is loaded, and only at
 the first eigensolve, so the closed-form commands never pay for it: spectrum,
-sweep and wavefunction never import this module, and spectrum and sweep load no
-numpy either.  scipy.linalg itself, with its much larger import, is never loaded.
+sweep and wavefunction never import this module and load no numpy either (they
+check a given oracle.n_points with OracleConfig, which lives in potential).
+scipy.linalg itself, with its much larger import, is never loaded.
 
 Box placement: the left wall sits at the deformation pole x0 = ln(q)/lam when
 q > 0 (x0 = 0 for the plain Hulthen case q = 1), because that is where the
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import NoBoundStateError, NonConvergenceError, NoRootError, ParameterError
 from .hierarchy import level_chain, level_coefficients, level_index
-from .potential import Branch, PotentialParams, gamma2, gamma_form, screened_ratio
+from .potential import Branch, OracleConfig, PotentialParams, gamma2, gamma_form, screened_ratio
 from .spectra import EnergyLevel, LevelFlag, _quadratic_roots
 from .wavefunctions import GridFunction
 
@@ -78,18 +79,6 @@ START_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # stencil's h^4 (the wall error is of order h^(2s - 1)).
 POLE_WALL_ROWS = 3
 POLE_WALL_MAX_S = 2.5
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Discretization control: n_points, the number of interior grid points of the
-    5-point stencil on the box that ends at PotentialParams.box_end()."""
-
-    n_points: int = 4000
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 64):
-            raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
 
 
 _Box = namedtuple("_Box", "x h u wall coarse_wall")

@@ -6,14 +6,15 @@ Klein-Gordon problem into a Schrodinger-form eigenproblem
 (-d2/dx2 + V_eff(x; E)) psi = (E^2 - m^2) psi.  The couplings V0 and S0 enter
 V_eff only through Gamma1 and Gamma2(E).
 
-The parameters and the Gamma terms are plain Python; the functions of x import
-numpy when they are called, so the spectrum solver never loads it, and return
-complex128 numpy values shaped like x.
+The parameters, the Gamma terms and the oracle's grid size (OracleConfig) are
+plain Python; the functions of x import numpy when they are called, so the
+spectrum solver never loads it, and return complex128 numpy values shaped like x.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from collections import namedtuple
@@ -26,8 +27,10 @@ if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import ArrayLike
 
-# Absolute floor on |1 - q*k(x)| before an evaluation counts as sitting on the pole.
+# Absolute floor on |1 - q*k(x)| before an evaluation counts as sitting on the pole,
+# and the DomainError message of every evaluation that does.
 POLE_TOL = 1e-12
+POLE_ERROR = "evaluation point within pole tolerance of 1 - q*exp(-lambda_eff*x) = 0"
 
 
 # The top-level modules whose frames a warning skips to name its caller.
@@ -159,6 +162,28 @@ class PotentialParams(_ParamTuple):
         return end
 
 
+class OracleConfig(namedtuple("OracleConfig", "n_points", defaults=(4000,))):
+    """Discretization control of the finite-difference verifier (kg_hierarchy.oracle):
+    n_points, the number of interior grid points of the 5-point stencil on the box
+    that ends at PotentialParams.box_end().
+
+    Defined here, without numpy, so that a command checks a given oracle.n_points
+    without loading the oracle.  ``__init__`` raises ValueError unless n_points is an
+    integer >= 64; ``_replace`` checks too.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __init__(self, n_points=4000) -> None:
+        try:
+            ok = operator.index(self.n_points) >= 64
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
+
+
 def gamma2(p: PotentialParams, E: complex) -> complex:
     """Gamma2(E) = 2*(m*S0 + E*V0_eff), affine in E; Gamma1 is p.gamma1."""
     g2 = 2.0 * (p.m * p.S0 + E * p.v0_eff)
@@ -174,16 +199,15 @@ def gamma2(p: PotentialParams, E: complex) -> complex:
 def kernel_and_base(q: float, lambda_eff: complex, x: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     """k = exp(-lambda_eff*x) and the deformation base 1 - q*k, as complex arrays.
 
-    The one pole check: DomainError where |1 - q*k| < POLE_TOL.
+    DomainError(POLE_ERROR) where |1 - q*k| < POLE_TOL: the array form of the pole
+    check that wavefunctions.ground_state_from_W makes per sample.
     """
     import numpy as np
 
     k = np.exp(-lambda_eff * np.asarray(x, dtype=np.complex128))
     base = 1.0 - q * k
     if np.any(np.abs(base) < POLE_TOL):
-        raise DomainError(
-            "evaluation point within pole tolerance of 1 - q*exp(-lambda_eff*x) = 0"
-        )
+        raise DomainError(POLE_ERROR)
     return k, base
 
 

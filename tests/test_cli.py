@@ -172,7 +172,7 @@ class TestConfigErrorExit:
         "command,overrides,extra,fragment",
         [
             ("verify", {"oracle.n_points": "32"}, (), "n_points"),
-            # spectrum and sweep load the oracle only to check a key that is given.
+            # spectrum and sweep check a given key too, without loading the oracle.
             ("spectrum", {"oracle.n_points": "32"}, (), "oracle: n_points"),
             # The stencil is fixed and the box ends at 40/lambda; their old keys are unknown.
             ("sweep", {"sweep_key": "q", "sweep_values": "1", "oracle.x_max": "1"}, (), "unknown key 'oracle.x_max'"),
@@ -332,6 +332,30 @@ error = raised(lambda: kg.compare(p, kg.solve_level(p, 0), kg.OracleConfig(n_poi
 print(json.dumps([rc, error, raised(lambda: __import__("scipy.linalg"))]))
 """
 
+# numpy is hidden from the path finder; runs main() on each argv of a JSON list and
+# prints their exit codes and the error of importing numpy.
+NO_NUMPY_PROBE = """
+import importlib.machinery, json, sys
+
+class NoNumpy(importlib.machinery.PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        return None if name.partition(".")[0] == "numpy" else super().find_spec(name, path, target)
+
+sys.meta_path = [NoNumpy if f is importlib.machinery.PathFinder else f for f in sys.meta_path]
+
+from kg_hierarchy.cli import main
+
+def raised(call):
+    try:
+        call()
+    except ModuleNotFoundError as exc:
+        return [type(exc).__name__, exc.name, str(exc)]
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, raised(lambda: __import__("numpy"))]))
+"""
+
 SHARED_LAPACK_PROBE = """
 import json, sys
 import numpy as np
@@ -375,11 +399,11 @@ print(json.dumps([name in sys.modules for name in ("scipy.linalg._flapack", "sci
 """
 
 
-# Whether dataclasses and inspect are loaded before the package import, after
-# it and after each CLI run (one tab-separated argv each).
+# Whether dataclasses, inspect, numpy and the oracle are loaded before the package
+# import, after it and after each CLI run (one tab-separated argv each).
 HEAVY_IMPORT_PROBE = """
 import json, sys
-heavy = lambda: [name in sys.modules for name in ("dataclasses", "inspect")]
+heavy = lambda: [name in sys.modules for name in ("dataclasses", "inspect", "numpy", "kg_hierarchy.oracle")]
 seen = [heavy()]
 from kg_hierarchy.cli import main
 seen.append(heavy())
@@ -394,15 +418,40 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 class TestStartupImports:
     def test_closed_form_commands_never_load_dataclasses(self, tmp_path):
-        # dataclasses loads inspect, ast, dis and tokenize: about 10 ms of every start.
-        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.9, 1.1\n")
-        runs = [
-            ["spectrum", "--config", str(SET_A_CFG), "--output", str(tmp_path / "s.csv")],
-            ["sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv")],
-        ]
+        # dataclasses loads inspect, ast, dis and tokenize: about 10 ms of every start;
+        # numpy about 0.1 s.  A given oracle.n_points is checked without the oracle.
+        runs = []
+        for extra in ("", "oracle.n_points = 400\n"):
+            base = SET_A_CFG.read_text() + extra
+            cfg = write_cfg(tmp_path, base, f"run{len(runs)}.cfg")
+            sweep = write_cfg(tmp_path, base + "sweep_key = q\nsweep_values = 0.9, 1.1\n", f"sweep{len(runs)}.cfg")
+            runs += [
+                ["spectrum", "--config", cfg, "--output", str(tmp_path / "s.csv")],
+                ["sweep", "--config", sweep, "--output", str(tmp_path / "sw.csv")],
+                ["wavefunction", "--config", cfg, "--output", str(tmp_path / "wf.csv")],
+            ]
         proc = run_python_fresh("-c", HEAVY_IMPORT_PROBE, *("\t".join(argv) for argv in runs))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[False, False]] * 4
+        assert json.loads(proc.stdout) == [[False] * 4] * (2 + len(runs))
+
+    def test_closed_form_commands_run_without_numpy(self, tmp_path):
+        # With numpy hidden, each command writes the bytes it writes with numpy installed.
+        cfg = write_cfg(tmp_path, SET_A_CFG.read_text() + "oracle.n_points = 400\n")
+        sweep = write_cfg(tmp_path, SET_A_CFG.read_text() + "sweep_key = q\nsweep_values = 0.9, 1.1\n", "sweep.cfg")
+        runs = [
+            ["spectrum", "--config", cfg],
+            ["sweep", "--config", sweep],
+            ["wavefunction", "--config", cfg],
+            ["wavefunction", "--config", cfg, "--format", "json"],
+        ]
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--output", str(tmp_path / f"with{i}.out")]) == 0
+        blocked = [[*argv, "--output", str(tmp_path / f"without{i}.out")] for i, argv in enumerate(runs)]
+        proc = run_python_fresh("-c", NO_NUMPY_PROBE, json.dumps(blocked))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(runs), ["ModuleNotFoundError", "numpy", "No module named 'numpy'"]]
+        for i in range(len(runs)):
+            assert (tmp_path / f"without{i}.out").read_bytes() == (tmp_path / f"with{i}.out").read_bytes()
 
     def test_traced_sweep_counts_every_params_build(self, tmp_path):
         # The tracer wraps PotentialParams.__init__; the base point and the two
@@ -428,10 +477,9 @@ class TestScipyOnlyForVerify:
         ]
         proc = run_python_fresh("-c", SCIPY_PROBE, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
-        # spectrum and sweep load no numpy and no oracle; wavefunction loads neither the oracle nor scipy.
-        wavefunction = ["numpy", "kg_hierarchy.wavefunctions"]
+        # No closed-form command loads numpy or the oracle; wavefunction loads its own module.
         assert json.loads(proc.stdout) == [
-            ["import", None, []], ["spectrum", 0, []], ["sweep", 0, []], ["wavefunction", 0, wavefunction]
+            ["import", None, []], ["spectrum", 0, []], ["sweep", 0, []], ["wavefunction", 0, ["kg_hierarchy.wavefunctions"]]
         ]
 
     def test_csv_tables_never_load_json(self, tmp_path):
@@ -468,7 +516,7 @@ class TestScipyOnlyForVerify:
         # The oracle checks each root in one shot; no iteration is left to diverge.
         with pytest.raises(AttributeError):
             kg_hierarchy.OuterDivergenceError
-        # The grid helpers live in wavefunctions and OracleConfig in oracle; no grid module is left.
+        # The grid helpers live in wavefunctions and OracleConfig in potential; no grid module is left.
         with pytest.raises(AttributeError):
             kg_hierarchy.grid
         # The hierarchy is checked on the oracle's own operator, not on sampled partner potentials.

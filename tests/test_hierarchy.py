@@ -34,9 +34,9 @@ def ladder(w: Superpotential, psi: kg.GridFunction, sign: int) -> kg.GridFunctio
     sign=+1 gives the operator annihilating exp(-integral W), sign=-1 its formal
     adjoint.  The stencil trims two points from each end.
     """
-    v, h = psi.values, psi.dx
+    v, h = np.asarray(psi.values), psi.dx
     dpsi = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    x_in = psi.x[2:-2]
+    x_in = np.asarray(psi.x[2:-2])
     return kg.GridFunction(float(x_in[0]), h, sign * dpsi + w_and_derivative(w, x_in)[0] * v[2:-2])
 
 
@@ -273,7 +273,7 @@ class TestLadder:
         fg = kg.GridFunction(x[0], h, f)
         for first, second, pm in [(-1, +1, +1.0), (+1, -1, -1.0)]:
             twice = ladder(w, ladder(w, fg, first), second)
-            xi = twice.x
+            xi = np.asarray(twice.x)
             wv, wd = w_and_derivative(w, xi)
             fi = np.exp(-((xi - 8.0) ** 2) / 4.0)
             fpp = fi * (((xi - 8.0) ** 2) / 4.0 - 0.5)
@@ -285,7 +285,7 @@ class TestLadder:
         E = [lv.E for lv in kg.solve_level(set_a, 0) if lv.E.real > 0][0]
         w = kg.level(set_a, E, 0)
         psi = kg.ground_state_from_W(w, 1.0, 29.0 / 4000, 4001)
-        v = psi.values
+        v = np.asarray(psi.values)
         dpsi = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * psi.dx)
         w_rec = -dpsi / v[2:-2]
         np.testing.assert_allclose(w_rec, w_and_derivative(w, psi.x[2:-2])[0], atol=1e-9)

@@ -1,13 +1,16 @@
 """Ground-state wavefunctions: construction, normalization, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
 import kg_hierarchy as kg
-from kg_hierarchy import Branch, GridFunction, Superpotential
+from kg_hierarchy import Branch, GridFunction, LevelFlag, Superpotential
 from kg_hierarchy.errors import DomainError, NonNormalizableError, ParameterError
+from kg_hierarchy.potential import kernel_and_base
 
-from conftest import SET_A, SET_C, params
+from conftest import SET_A, SET_B, SET_C, params
 
 
 def closed_form_psi(p, w: Superpotential, x: np.ndarray) -> np.ndarray:
@@ -20,6 +23,24 @@ def closed_form_psi(p, w: Superpotential, x: np.ndarray) -> np.ndarray:
     xa = np.asarray(x, dtype=float).astype(np.complex128)
     base = 1.0 - p.q * np.exp(-p.lambda_eff * xa)
     return np.power(base, w.nu / (p.q * p.lambda_eff)) * np.exp(-w.mu * xa)
+
+
+def numpy_ground_state(w: Superpotential, x0: float, dx: float, n: int) -> np.ndarray:
+    """The numpy evaluation of ground_state_from_W that the plain-Python one replaced,
+    kept as the reference route: the same operations on complex128 arrays, with
+    numpy's pairwise sum and its own exp, log and complex products."""
+    x = x0 + dx * np.arange(n)
+    base = kernel_and_base(w.q, w.lambda_eff, x)[1]
+    log_psi = (w.nu / (w.q * w.lambda_eff)) * np.log(base) - w.mu * x
+    peak = float(np.max(log_psi.real))
+    if np.isfinite(peak):
+        log_psi = log_psi - peak
+    values = np.exp(log_psi)
+    if w.lambda_eff.imag == 0.0:
+        norm = float(np.sqrt(dx * np.sum(np.abs(values) ** 2)))
+    else:
+        norm = float(np.max(np.abs(values)))
+    return values * (1.0 / norm)
 
 
 def linspace_grid(x0: float, x1: float, n: int) -> tuple[float, float, int]:
@@ -53,6 +74,12 @@ class TestGridFunction:
         g = GridFunction(1.0, 0.5, np.ones(16, dtype=complex))
         assert g.x[0] == 1.0 and g.x[-1] == pytest.approx(8.5)
 
+    def test_max_modulus_sees_a_nan_that_is_not_first(self):
+        # max() compares nothing greater than a nan, so it skips one that is not first.
+        vals = [1.0 + 0j] * 20 + [complex(math.nan, 0.0)] + [2.0 + 0j] * 20
+        assert math.isnan(GridFunction(0.0, 0.1, vals).max_modulus())
+        assert GridFunction(0.0, 0.1, vals[:20] + vals[21:]).max_modulus() == 2.0
+
 
 class TestGroundStateFromW:
     def test_unit_l2_norm_hermitian(self, set_a):
@@ -67,11 +94,11 @@ class TestGroundStateFromW:
         lv = solved_level(set_a)
         w = kg.level(set_a, lv.E, 0)
         psi = kg.ground_state_from_W(w, *linspace_grid(set_a.domain_start(), 80.0, 1024))
-        x = psi.x
+        x, values = np.asarray(psi.x), np.asarray(psi.values)
         ref = (1.0 - np.exp(-0.2 * x)) ** (w.nu.real / 0.2) * np.exp(-w.mu.real * x)
         ref = ref / np.sqrt(np.sum(ref * ref) * psi.dx)
-        np.testing.assert_allclose(psi.values.real, ref, atol=1e-12)
-        np.testing.assert_allclose(psi.values.imag, 0.0, atol=1e-14)
+        np.testing.assert_allclose(values.real, ref, atol=1e-12)
+        np.testing.assert_allclose(values.imag, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2000.0, 16.5, "2000", None])
     def test_non_integer_sample_count_rejected(self, set_a, n):
@@ -126,8 +153,9 @@ class TestGroundStateFromW:
         half = closed_form_psi(p, Superpotential(w.nu / 2, w.mu / 2, p.lambda_eff, p.q), x).real
         shape = (half / half.max()) ** 2
         shape /= np.sqrt(np.sum(shape * shape) * psi.dx)
-        np.testing.assert_allclose(psi.values.real, shape, rtol=0, atol=1e-12)
-        assert not np.any(psi.values.imag)
+        values = np.asarray(psi.values)
+        np.testing.assert_allclose(values.real, shape, rtol=0, atol=1e-12)
+        assert not np.any(values.imag)
 
     def test_hermitian_tail_decay(self, set_a):
         lv = solved_level(set_a)
@@ -141,7 +169,7 @@ class TestGroundStateFromW:
         p = params(dict(V0=0.0, S0=1.0, lam=0.2, q=1e-8, m=1.0))
         w = kg.level(p, 0.0, 0)
         psi = kg.ground_state_from_W(w, *linspace_grid(0.1, 60.0, 800))
-        x = psi.x
+        x = np.asarray(psi.x)
         limit = np.exp(-(w.nu / p.lam) * np.exp(-p.lam * x)) * np.exp(-w.mu * x)
         limit /= np.sqrt(np.sum(np.abs(limit) ** 2) * psi.dx)
         assert np.max(np.abs(psi.values - limit)) <= 1e-6 * np.max(np.abs(limit))
@@ -201,11 +229,62 @@ class TestRouteEquivalence:
         with pytest.raises(DomainError, match="pole"):
             kg.ground_state_from_W(w, *linspace_grid(pole - 1.0, pole + 1.0, 33))
 
+    @pytest.mark.parametrize("q,lambda_eff,pole", [(1.0, 0.2, 0.0), (-1.0, 0.2j, math.pi / 0.2)],
+                             ids=["exact-zero", "complex-branch"])
+    def test_grid_through_other_poles_raises(self, q, lambda_eff, pole):
+        # The middle grid point: 1 - q*k is exactly 0 at x = 0 for q = 1, where the
+        # log of the base would raise ValueError; |q| = 1 on a complex branch puts
+        # a pole at pi/lam for q = -1.
+        w = Superpotential(nu=1.5, mu=0.3, lambda_eff=lambda_eff, q=q)
+        with pytest.raises(DomainError, match="pole"):
+            kg.ground_state_from_W(w, *linspace_grid(pole - 1.0, pole + 1.0, 33))
+
+    @pytest.mark.parametrize("q", [2.0, -2.0])
+    def test_overflowing_kernel_is_non_normalizable(self, q):
+        # exp(-lam*x) overflows on all of [-5000, -4937]: numpy gave inf there and a
+        # nan norm, where cmath.exp raises OverflowError.
+        w = Superpotential(nu=1.5, mu=0.3, lambda_eff=0.2, q=q)
+        with pytest.raises(NonNormalizableError, match="grid norm of psi is nan"):
+            kg.ground_state_from_W(w, -5000.0, 1.0, 64)
+
+    def test_nan_samples_fail_the_max_modulus_norm(self):
+        # A complex lambda_eff with a negative real part: k overflows right of
+        # x = 3548.9, so the last samples are nan, and a max() that skipped them
+        # normalized the finite ones.
+        w = Superpotential(nu=1.5, mu=0.3j, lambda_eff=-0.2 + 0.2j, q=2.0)
+        with pytest.raises(NonNormalizableError, match="grid norm of psi is nan"):
+            kg.ground_state_from_W(w, 3500.0, 1.0, 64)
+
     def test_boundary_value_finite_for_nonnegative_exponent(self, set_c):
         lv = solved_level(set_c)
         w = kg.level(set_c, lv.E, 0)
         psi = kg.ground_state_from_W(w, *linspace_grid(set_c.domain_start(), 60.0, 900))
         assert np.isfinite(psi.values[0].real) and np.isfinite(psi.values[0].imag)
+
+
+# The spectrum and wavefunction cases of the benchmark: sets A-C on every branch
+# with a bound level at n = 0 (PTSymmetric B has none).
+BENCHMARK_CASES = [
+    (name, branch) for name in ("A", "B", "C") for branch in Branch if (name, branch) != ("B", Branch.PT_SYMMETRIC)
+]
+
+
+class TestNumpyRoute:
+    @pytest.mark.parametrize("name,branch", BENCHMARK_CASES, ids=[f"{n}-{b.value}" for n, b in BENCHMARK_CASES])
+    def test_samples_match_the_numpy_route(self, name, branch):
+        # On the CLI grid, every normalizable level: the plain-Python samples differ
+        # from the numpy route's only in the last digits (at most 7.1e-15 of max|psi|).
+        p = params({"A": SET_A, "B": SET_B, "C": SET_C}[name], branch=branch,
+                   VI=0.1 if branch is Branch.NON_HERMITIAN else 0.0)
+        x0 = p.domain_start()
+        dx = (p.box_end() - x0) / 1999
+        levels = [lv for lv in kg.spectrum(p, 8) if LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags]
+        assert levels
+        for lv in levels:
+            w = kg.level(p, lv.E, lv.n)
+            psi = kg.ground_state_from_W(w, x0, dx, 2000)
+            ref = numpy_ground_state(w, x0, dx, 2000)
+            assert np.max(np.abs(np.asarray(psi.values) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestNodeCount:
