@@ -201,10 +201,11 @@ _LEVEL_COLUMNS = ("n", "re_E", "im_E", "re_epsilon", "im_epsilon", "re_mu", "im_
 _LEVEL_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
-def _level_values(lv: EnergyLevel) -> tuple:
+def _level_values(lv: EnergyLevel, *prefix: object) -> tuple:
+    # The prefix fields (a sweep's key and value) lead the row, in the same tuple.
     eps = lv.epsilon
     return (
-        lv.n, lv.E.real, lv.E.imag, eps.real, eps.imag,
+        *prefix, lv.n, lv.E.real, lv.E.imag, eps.real, eps.imag,
         lv.mu.real, lv.mu.imag, lv.residual, _flags_cell(lv.flags, lv.note),
     )
 
@@ -289,7 +290,7 @@ def run_sweep(cfg: RunConfig) -> int:
         except ParameterError as exc:
             raise ConfigError(f"sweep value {key} = {v:g} rejected: {exc}") from exc
     solved = [spectrum(point, cfg.n_max) for point in swept]
-    rows = ((key, v, *_level_values(lv)) for v, levels in zip(cfg.sweep_values, solved) for lv in levels)
+    rows = (_level_values(lv, key, v) for v, levels in zip(cfg.sweep_values, solved) for lv in levels)
     _write_table(cfg, "rows", ("sweep_key", "sweep_value", *_LEVEL_COLUMNS), "%s,%.17g," + _LEVEL_ROW, rows)
     return 0
 

@@ -24,10 +24,13 @@ Newton polish run in float arithmetic, which gives the digits of the complex
 one without -0 imaginary parts.  The module imports no numpy, and EnergyLevel
 is a NamedTuple, so the spectrum and sweep commands start without numpy or
 dataclasses.  spectrum and solve_level share one root pass, giving each root of
-a level as (E, mu, residual, note), and one EnergyLevel constructor.  spectrum
-stops at n_max or at the first level with no root of Re(mu) > 0 (none flagged
-NormalizableMuPositive, a level with no root included) and wraps only the roots
-it returns; solve_level is one level, and only it raises NoRootError.
+a level as (E, mu, residual, note), and one EnergyLevel constructor.  The pass
+polishes at most two starts, so a second root is checked for a double root
+against the first alone, and two roots are put in (Re E, Im E) order by one
+comparison.  spectrum stops at n_max or at the first level with no root of
+Re(mu) > 0 (none flagged NormalizableMuPositive, a level with no root included)
+and wraps only the roots it returns; solve_level is one level, and only it
+raises NoRootError.
 """
 
 from __future__ import annotations
@@ -139,9 +142,13 @@ def spectrum(p: PotentialParams, n_max: int) -> list[EnergyLevel]:
     out: list[EnergyLevel] = []
     for n in range(n_max + 1):
         roots = _level_roots(p, n, chain_coefficients(chain, n))
-        if not any(mu.real > 0.0 for _, mu, _, _ in roots):
+        for _, mu, _, _ in roots:
+            if mu.real > 0.0:
+                break
+        else:
             break
-        out.extend(_make_level(p, n, *root) for root in roots)
+        for root in roots:
+            out.append(_make_level(p, n, *root))
     return out
 
 
@@ -175,12 +182,17 @@ def _level_roots(p: PotentialParams, n: int, coeffs: Coefficients) -> list[Root]
         E, res = _newton_polish(p, n, a, b, E0)
         if hermitian and not -edge < E < edge:
             continue
-        if any(abs(E - kept[0]) < 1e-10 * (1.0 + abs(E)) for kept in out):
+        # At most two starts, so a duplicate can only be of the one root kept before it.
+        if out and abs(E - out[0][0]) < 1e-10 * (1.0 + abs(E)):
             out[0] = (*out[0][:3], "double_root")
             continue
         # mu from the complex coefficients, as level() gives it.
         out.append((E, complex(ca + cb * E), res, ""))
-    out.sort(key=lambda root: (root[0].real, root[0].imag))
+    if len(out) == 2:
+        # (Re E, Im E) order, as a stable sort on that key gives.
+        first, second = out[0][0], out[1][0]
+        if (second.real, second.imag) < (first.real, first.imag):
+            out.reverse()
     return out
 
 

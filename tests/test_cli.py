@@ -769,6 +769,43 @@ class TestSweepCommand:
         # Three levels, two roots each, five sweep points.
         assert len(lines) - 1 == 5 * 6
 
+    # Eight q-values each, both ends of the q ranges of the benchmark's sweeps included.
+    GOLDEN_SWEEPS = ("a_hermitian", "b_hermitian", "c_nonhermitian")
+
+    @pytest.mark.parametrize("case", GOLDEN_SWEEPS)
+    def test_golden_file_byte_identical(self, tmp_path, case):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(DATA / f"sweep_{case}.cfg"), "--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"golden_sweep_{case}.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", GOLDEN_SWEEPS)
+    def test_rows_are_the_spectrum_rows_of_each_point(self, tmp_path, case, fmt):
+        # Each sweep row is q,%.17g, followed by the spectrum row of that point.
+        text = (DATA / f"sweep_{case}.cfg").read_text()
+        values = parse_config(DATA / f"sweep_{case}.cfg")["sweep_values"]
+        base = "".join(line + "\n" for line in text.splitlines() if not line.startswith(("sweep_", "q =")))
+
+        def run(command: str, body: str) -> str:
+            out = tmp_path / f"{command}.{fmt}"
+            assert main([command, "--config", write_cfg(tmp_path, body), "--format", fmt, "--output", str(out)]) == 0
+            return out.read_text()
+
+        swept = run("sweep", text)
+        points = [run("spectrum", base + f"q = {v!r}\n") for v in values]
+        if fmt == "csv":
+            header, *lines = swept.splitlines()
+            expected = []
+            for v, point in zip(values, points):
+                point_header, *point_lines = point.splitlines()
+                assert header == "sweep_key,sweep_value," + point_header
+                expected += ["q,%.17g,%s" % (v, line) for line in point_lines]
+        else:
+            lines = [list(record.items()) for record in json.loads(swept)["rows"]]
+            expected = [[("sweep_key", "q"), ("sweep_value", v), *record.items()]
+                        for v, point in zip(values, points) for record in json.loads(point)["levels"]]
+        assert lines == expected and len(lines) > len(values)
+
     def test_sweep_with_q_zero_rejected_before_solving(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.BASE + "sweep_key = q\nsweep_values = 0.5,0,1.5\n")
         assert main(["sweep", "--config", cfg]) == 1

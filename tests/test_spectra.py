@@ -285,6 +285,52 @@ def test_spectrum_is_solve_level_up_to_the_stop_level(p):
     assert outcome(lambda: kg.spectrum(p, 8)) == outcome(by_level)
 
 
+# A fixed q grid over the sets and every branch with a level 0 (PTSymmetric set B
+# has none): set D is set C at q = 3, and q = 6 puts set C's Hermitian level-0
+# threshold root within rounding of -m (test_threshold_root_excluded).  At the
+# negative q of a set its Hermitian level quadratic has a double root at a listed
+# level: set A's level 0 and set C's level 3 (set B degenerates at q < 0).
+AGREEMENT_SETS = {"A": SET_A, "B": SET_B, "C": SET_C}
+AGREEMENT_Q = (0.5, 0.75, 0.8, 1.0, 2.0, 3.0, 4.0, 4.5, 6.0)
+DOUBLE_ROOT_Q = {"A": (-0.9545454545454553, 0), "C": (-0.40217268776214105, 3)}
+AGREEMENT_CASES = [
+    pytest.param(base, branch, VI, q, id=f"{name}-{branch.value}-q{q:g}")
+    for name, base in AGREEMENT_SETS.items()
+    for branch, VI in ((Branch.HERMITIAN, 0.0), (Branch.PT_SYMMETRIC, 0.0), (Branch.NON_HERMITIAN, 0.1))
+    if (name, branch) != ("B", Branch.PT_SYMMETRIC)
+    for q in AGREEMENT_Q + ((DOUBLE_ROOT_Q[name][0],) if name in DOUBLE_ROOT_Q else ())
+]
+
+
+@pytest.mark.parametrize("base,branch,VI,q", AGREEMENT_CASES)
+def test_spectrum_lists_solve_level_root_for_root(base, branch, VI, q):
+    p = params(dict(base, q=q), branch, VI)
+    spec = kg.spectrum(p, 8)
+    stop = len({lv.n for lv in spec})
+    assert [lv.n for lv in spec] == sorted(lv.n for lv in spec)
+    for n in range(stop):
+        listed = [lv for lv in spec if lv.n == n]
+        solved = kg.solve_level(p, n)
+        assert listed == solved
+        assert [repr(lv) for lv in listed] == [repr(lv) for lv in solved]  # signed zeros too
+        keys = [(lv.E.real, lv.E.imag) for lv in listed]
+        assert keys == sorted(keys)
+    if stop <= 8:
+        try:
+            at_stop = kg.solve_level(p, stop)
+        except NoRootError:
+            at_stop = []
+        assert all(lv.mu.real <= 0.0 for lv in at_stop)
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_ROOT_Q))
+def test_agreement_grid_has_a_listed_double_root(name):
+    q, n = DOUBLE_ROOT_Q[name]
+    spec = kg.spectrum(params(dict(AGREEMENT_SETS[name], q=q)), 8)
+    assert [lv.note for lv in spec if lv.n == n] == ["double_root"]
+    assert all(lv.mu.real > 0.0 for lv in spec if lv.n == n)
+
+
 class TestComplexBranches:
     def test_pt_solve_level_residuals(self):
         p = params(SET_C, branch=Branch.PT_SYMMETRIC)
