@@ -11,14 +11,17 @@ of each level's Riccati identity and, on the Hermitian branch, the oracle
 comparison.  Exit codes: 1 for a ConfigError (a bad key, value or sweep value),
 another KGHierarchyError, an OSError, a MemoryError (an oracle grid too large to
 allocate) or a verify run without scipy, each one stderr line; 2 when level 0 is
-not bound.  json, the oracle (so numpy) and wavefunctions are imported where
-used: spectrum, sweep and wavefunction start without numpy or dataclasses, CSV
-without json.
+not bound, or for a usage error (a usage line and one "kg-hierarchy: error:"
+line on stderr); 0 after -h or --help.  parse_args reads the command line
+directly: the command, then --config (required), --output, --format, --jobs
+(no effect) and, for verify only, --perturb-mu, as --opt value or --opt=value in
+any order and by any unique prefix.  json, the oracle (so numpy) and
+wavefunctions are imported where used: spectrum, sweep and wavefunction start
+without numpy, dataclasses or argparse, CSV without json.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import itertools
@@ -26,7 +29,7 @@ import sys
 import warnings
 from collections.abc import Iterable
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import ConfigError, KGHierarchyError, ParameterError
 from .hierarchy import RICCATI_TOL, level, riccati_check
@@ -39,6 +42,8 @@ _OTHER_KEYS = {"n_max", "sweep_key", "sweep_values", "oracle.n_points"}
 _SWEEPABLE = {"V0", "S0", "VI", "lambda", "q", "m"}
 # Output chunks joined per write: one write per chunk is slow on an unbuffered stdout.
 _EMIT_BATCH = 4096
+# wavefunction samples each normalizable root at this many points, from domain_start() to box_end().
+_WAVEFUNCTION_SAMPLES = 2000
 
 
 class RunConfig(NamedTuple):
@@ -130,31 +135,31 @@ def _build_params(raw: dict[str, object]) -> PotentialParams:
     )
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    raw = parse_config(args.config)
+def build_run_config(args: dict[str, object]) -> RunConfig:
+    if args["jobs"] < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args['jobs']}")
+    raw = parse_config(args["config"])
     oracle_cfg = None
     try:
         # A given oracle.n_points is checked on every command; only verify uses it.
         if "oracle.n_points" in raw:
             oracle_cfg = OracleConfig(raw["oracle.n_points"])
-        elif args.command == "verify":
+        elif args["command"] == "verify":
             oracle_cfg = OracleConfig()
         # verify and wavefunction sample on a box that ends at 40/lambda, right of the pole.
-        if args.command in ("verify", "wavefunction"):
+        if args["command"] in ("verify", "wavefunction"):
             raw["_params"].box_end()
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc
     cfg = RunConfig(
         params=raw["_params"],
-        command=args.command,
+        command=args["command"],
         n_max=raw.get("n_max", 16),
         sweep_key=raw.get("sweep_key"),
         sweep_values=raw.get("sweep_values", ()),
-        output_path=args.output,
-        fmt=args.format,
-        perturb_mu=getattr(args, "perturb_mu", 0.0),
+        output_path=args["output"],
+        fmt=args["format"],
+        perturb_mu=args["perturb_mu"],
         oracle_cfg=oracle_cfg,
     )
     if cfg.n_max < 0:
@@ -267,12 +272,12 @@ def run_wavefunction(cfg: RunConfig) -> int:
     if not (levels := _bound_levels(cfg)):
         return 2
     x0 = p.domain_start()
-    dx = (p.box_end() - x0) / 1999  # 2000 points from x0 to box_end()
+    dx = (p.box_end() - x0) / (_WAVEFUNCTION_SAMPLES - 1)
     samples: list[tuple[int, float, float, float]] = []
     for lv in levels:
         if LevelFlag.NORMALIZABLE_MU_POSITIVE not in lv.flags:
             continue
-        psi = ground_state_from_W(level(p, lv.E, lv.n), x0, dx, 2000)
+        psi = ground_state_from_W(level(p, lv.E, lv.n), x0, dx, _WAVEFUNCTION_SAMPLES)
         samples.extend((lv.n, xi, vi.real, vi.imag) for xi, vi in zip(psi.x, psi.values))
     columns = ("n", "x", "re_psi", "im_psi")
     _write_table(cfg, "samples", columns, "%d,%.17g,%.17g,%.17g", samples, note=WAVEFORM_NOTE)
@@ -303,30 +308,76 @@ _DISPATCH = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kg-hierarchy",
-        description="Relativistic bound states of the q-deformed Hulthen potential "
-        "via the factorization hierarchy, with finite-difference verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "solve the bound spectrum and emit one row per level"),
-        ("wavefunction", "emit sampled ground-state wavefunctions per level"),
-        ("verify", "Riccati residuals and (Hermitian) oracle comparison"),
-        ("sweep", "re-solve the spectrum over a swept parameter"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="key=value configuration file")
-        sp.add_argument("--output", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
-        if name == "verify":
-            sp.add_argument(
-                "--perturb-mu", dest="perturb_mu", type=float, default=0.0,
-                help="test hook: offset mu before the residual check",
-            )
-    return parser
+_USAGE = ("usage: kg-hierarchy {spectrum,wavefunction,verify,sweep} --config FILE [--output PATH] "
+          "[--format {csv,json}] [--jobs N] [--perturb-mu X]\n")
+_HELP = f"""{_USAGE}
+Relativistic bound states of the q-deformed Hulthen potential via the
+factorization hierarchy, with finite-difference verification.
+
+commands:
+  spectrum             solve the bound spectrum and emit one row per level
+  wavefunction         emit sampled ground-state wavefunctions per level
+  verify               Riccati residuals and (Hermitian) oracle comparison
+  sweep                re-solve the spectrum over a swept parameter
+
+options (after the command):
+  --config FILE        key=value configuration file (required)
+  --output PATH        output path (default: stdout)
+  --format {{csv,json}}  table format (default: csv)
+  --jobs N             accepted for compatibility; has no effect
+  --perturb-mu X       verify only; test hook: offset mu before the residual check
+  -h, --help           show this help and exit
+"""
+# Each option with the conversion of its value; only verify takes --perturb-mu.
+_OPTIONS = {"--config": str, "--output": str, "--format": str, "--jobs": int, "--perturb-mu": float}
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}kg-hierarchy: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> dict[str, object]:
+    """The command and option values of argv, keyed as build_run_config reads them.
+
+    The options follow the command in any order, as --opt value or --opt=value; a
+    unique prefix names an option (--conf), and the last of a repeated option wins.
+    -h or --help writes the help to stdout and exits 0.  A usage error writes the
+    usage line and one error line to stderr and exits 2.
+    """
+    args: dict[str, object] = {"command": None, "config": None, "output": None, "format": "csv", "jobs": 1,
+                               "perturb_mu": 0.0}
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "-h" or (len(arg) > 2 and "--help".startswith(arg)):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if args["command"] is None:
+            if arg not in _DISPATCH:
+                _usage_error(f"argument command: invalid choice: {arg!r} (choose from {', '.join(map(repr, _DISPATCH))})")
+            args["command"] = arg
+            continue
+        name, eq, value = arg.partition("=")
+        known = [o for o in _OPTIONS if o.startswith(name) and (o != "--perturb-mu" or args["command"] == "verify")]
+        if len(name) < 3 or not name.startswith("--") or len(known) != 1:
+            _usage_error(f"unrecognized arguments: {arg}")
+        option = known[0]
+        if not eq:
+            value = next(rest, None)
+            # A next argument that looks like an option is not a value; a negative number is.
+            if value is None or (value[:1] == "-" and value[1:2] not in ".0123456789"):
+                _usage_error(f"argument {option}: expected one argument")
+        if option == "--format" and value not in ("csv", "json"):
+            _usage_error(f"argument --format: invalid choice: {value!r} (choose from 'csv', 'json')")
+        try:
+            args[option[2:].replace("-", "_")] = _OPTIONS[option](value)
+        except ValueError:
+            _usage_error(f"argument {option}: invalid {_OPTIONS[option].__name__} value: {value!r}")
+    if args["command"] is None:
+        _usage_error("the following arguments are required: command")
+    if args["config"] is None:
+        _usage_error("the following arguments are required: --config")
+    return args
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -335,7 +386,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     with warnings.catch_warnings():
         warnings.simplefilter("once")
         warnings.showwarning = _show_warning

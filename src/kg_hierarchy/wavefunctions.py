@@ -9,7 +9,9 @@ denominator, which is why q = 0 is excluded at construction.  On the
 non-Hermitian branch mu is (up to the stored convention) i times a real decay
 constant, so exp(-mu*x) is the expected oscillatory phase factor there.
 :func:`ground_state_from_W` is the one evaluation of psi, at the points
-GridFunction.x of the grid (x0, dx, n) it is given.  It evaluates one sample at
+GridFunction.x of the grid (x0, dx, n) it is given.  The terms that do not
+depend on the level, x and log(1 - q*k), are computed once for the last grid
+and shared by the levels sampled on it.  It evaluates one sample at
 a time with cmath, so the module loads neither numpy nor dataclasses, and its
 complex products are CPython's, not numpy's loops, which pick fused
 multiply-add kernels by CPU at run time.
@@ -18,6 +20,7 @@ multiply-add kernels by CPU at run time.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 
@@ -82,6 +85,23 @@ def _exp(z: complex) -> complex:
         return complex(math.nan, math.nan)
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_terms(q: float, lambda_eff: complex, x0: float, dx: float,
+                n: int) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+    """The level-independent terms of log(psi) on the grid: the points x0 + i*dx (GridFunction.x)
+    and log(1 - q*exp(-lambda_eff*x)) at each; DomainError where |1 - q*k| < POLE_TOL.
+
+    Cached for the last grid, since every level of a run is sampled on the same one;
+    an exception is not cached, so a pole grid raises on every call."""
+    x = tuple(x0 + dx * i for i in range(n))
+    base = [1.0 - q * _exp(-lambda_eff * xi) for xi in x]
+    # math.hypot, not abs: after an overflowing exp, CPython's complex abs reads a
+    # stale errno and raises OverflowError on the nan sample left for it.
+    if any(math.hypot(b.real, b.imag) < POLE_TOL for b in base):
+        raise DomainError(POLE_ERROR)
+    return x, tuple(map(cmath.log, base))
+
+
 def ground_state_from_W(w: Superpotential, x0: float, dx: float, n: int) -> GridFunction:
     """exp(-integral W) at the n points x0 + i*dx, normalized.
 
@@ -103,15 +123,9 @@ def ground_state_from_W(w: Superpotential, x0: float, dx: float, n: int) -> Grid
         raise NonNormalizableError(
             f"Re(mu) = {w.mu.real:g} <= 0: exp(-mu*x) does not decay; no bound ground state"
         )
-    x = psi.x
-    q, mu = w.q, w.mu
-    base = [1.0 - q * _exp(-w.lambda_eff * xi) for xi in x]
-    # math.hypot, not abs: after an overflowing exp, CPython's complex abs reads a
-    # stale errno and raises OverflowError on the nan sample left for it.
-    if any(math.hypot(b.real, b.imag) < POLE_TOL for b in base):
-        raise DomainError(POLE_ERROR)
-    c = w.nu / (q * w.lambda_eff)
-    log_psi = [c * cmath.log(b) - mu * xi for b, xi in zip(base, x)]
+    x, log_base = _grid_terms(w.q, w.lambda_eff, x0, dx, psi.n)
+    c, mu = w.nu / (w.q * w.lambda_eff), w.mu
+    log_psi = [c * lb - mu * xi for lb, xi in zip(log_base, x)]
     # A constant factor, which the normalization divides out again.  One that is
     # not finite means a nan sample, an infinite one, or none above zero.
     peak = max(z.real for z in log_psi)

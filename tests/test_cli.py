@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kg_hierarchy
-from kg_hierarchy.cli import build_parser, build_run_config, main, parse_config
+from kg_hierarchy.cli import build_run_config, main, parse_args, parse_config
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -68,7 +68,7 @@ class TestConfigParsing:
         cfg_path = write_cfg(tmp_path, block)
         raw = parse_config(cfg_path)
         assert raw["_params"] == kg_hierarchy.PotentialParams(V0=0.0, S0=1.0, lam=0.2, q=1.0, m=1.0)
-        cfg = build_run_config(build_parser().parse_args(["sweep", "--config", cfg_path]))
+        cfg = run_config(["sweep", "--config", cfg_path])
         assert cfg.oracle_cfg == kg_hierarchy.OracleConfig(n_points=4000)
         assert (cfg.n_max, cfg.sweep_key, cfg.sweep_values) == (8, "q", (0.5, 0.75, 1.0, 1.25, 1.5))
 
@@ -120,6 +120,99 @@ def run_python_fresh(*argv: str) -> subprocess.CompletedProcess:
 def run_cli_fresh(*argv: str) -> subprocess.CompletedProcess:
     """Run the CLI in a new interpreter, the way a user starts it."""
     return run_python_fresh("-m", "kg_hierarchy.cli", *argv)
+
+
+def run_config(argv):
+    """The RunConfig that main builds from argv."""
+    return build_run_config(parse_args(argv))
+
+
+class TestArgv:
+    """The command lines of the CLI: what it accepts, its usage errors (exit 2) and its help (exit 0)."""
+
+    # Each row gives the RunConfig of the first row of its group; "OTHER" names a
+    # config that a later --config replaces, so it is never read.
+    SAME_CONFIG = [
+        ["spectrum", "--config", "CFG", "--output", "OUT", "--format", "json", "--jobs", "3"],
+        ["spectrum", "--config=CFG", "--output=OUT", "--format=json", "--jobs=3"],
+        ["spectrum", "--jobs", "3", "--format", "json", "--output", "OUT", "--config", "CFG"],
+        ["spectrum", "--conf", "CFG", "--out=OUT", "--form", "json", "--j", "3"],
+        ["spectrum", "--config", "OTHER", "--format", "csv", "--output", "x.csv", "--jobs", "1",
+         "--config", "CFG", "--format", "json", "--output", "OUT", "--jobs", "3"],
+    ]
+    NEGATIVE_PERTURB = [
+        ["verify", "--config", "CFG", "--perturb-mu", "-0.001"],
+        ["verify", "--perturb-mu=-1e-3", "--config", "CFG"],
+        ["verify", "--config", "CFG", "--pert", "-.001", "--jobs", "2"],
+    ]
+    USAGE_ERRORS = {
+        "no-command": [],
+        "unknown-command": ["solve", "--config", "CFG"],
+        "options-before-command": ["--config", "CFG", "spectrum"],
+        "missing-config": ["spectrum", "--output", "OUT"],
+        "trailing-option": ["spectrum", "--config", "CFG", "--output"],
+        "trailing-config": ["sweep", "--config"],
+        "option-as-value": ["spectrum", "--config", "--output", "OUT"],
+        "format-xml": ["spectrum", "--config", "CFG", "--format", "xml"],
+        "jobs-two": ["sweep", "--config", "CFG", "--jobs", "two"],
+        "perturb-mu-float": ["verify", "--config", "CFG", "--perturb-mu", "tiny"],
+        "perturb-mu-spectrum": ["spectrum", "--config", "CFG", "--perturb-mu", "1e-3"],
+        "unknown-option": ["spectrum", "--config", "CFG", "--seed", "1"],
+        "stray-argument": ["spectrum", "--config", "CFG", "extra"],
+    }
+    HELP = [["-h"], ["--help"], ["spectrum", "-h"], ["verify", "--config", "CFG", "--help"], ["sweep", "--he"]]
+
+    @staticmethod
+    def argv(row, tmp_path):
+        names = {"CFG": str(SET_A_CFG), "OUT": str(tmp_path / "out"), "OTHER": str(tmp_path / "missing.cfg")}
+        return [names.get(arg, arg.replace("CFG", str(SET_A_CFG)).replace("OUT", str(tmp_path / "out")))
+                for arg in row]
+
+    @pytest.mark.parametrize("group", [SAME_CONFIG, NEGATIVE_PERTURB], ids=["spectrum", "verify-negative"])
+    def test_equivalent_command_lines(self, tmp_path, group):
+        first, *rest = (run_config(self.argv(row, tmp_path)) for row in group)
+        assert all(cfg == first for cfg in rest)
+
+    def test_parsed_values(self, tmp_path):
+        cfg = run_config(self.argv(self.SAME_CONFIG[0], tmp_path))
+        assert (cfg.command, cfg.output_path, cfg.fmt, cfg.perturb_mu) == ("spectrum", str(tmp_path / "out"), "json", 0.0)
+        assert cfg.params == parse_config(SET_A_CFG)["_params"]
+        cfg = run_config(self.argv(self.NEGATIVE_PERTURB[0], tmp_path))
+        assert (cfg.command, cfg.output_path, cfg.fmt, cfg.perturb_mu) == ("verify", None, "csv", -1e-3)
+
+    def test_negative_jobs_is_a_config_error(self, capsys):
+        assert main(["spectrum", "--config", str(SET_A_CFG), "--jobs", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --jobs must be >= 1, got -1\n"
+
+    @pytest.mark.parametrize("row", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+    def test_usage_error_exits_2(self, tmp_path, capsys, row):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(row, tmp_path))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: kg-hierarchy ")
+        assert error.startswith("kg-hierarchy: error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", HELP, ids=["-h", "--help", "command-h", "command-help", "--he"])
+    def test_help_exits_0(self, tmp_path, capsys, row):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(row, tmp_path))
+        assert exc.value.code in (0, None)
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: kg-hierarchy ") and captured.err == ""
+        for name in ("spectrum", "wavefunction", "verify", "sweep", "--config", "--perturb-mu"):
+            assert name in captured.out
+
+    def test_exit_codes_of_a_fresh_process(self):
+        proc = run_cli_fresh("spectrum", "--format", "xml")
+        assert (proc.returncode, proc.stdout, len(proc.stderr.splitlines())) == (2, "", 2)
+        proc = run_cli_fresh("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: kg-hierarchy ") and proc.stderr == ""
 
 
 class TestErrorExit:
@@ -399,11 +492,12 @@ print(json.dumps([name in sys.modules for name in ("scipy.linalg._flapack", "sci
 """
 
 
-# Whether dataclasses, inspect, numpy and the oracle are loaded before the package
-# import, after it and after each CLI run (one tab-separated argv each).
+# Whether dataclasses, inspect, numpy, the oracle, argparse and gettext are loaded
+# before the package import, after it and after each CLI run (one tab-separated argv each).
 HEAVY_IMPORT_PROBE = """
 import json, sys
-heavy = lambda: [name in sys.modules for name in ("dataclasses", "inspect", "numpy", "kg_hierarchy.oracle")]
+modules = ("dataclasses", "inspect", "numpy", "kg_hierarchy.oracle", "argparse", "gettext")
+heavy = lambda: [name in sys.modules for name in modules]
 seen = [heavy()]
 from kg_hierarchy.cli import main
 seen.append(heavy())
@@ -419,7 +513,8 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 class TestStartupImports:
     def test_closed_form_commands_never_load_dataclasses(self, tmp_path):
         # dataclasses loads inspect, ast, dis and tokenize: about 10 ms of every start;
-        # numpy about 0.1 s.  A given oracle.n_points is checked without the oracle.
+        # numpy about 0.1 s; argparse with its gettext lookups about 5 ms.  A given
+        # oracle.n_points is checked without the oracle.
         runs = []
         for extra in ("", "oracle.n_points = 400\n"):
             base = SET_A_CFG.read_text() + extra
@@ -432,7 +527,7 @@ class TestStartupImports:
             ]
         proc = run_python_fresh("-c", HEAVY_IMPORT_PROBE, *("\t".join(argv) for argv in runs))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[False] * 4] * (2 + len(runs))
+        assert json.loads(proc.stdout) == [[False] * 6] * (2 + len(runs))
 
     def test_closed_form_commands_run_without_numpy(self, tmp_path):
         # With numpy hidden, each command writes the bytes it writes with numpy installed.

@@ -9,6 +9,7 @@ import kg_hierarchy as kg
 from kg_hierarchy import Branch, GridFunction, LevelFlag, Superpotential
 from kg_hierarchy.errors import DomainError, NonNormalizableError, ParameterError
 from kg_hierarchy.potential import kernel_and_base
+from kg_hierarchy.wavefunctions import _grid_terms
 
 from conftest import SET_A, SET_B, SET_C, params
 
@@ -285,6 +286,52 @@ class TestNumpyRoute:
             psi = kg.ground_state_from_W(w, x0, dx, 2000)
             ref = numpy_ground_state(w, x0, dx, 2000)
             assert np.max(np.abs(np.asarray(psi.values) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestGridCache:
+    def test_pole_grid_raises_on_every_call(self, set_a):
+        # An exception is not cached: the pole grid raises again after a good grid
+        # has been cached and after it has itself been tried.
+        p = params(dict(SET_A, q=2.0))
+        pole = np.log(2.0) / p.lam
+        w = Superpotential(nu=1.5, mu=0.3, lambda_eff=p.lambda_eff, q=p.q)
+        good = kg.level(set_a, solved_level(set_a).E, 0)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="pole"):
+                kg.ground_state_from_W(w, *linspace_grid(pole - 1.0, pole + 1.0, 33))
+            kg.ground_state_from_W(good, set_a.domain_start(), 0.1, 64)
+
+    def test_cached_terms_give_the_uncached_samples(self):
+        # Sets A and C in turn, Hermitian and complex, every normalizable level on the
+        # CLI grid: each result equals an evaluation made after cache_clear().  A set's
+        # branches share q, x0, dx and n, and the Hermitian and complex ones follow
+        # each other, so the cache must tell them apart by lambda_eff.
+        _grid_terms.cache_clear()
+        cases = [("A", Branch.HERMITIAN), ("A", Branch.PT_SYMMETRIC), ("C", Branch.NON_HERMITIAN),
+                 ("C", Branch.HERMITIAN), ("A", Branch.NON_HERMITIAN), ("C", Branch.PT_SYMMETRIC)]
+        for name, branch in cases:
+            p = params({"A": SET_A, "C": SET_C}[name], branch=branch,
+                       VI=0.1 if branch is Branch.NON_HERMITIAN else 0.0)
+            x0 = p.domain_start()
+            dx = (p.box_end() - x0) / 1999
+            levels = [lv for lv in kg.spectrum(p, 8) if LevelFlag.NORMALIZABLE_MU_POSITIVE in lv.flags]
+            assert len(levels) > 1
+            for i, lv in enumerate(levels):
+                w = kg.level(p, lv.E, lv.n)
+                cached = kg.ground_state_from_W(w, x0, dx, 2000)
+                # From the second level on, the grid terms come from the cache
+                # (cache_clear also resets the hit count).
+                assert _grid_terms.cache_info().hits == (i > 0)
+                _grid_terms.cache_clear()
+                fresh = kg.ground_state_from_W(w, x0, dx, 2000)
+                # repr, so a zero of the other sign or a nan differs too.
+                assert list(map(repr, cached.x + cached.values)) == list(map(repr, fresh.x + fresh.values))
+
+    def test_cache_holds_tuples(self, set_a):
+        w = kg.level(set_a, solved_level(set_a).E, 0)
+        psi = kg.ground_state_from_W(w, set_a.domain_start(), 0.1, 64)
+        x, log_base = _grid_terms(set_a.q, set_a.lambda_eff, set_a.domain_start(), 0.1, 64)
+        assert type(x) is tuple and type(log_base) is tuple and list(x) == psi.x
 
 
 class TestNodeCount:
